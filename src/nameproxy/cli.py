@@ -120,11 +120,14 @@ class Artifacts:
     def params(self):
         return self._load("params", load_params)
 
-    @property
-    def surname_table(self) -> NameTable:
-        table = self._load("surname_table", NameTable.load)
+    def _load_surname_table(self, path) -> NameTable:
+        table = NameTable.load(path)
         table.smoothing_alpha = self.config.smoothing_alpha
         return table
+
+    @property
+    def surname_table(self) -> NameTable:
+        return self._load("surname_table", self._load_surname_table)
 
     @property
     def firstname_table(self) -> NameTable:
@@ -163,13 +166,23 @@ def _neural_probs(artifacts: Artifacts, records) -> list[np.ndarray | None]:
     return out
 
 
-def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig):
-    """Probability vectors (or None) for every record under one model."""
+def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig, memo=None):
+    """Probability vectors (or None) for every record under one model.
+
+    ``memo`` maps canonical model ids (after :data:`MEMBER_ALIASES`) to
+    outputs already computed for these records.  Sharing one dict across
+    a predict call computes each model at most once: ``first_last_zcta``
+    reuses ``first_last``'s vectors and ensemble members reuse the
+    requested models' outputs.
+    """
     model = MEMBER_ALIASES.get(model, model)
+    memo = {} if memo is None else memo
+    if model in memo:
+        return memo[model]
     if model == "first_last":
-        return _neural_probs(artifacts, records)
-    if model == "first_last_zcta":
-        name_probs = _neural_probs(artifacts, records)
+        out = _neural_probs(artifacts, records)
+    elif model == "first_last_zcta":
+        name_probs = predict_model("first_last", records, artifacts, config, memo)
         geo_table = artifacts.geo_table
         out = []
         for rec, probs in zip(records, name_probs):
@@ -180,26 +193,26 @@ def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig):
                 probs, geo_table.geo_likelihood(rec.geo), config.races
             )
             out.append(vec)
-        return out
-    if model == "bisg":
+    elif model == "bisg":
         ctx = artifacts.bayes_context(with_firstname=False)
-        return [bisg_reason(ctx, rec.last, rec.geo)[0] for rec in records]
-    if model == "bifsg":
+        out = [bisg_reason(ctx, rec.last, rec.geo)[0] for rec in records]
+    elif model == "bifsg":
         ctx = artifacts.bayes_context(with_firstname=True)
-        return [
-            bifsg_reason(ctx, rec.first, rec.last, rec.geo)[0] for rec in records
-        ]
-    if model == "ensemble":
+        out = [bifsg_reason(ctx, rec.first, rec.last, rec.geo)[0] for rec in records]
+    elif model == "ensemble":
         spec = config.ensemble
         member_outputs = [
-            predict_model(member, records, artifacts, config)
+            predict_model(member, records, artifacts, config, memo)
             for member in spec.members
         ]
-        return [
+        out = [
             ensemble_predict([outputs[i] for outputs in member_outputs], spec)
             for i in range(len(records))
         ]
-    raise ValueError(f"unknown model {model!r}")
+    else:
+        raise ValueError(f"unknown model {model!r}")
+    memo[model] = out
+    return out
 
 
 def prediction_header(races: RaceSet) -> list[str]:
@@ -299,7 +312,10 @@ def cmd_predict(args, config: RunConfig) -> int:
     records = read_people_csv(args.input, config.races, require_race=False)
     models = _parse_models(args.models)
     artifacts = Artifacts(config)
-    outputs = {model: predict_model(model, records, artifacts, config) for model in models}
+    memo: dict[str, list] = {}
+    outputs = {
+        model: predict_model(model, records, artifacts, config, memo) for model in models
+    }
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(prediction_header(config.races))
@@ -347,7 +363,9 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int):
                 raise SchemaError(
                     f"{path}: line {lineno}: row_id {row_id} outside truth file"
                 )
-            slots = by_model.setdefault(model, [_UNSEEN] * n_rows)
+            slots = by_model.get(model)
+            if slots is None:
+                slots = by_model[model] = [_UNSEEN] * n_rows
             covered = row[-1]
             if covered not in ("0", "1"):
                 raise SchemaError(f"{path}: line {lineno}: covered must be 0 or 1")

@@ -15,6 +15,10 @@ bit-identical parameter trajectories.
 
 Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
+Only :func:`loss_and_gradients` keeps the per-step cache that BPTT reads.
+:func:`forward` (inference, and training-mode probabilities) keeps no
+training cache: each direction holds its input projection and the running
+``h``/``c`` state, so eval memory is that of one layer's activations.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import json
+import math
 import struct
 
 import numpy as np
@@ -194,8 +199,14 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _run_direction(direction: LstmDirection, x, reverse: bool):
-    """One direction's pass over the whole window; returns outputs and cache."""
+def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: bool):
+    """One direction's pass over the whole window, writing each ``h_t`` into ``out``.
+
+    ``out`` is a ``(batch, steps, hidden)`` view the caller owns.  With
+    ``keep_cache`` the per-step gate activations and states that BPTT reads
+    are stored and returned; without it only ``zx``, ``h`` and ``c`` are
+    live and the return value is None.
+    """
     batch, steps, in_dim = x.shape
     hidden = direction.w_rec.shape[0]
     order = range(steps - 1, -1, -1) if reverse else range(steps)
@@ -206,29 +217,33 @@ def _run_direction(direction: LstmDirection, x, reverse: bool):
     zx += direction.bias
     h = np.zeros((batch, hidden))
     c = np.zeros((batch, hidden))
-    gates = np.empty((batch, steps, 4, hidden))
-    c_prev = np.empty((batch, steps, hidden))
-    h_prev = np.empty((batch, steps, hidden))
-    tanh_c = np.empty((batch, steps, hidden))
-    out = np.empty((batch, steps, hidden))
+    if keep_cache:
+        gates = np.empty((batch, steps, 4, hidden))
+        c_prev = np.empty((batch, steps, hidden))
+        h_prev = np.empty((batch, steps, hidden))
+        tanh_c = np.empty((batch, steps, hidden))
     for t in order:
         z = zx[:, t] + h @ direction.w_rec
         i = _sigmoid(z[:, 0 * hidden : 1 * hidden])
         f = _sigmoid(z[:, 1 * hidden : 2 * hidden])
         g = np.tanh(z[:, 2 * hidden : 3 * hidden])
         o = _sigmoid(z[:, 3 * hidden : 4 * hidden])
-        c_prev[:, t] = c
-        h_prev[:, t] = h
+        if keep_cache:
+            c_prev[:, t] = c
+            h_prev[:, t] = h
         c = f * c + i * g
         tc = np.tanh(c)
         h = o * tc
-        gates[:, t, _I] = i
-        gates[:, t, _F] = f
-        gates[:, t, _G] = g
-        gates[:, t, _O] = o
-        tanh_c[:, t] = tc
+        if keep_cache:
+            gates[:, t, _I] = i
+            gates[:, t, _F] = f
+            gates[:, t, _G] = g
+            gates[:, t, _O] = o
+            tanh_c[:, t] = tc
         out[:, t] = h
-    cache = {
+    if not keep_cache:
+        return None
+    return {
         "x": x,
         "gates": gates,
         "c_prev": c_prev,
@@ -236,7 +251,6 @@ def _run_direction(direction: LstmDirection, x, reverse: bool):
         "tanh_c": tanh_c,
         "reverse": reverse,
     }
-    return out, cache
 
 
 def _backprop_direction(direction: LstmDirection, cache, d_out):
@@ -276,7 +290,12 @@ def _backprop_direction(direction: LstmDirection, cache, d_out):
     return d_x, d_w_in, d_w_rec, d_bias
 
 
-def _forward_cached(params: NetworkParams, codes, mode: str, dropout_seed: int):
+def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, keep_cache: bool):
+    """Probabilities, plus the BPTT cache when ``keep_cache`` (else None).
+
+    Without the cache each layer's output is dropped as soon as the next
+    layer has read it, so memory stays at one layer's activations.
+    """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     codes = np.asarray(codes, dtype=np.int64)
@@ -288,6 +307,7 @@ def _forward_cached(params: NetworkParams, codes, mode: str, dropout_seed: int):
         raise ShapeMismatchError(f"codes must be (batch, steps), got {codes.shape}")
     if codes.min() < 0 or codes.max() >= VOCAB_SIZE:
         raise ShapeMismatchError("codes out of vocabulary range")
+    batch, steps = codes.shape
     hidden = params.hidden
     drop_rng = np.random.default_rng(dropout_seed)
     use_dropout = mode == TRAIN and params.dropout > 0.0
@@ -295,9 +315,9 @@ def _forward_cached(params: NetworkParams, codes, mode: str, dropout_seed: int):
     x = params.embedding[codes]  # (B, T, D)
     layer_caches = []
     for l, (fwd, bwd) in enumerate(params.layers):
-        out_f, cache_f = _run_direction(fwd, x, reverse=False)
-        out_b, cache_b = _run_direction(bwd, x, reverse=True)
-        out = np.concatenate([out_f, out_b], axis=2)  # (B, T, 2H)
+        out = np.empty((batch, steps, 2 * hidden))  # forward | backward
+        cache_f = _run_direction(fwd, x, False, out[:, :, :hidden], keep_cache)
+        cache_b = _run_direction(bwd, x, True, out[:, :, hidden:], keep_cache)
         mask = None
         if l < params.n_layers - 1:
             if use_dropout:
@@ -306,13 +326,15 @@ def _forward_cached(params: NetworkParams, codes, mode: str, dropout_seed: int):
                 x = out * mask
             else:
                 x = out
-        layer_caches.append({"fwd": cache_f, "bwd": cache_b, "mask": mask, "out": out})
+        if keep_cache:
+            layer_caches.append({"fwd": cache_f, "bwd": cache_b, "mask": mask})
 
-    top = layer_caches[-1]["out"]
-    feat = np.concatenate([top[:, -1, :hidden], top[:, 0, hidden:]], axis=1)
+    feat = np.concatenate([out[:, -1, :hidden], out[:, 0, hidden:]], axis=1)
     logits = feat @ params.dense_w + params.dense_b
     log_probs = _log_softmax(logits)
     probs = np.exp(log_probs)
+    if not keep_cache:
+        return probs, None
     cache = {
         "codes": codes,
         "layers": layer_caches,
@@ -327,9 +349,13 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
     """Class probabilities for a batch of encoded names, shape (batch, classes).
 
     Eval mode is a pure function of (params, codes); train mode applies
-    seeded inter-layer dropout.
+    seeded inter-layer dropout.  Either way no training cache is kept: each
+    direction holds only its input projection and running ``h``/``c``, so
+    memory is that of one layer's activations, not of all
+    ``(batch, steps, 4, hidden)`` BPTT stores.  The probabilities are
+    bit-identical to those :func:`loss_and_gradients` computes.
     """
-    probs, _ = _forward_cached(params, codes, mode, dropout_seed)
+    probs, _ = _forward_pass(params, codes, mode, dropout_seed, keep_cache=False)
     return probs
 
 
@@ -346,7 +372,7 @@ def loss_and_gradients(
     and the embedding rows that the batch touched.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    probs, cache = _forward_cached(params, codes, mode, dropout_seed)
+    probs, cache = _forward_pass(params, codes, mode, dropout_seed, keep_cache=True)
     batch = probs.shape[0]
     if labels.shape != (batch,):
         raise ShapeMismatchError(f"labels must be ({batch},), got {labels.shape}")
@@ -640,6 +666,51 @@ def save_params(params: NetworkParams, path) -> None:
         raise OSError(f"failed writing parameters to {path}: {exc}") from exc
 
 
+def _is_count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _array_specs(header, path, available: int):
+    """Check a parameter header before anything is allocated from it.
+
+    Returns ``(name, shape, element count)`` per stored array.  Counts are
+    Python ints, so no shape can overflow, and together they must fit in
+    the ``available`` bytes that follow the header.
+    """
+    if not isinstance(header, dict):
+        raise CorruptFileError(f"{path}: header is not a JSON object")
+    for key in ("embed_dim", "hidden", "layers", "n_classes", "dropout", "arrays"):
+        if key not in header:
+            raise CorruptFileError(f"{path}: header lacks {key!r}")
+    for key in ("embed_dim", "hidden", "layers", "n_classes"):
+        if not _is_count(header[key]):
+            raise CorruptFileError(f"{path}: header {key} must be a non-negative integer")
+    dropout = header["dropout"]
+    if type(dropout) not in (int, float):
+        raise CorruptFileError(f"{path}: header dropout must be a number")
+    if not isinstance(header["arrays"], list):
+        raise CorruptFileError(f"{path}: header arrays must be a list")
+    specs = []
+    for entry in header["arrays"]:
+        if not (
+            isinstance(entry, list)
+            and len(entry) == 2
+            and isinstance(entry[0], str)
+            and isinstance(entry[1], list)
+            and all(_is_count(dim) for dim in entry[1])
+        ):
+            raise CorruptFileError(
+                f"{path}: array entry must be [name, [non-negative ints]], got {entry!r:.80}"
+            )
+        name, shape = entry
+        count = math.prod(shape)
+        if count * 8 > available:
+            raise CorruptFileError(f"{path}: truncated while reading {name}")
+        available -= count * 8
+        specs.append((name, shape, count))
+    return specs
+
+
 def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
     """Load a parameter container; bit-exact inverse of :func:`save_params`.
 
@@ -662,20 +733,17 @@ def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
     offset += header_len
-    if expect_hidden is not None and header.get("hidden") != expect_hidden:
+    specs = _array_specs(header, path, len(data) - offset)
+    if expect_hidden is not None and header["hidden"] != expect_hidden:
         raise ShapeMismatchError(
-            f"{path}: file has hidden={header.get('hidden')}, expected {expect_hidden}"
+            f"{path}: file has hidden={header['hidden']}, expected {expect_hidden}"
         )
     arrays: dict[str, np.ndarray] = {}
-    for name, shape in header.get("arrays", []):
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = count * 8
-        if offset + nbytes > len(data):
-            raise CorruptFileError(f"{path}: truncated while reading {name}")
+    for name, shape, count in specs:
         arrays[name] = np.frombuffer(
             data, dtype="<f8", count=count, offset=offset
         ).reshape(shape).copy()
-        offset += nbytes
+        offset += count * 8
     if offset != len(data):
         raise CorruptFileError(f"{path}: {len(data) - offset} trailing bytes")
     try:

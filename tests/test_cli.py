@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import nameproxy.cli as cli
 from nameproxy.cli import main, read_people_csv
 from nameproxy.config import load_config
 from nameproxy.core import RaceSet
@@ -248,6 +249,47 @@ class TestPredictCommand:
         assert by_model["bifsg"][-1] == "0"
         assert by_model["bisg"][-1] == "1"
         assert by_model["ensemble"][2:6] == by_model["bisg"][2:6]
+
+    def test_each_model_computed_once(self, world, tmp_path, monkeypatch):
+        calls = {"predict_proba_batch": 0, "bisg_reason": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+
+        counted("predict_proba_batch")
+        counted("bisg_reason")
+        _, out = predict_to(world, tmp_path, "first_last,first_last_zcta,ensemble")
+        assert calls["predict_proba_batch"] == 1
+        # the shared vectors give the same rows as a run of each model alone
+        together = {(r[0], r[1]): r for r in read_rows(out)[1:]}
+        for model in ("first_last_zcta", "ensemble"):
+            _, alone = predict_to(world, tmp_path, model, name=f"{model}.csv")
+            for row in read_rows(alone)[1:]:
+                assert together[(row[0], row[1])] == row
+
+        config = json.loads(world["config"].read_text())
+        config["ensemble"] = {"members": ["ibisg"]}
+        for key in config["paths"]:
+            config["paths"][key] = str(world["root"] / config["paths"][key])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        input_csv = tmp_path / "input.csv"
+        calls["bisg_reason"] = 0
+        rc = run(
+            "predict",
+            "--config", cfg_path,
+            "--input", input_csv,
+            "--models", "bisg,ensemble",
+            "--out", tmp_path / "bisg.csv",
+        )
+        assert rc == 0
+        assert calls["bisg_reason"] == len(DEFAULT_INPUT_ROWS)
 
     def test_rerun_is_byte_identical(self, world, tmp_path):
         _, out1 = predict_to(world, tmp_path, "ensemble", name="p1.csv")

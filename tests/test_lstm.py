@@ -1,5 +1,9 @@
 """BiLSTM forward/backward contracts, Adam, training loop, persistence."""
 
+import json
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,6 +15,7 @@ from nameproxy.errors import (
 )
 from nameproxy.lstm import (
     EVAL,
+    MAGIC,
     TRAIN,
     AdamState,
     LstmDirection,
@@ -26,6 +31,7 @@ from nameproxy.lstm import (
     split_and_balance,
     train,
     zero_grads,
+    _forward_pass,
 )
 from nameproxy.names import WINDOW
 
@@ -108,6 +114,38 @@ class TestForward:
         p1 = predict_proba(params, long_first, "b" * 10)
         p2 = predict_proba(params, long_first, "b" * 4 + "xyz")
         np.testing.assert_array_equal(p1, p2)
+
+    @pytest.mark.parametrize(
+        "embed_dim,hidden,layers,batch,steps",
+        [(4, 3, 1, 1, 1), (4, 3, 2, 5, 1), (8, 8, 2, 1, WINDOW), (16, 32, 3, 17, WINDOW)],
+    )
+    @pytest.mark.parametrize("mode", [EVAL, TRAIN])
+    def test_cache_free_matches_cached_bitwise(self, embed_dim, hidden, layers, batch, steps, mode):
+        params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=11)
+        codes = np.random.default_rng(12).integers(0, 30, size=(batch, steps))
+        cached, cache = _forward_pass(params, codes, mode, 5, keep_cache=True)
+        assert cache is not None
+        np.testing.assert_array_equal(forward(params, codes, mode=mode, dropout_seed=5), cached)
+
+    def test_eval_keeps_no_per_step_cache(self):
+        """Eval peak memory stays near one layer's activations, whatever the depth.
+
+        One ``(batch, steps, hidden)`` float64 array is a unit.  Cache-free, a
+        layer needs its input and output (2 units each) plus the input
+        projection (4 units); the BPTT stores would add 8 units per direction
+        per layer and keep them for every layer.
+        """
+        params = init_params(embed_dim=16, hidden=32, layers=3, seed=0)
+        codes = np.random.default_rng(0).integers(0, 30, size=(64, WINDOW))
+        unit = 64 * WINDOW * 32 * 8
+        forward(params, codes)
+        tracemalloc.start()
+        try:
+            forward(params, codes)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 12 * unit
 
 
 class TestLossAndGradients:
@@ -350,6 +388,55 @@ class TestPersistence:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "params.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
+        with pytest.raises(CorruptFileError):
+            load_params(path)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda h: h["arrays"][0].__setitem__(1, [2**32, 2**32]),
+            lambda h: h["arrays"][0].__setitem__(1, [1.5]),
+            lambda h: h["arrays"][0].__setitem__(1, [-1]),
+            lambda h: h["arrays"][0].__setitem__(1, [True]),
+            lambda h: h["arrays"][0].__setitem__(1, "4"),
+            lambda h: h["arrays"].append(["extra"]),
+            lambda h: h.__setitem__("arrays", 5),
+            lambda h: h.pop("arrays"),
+            lambda h: h.pop("layers"),
+            lambda h: h.pop("dropout"),
+            lambda h: h.pop("hidden"),
+            lambda h: h.__setitem__("layers", 2.0),
+            lambda h: h.__setitem__("dropout", "0.2"),
+            lambda h: h.clear(),
+        ],
+        ids=[
+            "shape_overflows_int64", "float_dim", "negative_dim", "bool_dim",
+            "shape_not_list", "entry_without_shape", "arrays_not_list",
+            "no_arrays", "no_layers", "no_dropout", "no_hidden", "float_layers",
+            "string_dropout", "no_fields",
+        ],
+    )
+    def test_malformed_header_rejected(self, tmp_path, corrupt):
+        path = tmp_path / "params.bin"
+        save_params(tiny_params(), path)
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack_from("<I", blob, len(MAGIC) + 4)
+        start = len(MAGIC) + 8
+        header = json.loads(blob[start : start + header_len])
+        corrupt(header)
+        new_header = json.dumps(header).encode("utf-8")
+        path.write_bytes(
+            MAGIC
+            + struct.pack("<II", 1, len(new_header))
+            + new_header
+            + blob[start + header_len :]
+        )
+        with pytest.raises(CorruptFileError):
+            load_params(path)
+
+    def test_header_not_an_object(self, tmp_path):
+        path = tmp_path / "params.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"[]")
         with pytest.raises(CorruptFileError):
             load_params(path)
 
