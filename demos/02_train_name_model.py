@@ -63,8 +63,5 @@ with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "params.bin"
     save_params(params, path)
     reloaded = load_params(path)
-    same = all(
-        np.array_equal(a, b)
-        for (_, a), (_, b) in zip(params.named_arrays(), reloaded.named_arrays())
-    )
+    same = np.array_equal(params.flat, reloaded.flat)
     print(f"\nsaved {path.stat().st_size} bytes; reload bit-identical: {same}")

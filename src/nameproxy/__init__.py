@@ -24,7 +24,6 @@ from .evaluation import (
     class_metrics,
     emit_report,
     intersect_covered,
-    representative_sample,
     roc_curve,
 )
 from .lstm import (
@@ -41,6 +40,7 @@ from .lstm import (
     train,
 )
 from .names import encode_name, is_person_name, is_valid_name, normalize
+from .sampling import representative_sample
 from .tables import (
     GeoTable,
     NameTable,

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import RaceSet, renormalize
-from .errors import EmptyAfterNormalizationError, MissingFirstnameTableError
-from .names import DEFAULT_SUFFIXES, normalize_table
+from .errors import MissingFirstnameTableError
+from .names import DEFAULT_SUFFIXES, table_key
 from .tables import GeoTable, NameTable
 
 logger = logging.getLogger(__name__)
@@ -126,21 +126,15 @@ def _posterior(numerator: np.ndarray):
 
 
 def _surname_prior(ctx: BayesContext, last: str):
-    key = _table_key(last, ctx.suffixes)
+    key = table_key(last, ctx.suffixes)
     if key is None:
         return None
     return ctx.surname_table.race_given_name(key)
 
 
 def _name_likelihood(table: NameTable, name: str, suffixes):
-    key = _table_key(name, suffixes)
+    key = table_key(name, suffixes)
     if key is None:
         return None
     return table.name_likelihood(key)
 
-
-def _table_key(raw: str, suffixes) -> str | None:
-    try:
-        return normalize_table(raw, suffixes)
-    except EmptyAfterNormalizationError:
-        return None

@@ -38,7 +38,7 @@ from .lstm import (
     train,
     write_training_log,
 )
-from .names import NEURAL, encode_name, is_person_name, normalize, normalize_table
+from .names import NEURAL, encode_name, is_person_name, normalize, table_key
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -248,11 +248,8 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         distinct = set()
         field = "last" if kind == SURNAME else "first"
         for rec in records:
-            try:
-                name = normalize_table(getattr(rec, field), config.suffixes)
-            except EmptyAfterNormalizationError:
-                continue
-            if len(name) > 1:
+            name = table_key(getattr(rec, field), config.suffixes)
+            if name is not None and len(name) > 1:
                 distinct.add(name)
         stats = {
             "distinct_names": len(distinct),

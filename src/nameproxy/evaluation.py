@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import RaceSet
 from .errors import LengthMismatchError, SingleClassError
-from .sampling import largest_remainder_quotas, representative_sample  # noqa: F401
 
 __all__ = [
     "MetricRow",
@@ -27,8 +26,6 @@ __all__ = [
     "roc_curve",
     "intersect_covered",
     "emit_report",
-    "representative_sample",
-    "largest_remainder_quotas",
 ]
 
 

@@ -13,6 +13,13 @@ initialization, the train/validation split, class balancing, batch
 shuffling, and dropout masks.  Two runs with the same seed produce
 bit-identical parameter trajectories.
 
+Every weight lives in one contiguous float64 vector, ``NetworkParams.flat``,
+laid out by :func:`_layout`: the embedding, then per layer the forward and
+backward direction's ``w_in``/``w_rec``/``bias``, then the dense head.  The
+named arrays are views into that vector.  Gradients and the Adam moments
+are vectors with the same layout, so an optimizer step, a copy, a
+finiteness check and the parameter file each handle one buffer.
+
 Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
 Only :func:`loss_and_gradients` keeps the per-step cache that BPTT reads.
@@ -23,7 +30,7 @@ training cache: each direction holds its input projection and the running
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import json
 import math
@@ -34,6 +41,7 @@ import numpy as np
 from .core import RaceSet
 from .errors import (
     CorruptFileError,
+    EmptyAfterNormalizationError,
     InsufficientClassError,
     ShapeMismatchError,
 )
@@ -58,88 +66,92 @@ class LstmDirection:
     bias: np.ndarray  # (4*hidden,)
 
 
-@dataclass
+def _layout(embed_dim: int, hidden: int, layers: int, n_classes: int):
+    """``(name, shape)`` of every stored array, in storage and file order."""
+    gates = 4 * hidden
+    specs = [("embedding", (VOCAB_SIZE, embed_dim))]
+    for l in range(layers):
+        in_dim = embed_dim if l == 0 else 2 * hidden
+        for tag in ("fwd", "bwd"):
+            specs += [
+                (f"layer{l}.{tag}.w_in", (in_dim, gates)),
+                (f"layer{l}.{tag}.w_rec", (hidden, gates)),
+                (f"layer{l}.{tag}.bias", (gates,)),
+            ]
+    specs += [("dense_w", (2 * hidden, n_classes)), ("dense_b", (n_classes,))]
+    return specs
+
+
 class NetworkParams:
-    embedding: np.ndarray  # (vocab, embed_dim)
-    layers: list[tuple[LstmDirection, LstmDirection]]  # (forward, backward)
-    dense_w: np.ndarray  # (2*hidden, n_classes)
-    dense_b: np.ndarray  # (n_classes,)
-    dropout: float = 0.2
+    """Every weight of the network as a view into one float64 vector.
 
-    @property
-    def embed_dim(self) -> int:
-        return self.embedding.shape[1]
+    ``flat`` holds the arrays of :func:`_layout` back to back.
+    ``embedding``, each direction's ``w_in``/``w_rec``/``bias`` (in
+    ``layers``, one ``(forward, backward)`` pair per layer), ``dense_w`` and
+    ``dense_b`` are views into it, so writing through a view writes
+    ``flat``.  Without ``flat`` the weights start at zero.
 
-    @property
-    def hidden(self) -> int:
-        return self.layers[0][0].w_rec.shape[0]
+    Raises:
+        ShapeMismatchError: no recurrent layer, or ``flat`` is not a
+            contiguous float64 vector of the layout's size.
+    """
 
-    @property
-    def n_layers(self) -> int:
-        return len(self.layers)
+    def __init__(
+        self,
+        embed_dim: int,
+        hidden: int,
+        n_layers: int,
+        n_classes: int,
+        dropout: float = 0.2,
+        flat: np.ndarray | None = None,
+    ):
+        if n_layers < 1:
+            raise ShapeMismatchError("need at least one recurrent layer")
+        layout = _layout(embed_dim, hidden, n_layers, n_classes)
+        size = sum(math.prod(shape) for _, shape in layout)
+        if flat is None:
+            flat = np.zeros(size)
+        elif flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+            raise ShapeMismatchError(
+                f"flat must be a contiguous float64 vector of {size} entries, "
+                f"got {flat.dtype} {flat.shape}"
+            )
+        self.embed_dim = embed_dim
+        self.hidden = hidden
+        self.n_layers = n_layers
+        self.n_classes = n_classes
+        self.dropout = dropout
+        self.flat = flat
+        views = []
+        offset = 0
+        for _, shape in layout:
+            count = math.prod(shape)
+            views.append(flat[offset : offset + count].reshape(shape))
+            offset += count
+        views = iter(views)
+        self.embedding = next(views)
+        self.layers = [
+            (
+                LstmDirection(next(views), next(views), next(views)),
+                LstmDirection(next(views), next(views), next(views)),
+            )
+            for _ in range(n_layers)
+        ]
+        self.dense_w = next(views)
+        self.dense_b = next(views)
 
-    @property
-    def n_classes(self) -> int:
-        return self.dense_w.shape[1]
-
-    def named_arrays(self):
-        """(name, array) pairs in a fixed, stable order."""
-        yield "embedding", self.embedding
-        for l, (fwd, bwd) in enumerate(self.layers):
-            for tag, d in (("fwd", fwd), ("bwd", bwd)):
-                yield f"layer{l}.{tag}.w_in", d.w_in
-                yield f"layer{l}.{tag}.w_rec", d.w_rec
-                yield f"layer{l}.{tag}.bias", d.bias
-        yield "dense_w", self.dense_w
-        yield "dense_b", self.dense_b
+    def like(self, flat: np.ndarray) -> "NetworkParams":
+        """The same dimensions and dropout over another vector (no copy)."""
+        return NetworkParams(
+            self.embed_dim, self.hidden, self.n_layers, self.n_classes, self.dropout, flat
+        )
 
     def validate(self) -> None:
-        if self.embedding.ndim != 2 or self.embedding.shape[0] != VOCAB_SIZE:
-            raise ShapeMismatchError(f"embedding must be ({VOCAB_SIZE}, d), got {self.embedding.shape}")
-        if not self.layers:
-            raise ShapeMismatchError("need at least one recurrent layer")
-        hidden = self.hidden
-        for l, (fwd, bwd) in enumerate(self.layers):
-            in_dim = self.embed_dim if l == 0 else 2 * hidden
-            for tag, d in (("fwd", fwd), ("bwd", bwd)):
-                if d.w_in.shape != (in_dim, 4 * hidden):
-                    raise ShapeMismatchError(
-                        f"layer{l}.{tag}.w_in expected {(in_dim, 4 * hidden)}, got {d.w_in.shape}"
-                    )
-                if d.w_rec.shape != (hidden, 4 * hidden):
-                    raise ShapeMismatchError(
-                        f"layer{l}.{tag}.w_rec expected {(hidden, 4 * hidden)}, got {d.w_rec.shape}"
-                    )
-                if d.bias.shape != (4 * hidden,):
-                    raise ShapeMismatchError(
-                        f"layer{l}.{tag}.bias expected {(4 * hidden,)}, got {d.bias.shape}"
-                    )
-        if self.dense_w.shape[0] != 2 * hidden or self.dense_w.ndim != 2:
-            raise ShapeMismatchError(
-                f"dense_w expected (2*{hidden}, classes), got {self.dense_w.shape}"
-            )
-        if self.dense_b.shape != (self.dense_w.shape[1],):
-            raise ShapeMismatchError(
-                f"dense_b expected ({self.dense_w.shape[1]},), got {self.dense_b.shape}"
-            )
-        for name, arr in self.named_arrays():
-            if not np.isfinite(arr).all():
-                raise ShapeMismatchError(f"{name} contains non-finite values")
+        if not np.isfinite(self.flat).all():
+            raise ShapeMismatchError("parameters contain non-finite values")
 
     def copy(self) -> "NetworkParams":
-        return NetworkParams(
-            embedding=self.embedding.copy(),
-            layers=[
-                (
-                    LstmDirection(f.w_in.copy(), f.w_rec.copy(), f.bias.copy()),
-                    LstmDirection(b.w_in.copy(), b.w_rec.copy(), b.bias.copy()),
-                )
-                for f, b in self.layers
-            ],
-            dense_w=self.dense_w.copy(),
-            dense_b=self.dense_b.copy(),
-            dropout=self.dropout,
-        )
+        return self.like(self.flat.copy())
 
 
 def init_params(
@@ -152,39 +164,22 @@ def init_params(
 ) -> NetworkParams:
     """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1."""
     rng = np.random.default_rng(seed)
+    params = NetworkParams(embed_dim, hidden, layers, n_classes, dropout)
 
-    def uniform(fan_in, shape):
+    def uniform(fan_in, out):
         bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, size=shape)
+        out[...] = rng.uniform(-bound, bound, size=out.shape)
 
-    stack = []
-    for l in range(layers):
-        in_dim = embed_dim if l == 0 else 2 * hidden
-        pair = []
-        for _ in range(2):
-            bias = np.zeros(4 * hidden)
-            bias[_F * hidden : (_F + 1) * hidden] = 1.0
-            pair.append(
-                LstmDirection(
-                    w_in=uniform(in_dim, (in_dim, 4 * hidden)),
-                    w_rec=uniform(hidden, (hidden, 4 * hidden)),
-                    bias=bias,
-                )
-            )
-        stack.append((pair[0], pair[1]))
-    params = NetworkParams(
-        embedding=uniform(embed_dim, (VOCAB_SIZE, embed_dim)),
-        layers=stack,
-        dense_w=uniform(2 * hidden, (2 * hidden, n_classes)),
-        dense_b=np.zeros(n_classes),
-        dropout=dropout,
-    )
+    # draw order: every layer's weights, then the embedding, then the head
+    for pair in params.layers:
+        for d in pair:
+            uniform(d.w_in.shape[0], d.w_in)
+            uniform(hidden, d.w_rec)
+            d.bias[_F * hidden : (_F + 1) * hidden] = 1.0
+    uniform(embed_dim, params.embedding)
+    uniform(2 * hidden, params.dense_w)
     params.validate()
     return params
-
-
-def zero_grads(params: NetworkParams) -> dict[str, np.ndarray]:
-    return {name: np.zeros_like(arr) for name, arr in params.named_arrays()}
 
 
 def _sigmoid(x):
@@ -253,8 +248,9 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: 
     }
 
 
-def _backprop_direction(direction: LstmDirection, cache, d_out):
-    """BPTT through one direction; returns input grads and weight grads."""
+def _backprop_direction(direction: LstmDirection, cache, d_out, grad: LstmDirection):
+    """BPTT through one direction: writes its weight gradients into ``grad``'s
+    views and returns the gradient with respect to the direction's input."""
     x = cache["x"]
     gates = cache["gates"]
     batch, steps, _, hidden = gates.shape
@@ -283,11 +279,10 @@ def _backprop_direction(direction: LstmDirection, cache, d_out):
         dh_next = dz_t @ direction.w_rec.T
     flat_x = x.reshape(batch * steps, -1)
     flat_dz = dz.reshape(batch * steps, -1)
-    d_x = (flat_dz @ direction.w_in.T).reshape(x.shape)
-    d_w_in = flat_x.T @ flat_dz
-    d_w_rec = cache["h_prev"].reshape(batch * steps, hidden).T @ flat_dz
-    d_bias = flat_dz.sum(axis=0)
-    return d_x, d_w_in, d_w_rec, d_bias
+    grad.w_in[...] = flat_x.T @ flat_dz
+    grad.w_rec[...] = cache["h_prev"].reshape(batch * steps, hidden).T @ flat_dz
+    grad.bias[...] = flat_dz.sum(axis=0)
+    return (flat_dz @ direction.w_in.T).reshape(x.shape)
 
 
 def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, keep_cache: bool):
@@ -366,7 +361,8 @@ def loss_and_gradients(
     mode: str = TRAIN,
     dropout_seed: int = 0,
 ):
-    """Mean cross-entropy over the batch plus gradients for every parameter.
+    """Mean cross-entropy over the batch plus its gradient, a vector laid out
+    like ``params.flat``.
 
     Gradients flow through the dense head, both directions of every layer,
     and the embedding rows that the batch touched.
@@ -380,14 +376,14 @@ def loss_and_gradients(
         raise ShapeMismatchError("label outside class range")
     loss = float(-cache["log_probs"][np.arange(batch), labels].mean())
 
-    grads = zero_grads(params)
+    grads = params.like(np.zeros_like(params.flat))
     hidden = params.hidden
 
     d_logits = cache["probs"].copy()
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
-    grads["dense_w"] = cache["feat"].T @ d_logits
-    grads["dense_b"] = d_logits.sum(axis=0)
+    grads.dense_w[...] = cache["feat"].T @ d_logits
+    grads.dense_b[...] = d_logits.sum(axis=0)
     d_feat = d_logits @ params.dense_w.T
 
     steps = cache["codes"].shape[1]
@@ -397,33 +393,23 @@ def loss_and_gradients(
 
     for l in range(params.n_layers - 1, -1, -1):
         layer_cache = cache["layers"][l]
-        fwd, bwd = params.layers[l]
-        d_x_f, d_w_in_f, d_w_rec_f, d_bias_f = _backprop_direction(
-            fwd, layer_cache["fwd"], d_out[:, :, :hidden]
-        )
-        d_x_b, d_w_in_b, d_w_rec_b, d_bias_b = _backprop_direction(
-            bwd, layer_cache["bwd"], d_out[:, :, hidden:]
-        )
-        grads[f"layer{l}.fwd.w_in"] = d_w_in_f
-        grads[f"layer{l}.fwd.w_rec"] = d_w_rec_f
-        grads[f"layer{l}.fwd.bias"] = d_bias_f
-        grads[f"layer{l}.bwd.w_in"] = d_w_in_b
-        grads[f"layer{l}.bwd.w_rec"] = d_w_rec_b
-        grads[f"layer{l}.bwd.bias"] = d_bias_b
+        (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
+        d_x_f = _backprop_direction(fwd, layer_cache["fwd"], d_out[:, :, :hidden], grad_f)
+        d_x_b = _backprop_direction(bwd, layer_cache["bwd"], d_out[:, :, hidden:], grad_b)
         d_input = d_x_f + d_x_b
         if l > 0:
             mask = cache["layers"][l - 1]["mask"]
             d_out = d_input if mask is None else d_input * mask
         else:
-            d_embed = grads["embedding"]
             flat_codes = cache["codes"].ravel()
-            np.add.at(d_embed, flat_codes, d_input.reshape(-1, params.embed_dim))
-    return loss, grads
+            np.add.at(grads.embedding, flat_codes, d_input.reshape(-1, params.embed_dim))
+    return loss, grads.flat
 
 
 @dataclass
 class AdamState:
-    """Adam moments plus the hyperparameters of the update rule.
+    """Adam moments (vectors laid out like ``params.flat``) plus the
+    hyperparameters of the update rule.
 
     Weight decay defaults to the coupled form (decay added to the gradient
     before the moment updates); set ``decoupled`` for the variant that
@@ -437,42 +423,34 @@ class AdamState:
     epsilon: float = 1e-8
     decoupled: bool = False
     step: int = 0
-    m: dict[str, np.ndarray] = field(default_factory=dict)
-    v: dict[str, np.ndarray] = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
     def for_params(cls, params: NetworkParams, **kwargs) -> "AdamState":
-        state = cls(**kwargs)
-        for name, arr in params.named_arrays():
-            state.m[name] = np.zeros_like(arr)
-            state.v[name] = np.zeros_like(arr)
-        return state
+        return cls(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat), **kwargs)
 
 
-def adam_step(params: NetworkParams, grads: dict[str, np.ndarray], state: AdamState):
+def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState):
     """One in-place Adam update with bias correction; returns (params, state)."""
+    theta = params.flat
+    if grads.shape != theta.shape:
+        raise ShapeMismatchError(f"gradient has shape {grads.shape}, parameters {theta.shape}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name, theta in params.named_arrays():
-        g = grads[name]
-        if g.shape != theta.shape:
-            raise ShapeMismatchError(
-                f"gradient {name} has shape {g.shape}, parameter {theta.shape}"
-            )
-        if state.weight_decay != 0.0 and not state.decoupled:
-            g = g + state.weight_decay * theta
-        m = state.m[name]
-        v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        update = state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.epsilon)
-        if state.weight_decay != 0.0 and state.decoupled:
-            update = update + state.lr * state.weight_decay * theta
-        theta -= update
+    g = grads
+    if state.weight_decay != 0.0 and not state.decoupled:
+        g = g + state.weight_decay * theta
+    state.m *= state.beta1
+    state.m += (1.0 - state.beta1) * g
+    state.v *= state.beta2
+    state.v += (1.0 - state.beta2) * (g * g)
+    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    if state.weight_decay != 0.0 and state.decoupled:
+        update = update + state.lr * state.weight_decay * theta
+    theta -= update
     return params, state
 
 
@@ -495,6 +473,8 @@ class TrainConfig:
             raise ValueError("split must be in (0, 1)")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
 
 
 @dataclass(frozen=True)
@@ -510,8 +490,6 @@ def prepare_dataset(records, races: RaceSet | None = None):
     Records whose names normalize to nothing or fail the length rule are
     dropped, mirroring the table-construction filters.
     """
-    from .errors import EmptyAfterNormalizationError
-
     races = races or RaceSet()
     codes_list = []
     labels = []
@@ -625,9 +603,13 @@ def _accuracy(params, codes, labels, batch_size):
     return hits / codes.shape[0] if codes.shape[0] else 0.0
 
 
-def predict_proba(params: NetworkParams, first: str, last: str) -> np.ndarray:
-    """Probabilities for one raw name; always produces a valid vector."""
-    codes = encode_name(normalize(first, NEURAL), normalize(last, NEURAL))
+def predict_proba(params: NetworkParams, first: str, last: str) -> np.ndarray | None:
+    """Probabilities for one raw name, or None (a decline, as in ``predict``)
+    when the first or last name normalizes to nothing."""
+    try:
+        codes = encode_name(normalize(first, NEURAL), normalize(last, NEURAL))
+    except EmptyAfterNormalizationError:
+        return None
     return forward(params, codes[None, :], mode=EVAL)[0]
 
 
@@ -642,9 +624,14 @@ def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 512) -> 
 
 
 def save_params(params: NetworkParams, path) -> None:
-    """Write a versioned binary container with explicit dimension metadata."""
+    """Write a versioned binary container with explicit dimension metadata.
+
+    Layout: ``NPRX``, then ``<II`` (format version, header length), then
+    the JSON header (sorted keys), then ``params.flat`` as little-endian
+    float64, which is every array of the ``arrays`` header list in order.
+    """
     params.validate()
-    arrays = list(params.named_arrays())
+    layout = _layout(params.embed_dim, params.hidden, params.n_layers, params.n_classes)
     header = {
         "format_version": FORMAT_VERSION,
         "embed_dim": params.embed_dim,
@@ -652,7 +639,7 @@ def save_params(params: NetworkParams, path) -> None:
         "layers": params.n_layers,
         "n_classes": params.n_classes,
         "dropout": params.dropout,
-        "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+        "arrays": [[name, list(shape)] for name, shape in layout],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     try:
@@ -660,8 +647,7 @@ def save_params(params: NetworkParams, path) -> None:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
             fh.write(blob)
-            for _, arr in arrays:
-                fh.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+            fh.write(params.flat.astype("<f8", copy=False))
     except OSError as exc:
         raise OSError(f"failed writing parameters to {path}: {exc}") from exc
 
@@ -670,12 +656,12 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _array_specs(header, path, available: int):
+def _checked_size(header, path, available: int) -> int:
     """Check a parameter header before anything is allocated from it.
 
-    Returns ``(name, shape, element count)`` per stored array.  Counts are
-    Python ints, so no shape can overflow, and together they must fit in
-    the ``available`` bytes that follow the header.
+    The ``arrays`` list must be exactly the layout its dimensions imply,
+    and those arrays must fill the ``available`` bytes after the header.
+    Returns the number of stored float64 values.
     """
     if not isinstance(header, dict):
         raise CorruptFileError(f"{path}: header is not a JSON object")
@@ -686,37 +672,32 @@ def _array_specs(header, path, available: int):
         if not _is_count(header[key]):
             raise CorruptFileError(f"{path}: header {key} must be a non-negative integer")
     dropout = header["dropout"]
-    if type(dropout) not in (int, float):
-        raise CorruptFileError(f"{path}: header dropout must be a number")
-    if not isinstance(header["arrays"], list):
-        raise CorruptFileError(f"{path}: header arrays must be a list")
-    specs = []
-    for entry in header["arrays"]:
-        if not (
-            isinstance(entry, list)
-            and len(entry) == 2
-            and isinstance(entry[0], str)
-            and isinstance(entry[1], list)
-            and all(_is_count(dim) for dim in entry[1])
-        ):
-            raise CorruptFileError(
-                f"{path}: array entry must be [name, [non-negative ints]], got {entry!r:.80}"
-            )
-        name, shape = entry
-        count = math.prod(shape)
-        if count * 8 > available:
-            raise CorruptFileError(f"{path}: truncated while reading {name}")
-        available -= count * 8
-        specs.append((name, shape, count))
-    return specs
+    if type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
+        raise CorruptFileError(f"{path}: header dropout must be a number in [0, 1)")
+    arrays = header["arrays"]
+    # the length check bounds ``layers`` by the header's own size before a
+    # layout is built from it
+    if not isinstance(arrays, list) or len(arrays) != 6 * header["layers"] + 3:
+        raise CorruptFileError(f"{path}: header arrays do not match its dimensions")
+    layout = _layout(header["embed_dim"], header["hidden"], header["layers"], header["n_classes"])
+    if arrays != [[name, list(shape)] for name, shape in layout]:
+        raise CorruptFileError(f"{path}: header arrays do not match its dimensions")
+    # Python ints: no shape can overflow
+    size = sum(math.prod(shape) for _, shape in layout)
+    if 8 * size != available:
+        raise CorruptFileError(
+            f"{path}: header implies {8 * size} data bytes, file has {available}"
+        )
+    return size
 
 
 def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
     """Load a parameter container; bit-exact inverse of :func:`save_params`.
 
     Raises:
-        CorruptFileError: bad magic, truncation, trailing bytes, or
-            metadata inconsistent with the stored arrays.
+        CorruptFileError: bad magic, a malformed header, arrays that are
+            not the layout its dimensions imply, truncation, trailing
+            bytes, or non-finite values.
         ShapeMismatchError: ``expect_hidden`` given and different from the
             file's hidden size.
     """
@@ -733,51 +714,24 @@ def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
     offset += header_len
-    specs = _array_specs(header, path, len(data) - offset)
+    size = _checked_size(header, path, len(data) - offset)
     if expect_hidden is not None and header["hidden"] != expect_hidden:
         raise ShapeMismatchError(
             f"{path}: file has hidden={header['hidden']}, expected {expect_hidden}"
         )
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape, count in specs:
-        arrays[name] = np.frombuffer(
-            data, dtype="<f8", count=count, offset=offset
-        ).reshape(shape).copy()
-        offset += count * 8
-    if offset != len(data):
-        raise CorruptFileError(f"{path}: {len(data) - offset} trailing bytes")
+    flat = np.frombuffer(data, dtype="<f8", count=size, offset=offset).astype(np.float64)
     try:
-        stack = []
-        for l in range(int(header["layers"])):
-            dirs = []
-            for tag in ("fwd", "bwd"):
-                dirs.append(
-                    LstmDirection(
-                        w_in=arrays[f"layer{l}.{tag}.w_in"],
-                        w_rec=arrays[f"layer{l}.{tag}.w_rec"],
-                        bias=arrays[f"layer{l}.{tag}.bias"],
-                    )
-                )
-            stack.append((dirs[0], dirs[1]))
         params = NetworkParams(
-            embedding=arrays["embedding"],
-            layers=stack,
-            dense_w=arrays["dense_w"],
-            dense_b=arrays["dense_b"],
-            dropout=float(header["dropout"]),
+            header["embed_dim"],
+            header["hidden"],
+            header["layers"],
+            header["n_classes"],
+            float(header["dropout"]),
+            flat,
         )
-    except KeyError as exc:
-        raise CorruptFileError(f"{path}: missing array {exc}") from exc
-    try:
         params.validate()
     except ShapeMismatchError as exc:
-        raise CorruptFileError(f"{path}: inconsistent shapes: {exc}") from exc
-    if (
-        params.embed_dim != header["embed_dim"]
-        or params.hidden != header["hidden"]
-        or params.n_classes != header["n_classes"]
-    ):
-        raise CorruptFileError(f"{path}: header dimensions disagree with arrays")
+        raise CorruptFileError(f"{path}: {exc}") from exc
     return params
 
 

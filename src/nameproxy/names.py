@@ -73,12 +73,11 @@ def normalize(name: str, profile: str = NEURAL) -> str:
         EmptyAfterNormalizationError: nothing survives the character rules.
         ValueError: unknown profile id.
     """
-    if profile not in (NEURAL, TABLE):
+    if profile == TABLE:
+        return normalize_table(name)
+    if profile != NEURAL:
         raise ValueError(f"unknown normalization profile {profile!r}")
     out = _neural_clean(name)
-    if profile == TABLE:
-        out = _strip_suffixes(out, DEFAULT_SUFFIXES)
-        out = out.replace(" ", "").replace("-", "").replace("'", "")
     if not out:
         raise EmptyAfterNormalizationError(f"nothing left of {name!r} after normalization")
     return out
@@ -91,6 +90,14 @@ def normalize_table(name: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> 
     if not out:
         raise EmptyAfterNormalizationError(f"nothing left of {name!r} after normalization")
     return out
+
+
+def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
+    """:func:`normalize_table`, or None when nothing survives it."""
+    try:
+        return normalize_table(raw, suffixes)
+    except EmptyAfterNormalizationError:
+        return None
 
 
 def _neural_clean(name: str) -> str:

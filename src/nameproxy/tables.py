@@ -27,7 +27,7 @@ from .errors import (
     KindMismatchError,
     SchemaError,
 )
-from .names import DEFAULT_SUFFIXES, normalize_table
+from .names import DEFAULT_SUFFIXES, table_key
 from .sampling import max_feasible_sample_size, representative_sample
 
 SURNAME = "surname"
@@ -289,7 +289,7 @@ def build_name_table(
         if rec.race not in race_index:
             continue
         raw = rec.last if kind == SURNAME else rec.first
-        name = _try_normalize_table(raw, suffixes)
+        name = table_key(raw, suffixes)
         if name is None or len(name) <= 1:
             continue
         idx = race_index[rec.race]
@@ -375,15 +375,6 @@ def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameT
         provenance=provenance,
         source_totals=source_totals,
     )
-
-
-def _try_normalize_table(raw: str, suffixes) -> str | None:
-    from .errors import EmptyAfterNormalizationError
-
-    try:
-        return normalize_table(raw, suffixes)
-    except EmptyAfterNormalizationError:
-        return None
 
 
 def _fmt_counts(counts: np.ndarray) -> str:

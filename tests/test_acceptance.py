@@ -191,39 +191,35 @@ class TestC03GradientCheck:
             probs = forward(params, codes, mode=mode, dropout_seed=seed)
             return float(-np.log(probs[np.arange(4), labels]).mean())
 
-        _, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
+        _, analytic = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
         h = 1e-5
+        flat = params.flat
+        numeric = np.empty_like(analytic)
+        for j in range(flat.size):
+            orig = flat[j]
+            flat[j] = orig + h
+            up = loss_only()
+            flat[j] = orig - h
+            down = loss_only()
+            flat[j] = orig
+            numeric[j] = (up - down) / (2 * h)
+        # relative error where the gradient is meaningfully sized;
+        # below 1e-6 the finite-difference noise floor dominates, so
+        # those entries get an absolute bound instead
+        scale = np.maximum(np.abs(analytic), np.abs(numeric))
+        big = scale > 1e-6
         worst = 0.0
-        total_entries = 0
-        for name, arr in params.named_arrays():
-            flat = arr.ravel()
-            analytic = grads[name].ravel()
-            numeric = np.empty_like(analytic)
-            for j in range(flat.size):
-                orig = flat[j]
-                flat[j] = orig + h
-                up = loss_only()
-                flat[j] = orig - h
-                down = loss_only()
-                flat[j] = orig
-                numeric[j] = (up - down) / (2 * h)
-            total_entries += flat.size
-            # relative error where the gradient is meaningfully sized;
-            # below 1e-6 the finite-difference noise floor dominates, so
-            # those entries get an absolute bound instead
-            scale = np.maximum(np.abs(analytic), np.abs(numeric))
-            big = scale > 1e-6
-            if big.any():
-                rel = np.abs(analytic[big] - numeric[big]) / scale[big]
-                worst = max(worst, float(rel.max()))
-                assert rel.max() < 1e-4, f"{name}: max rel err {rel.max():.2e}"
-            small = ~big
-            if small.any():
-                assert np.abs(analytic[small] - numeric[small]).max() < 1e-7, name
+        if big.any():
+            rel = np.abs(analytic[big] - numeric[big]) / scale[big]
+            worst = float(rel.max())
+            assert worst < 1e-4, f"entry {np.flatnonzero(big)[rel.argmax()]}: max rel err {worst:.2e}"
+        small = ~big
+        if small.any():
+            assert np.abs(analytic[small] - numeric[small]).max() < 1e-7
         elapsed = time.monotonic() - start
         assert elapsed < 120.0, f"took {elapsed:.1f}s"
         _pass(
-            f"gradient check [{mode}]: {total_entries} entries, "
+            f"gradient check [{mode}]: {flat.size} entries, "
             f"max rel err {worst:.2e}, {elapsed:.0f}s"
         )
 
@@ -356,8 +352,7 @@ class TestC07MetricsOracle:
 
     def test_uniform_output_loss_is_ln4(self):
         params = init_params(embed_dim=4, hidden=3, layers=1, n_classes=4, seed=0)
-        for _, arr in params.named_arrays():
-            arr[...] = 0.0
+        params.flat[...] = 0.0
         codes = np.random.default_rng(0).integers(1, 30, size=(8, 30))
         labels = np.random.default_rng(1).integers(0, 4, size=8)
         loss, _ = loss_and_gradients(params, codes, labels, mode="eval")

@@ -203,13 +203,6 @@ class TestIntersectCovered:
             intersect_covered([[None], [None, None]])
 
 
-def test_sampling_helpers_available_from_evaluation():
-    from nameproxy import evaluation, sampling
-
-    assert evaluation.representative_sample is sampling.representative_sample
-    assert evaluation.largest_remainder_quotas is sampling.largest_remainder_quotas
-
-
 class TestEmitReport:
     def make_report(self):
         truths = ["asian", "black", "hispanic", "white"] * 5

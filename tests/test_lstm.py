@@ -1,11 +1,16 @@
 """BiLSTM forward/backward contracts, Adam, training loop, persistence."""
 
 import json
+import math
 import struct
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nameproxy.core import PersonRecord, RaceSet
 from nameproxy.errors import (
@@ -18,7 +23,7 @@ from nameproxy.lstm import (
     MAGIC,
     TRAIN,
     AdamState,
-    LstmDirection,
+    NetworkParams,
     TrainConfig,
     adam_step,
     forward,
@@ -30,8 +35,8 @@ from nameproxy.lstm import (
     save_params,
     split_and_balance,
     train,
-    zero_grads,
     _forward_pass,
+    _layout,
 )
 from nameproxy.names import WINDOW
 
@@ -46,8 +51,7 @@ def tiny_params(seed=0, dropout=0.2):
 
 def zero_params(dropout=0.0):
     p = tiny_params(dropout=dropout)
-    for _, arr in p.named_arrays():
-        arr[...] = 0.0
+    p.flat[...] = 0.0
     return p
 
 
@@ -164,8 +168,7 @@ class TestLossAndGradients:
         loss1, grads1 = loss_and_gradients(params, one, np.array([2]), mode=EVAL)
         loss2, grads2 = loss_and_gradients(params, two, np.array([2, 2]), mode=EVAL)
         assert loss1 == pytest.approx(loss2, abs=1e-12)
-        for name in grads1:
-            np.testing.assert_allclose(grads1[name], grads2[name], atol=1e-12)
+        np.testing.assert_allclose(grads1, grads2, atol=1e-12)
 
     def test_rejects_bad_labels(self):
         params = tiny_params()
@@ -188,10 +191,12 @@ class TestLossAndGradients:
         labels = np.array([1, 3])
         _, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
         h = 1e-5
-        arrays = dict(params.named_arrays())
-        for name, arr in arrays.items():
-            flat = arr.ravel()
-            picks = rng.choice(flat.size, size=min(20, flat.size), replace=False)
+        flat = params.flat
+        offset = 0
+        for name, shape in _layout(4, 3, 2, 4):
+            size = math.prod(shape)
+            picks = offset + rng.choice(size, size=min(20, size), replace=False)
+            offset += size
             numeric = np.empty(picks.size)
             for k, j in enumerate(picks):
                 orig = flat[j]
@@ -201,8 +206,9 @@ class TestLossAndGradients:
                 lm, _ = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
                 flat[j] = orig
                 numeric[k] = (lp - lm) / (2 * h)
-            analytic = grads[name].ravel()[picks]
+            analytic = grads[picks]
             np.testing.assert_allclose(numeric, analytic, rtol=1e-4, atol=1e-7, err_msg=name)
+        assert offset == flat.size
 
     def test_single_step_decreases_loss_small_lr(self):
         params = tiny_params(seed=11, dropout=0.0)
@@ -220,36 +226,30 @@ class TestAdam:
         params = tiny_params(seed=3)
         reference = params.copy()
         state = AdamState.for_params(params, weight_decay=0.0)
-        adam_step(params, zero_grads(params), state)
-        for (_, a), (_, b) in zip(params.named_arrays(), reference.named_arrays()):
-            np.testing.assert_array_equal(a, b)
+        adam_step(params, np.zeros_like(params.flat), state)
+        np.testing.assert_array_equal(params.flat, reference.flat)
         assert state.step == 1
 
     def test_first_step_size_is_lr(self):
         """With g=1 everywhere, the bias-corrected first step is ~lr."""
         params = tiny_params(seed=5)
         reference = params.copy()
-        grads = {name: np.ones_like(arr) for name, arr in params.named_arrays()}
         state = AdamState.for_params(params, lr=0.001, weight_decay=0.0)
-        adam_step(params, grads, state)
-        for (_, a), (_, b) in zip(params.named_arrays(), reference.named_arrays()):
-            np.testing.assert_allclose(b - a, 0.001, rtol=1e-6)
+        adam_step(params, np.ones_like(params.flat), state)
+        np.testing.assert_allclose(reference.flat - params.flat, 0.001, rtol=1e-6)
 
     @pytest.mark.parametrize("decoupled", [False, True])
     def test_weight_decay_shrinks_positive_params(self, decoupled):
         params = tiny_params(seed=9)
-        for _, arr in params.named_arrays():
-            arr[...] = np.abs(arr) + 0.05
+        params.flat[...] = np.abs(params.flat) + 0.05
         reference = params.copy()
         state = AdamState.for_params(params, weight_decay=0.004, decoupled=decoupled)
-        adam_step(params, zero_grads(params), state)
-        for (_, a), (_, b) in zip(params.named_arrays(), reference.named_arrays()):
-            assert (a < b).all()
+        adam_step(params, np.zeros_like(params.flat), state)
+        assert (params.flat < reference.flat).all()
 
     def test_shape_mismatch(self):
         params = tiny_params()
-        grads = zero_grads(params)
-        grads["dense_b"] = np.zeros(5)
+        grads = np.zeros(params.flat.size + 1)
         with pytest.raises(ShapeMismatchError):
             adam_step(params, grads, AdamState.for_params(params))
 
@@ -329,13 +329,17 @@ class TestTrain:
         p1, log1 = train(records, cfg)
         p2, log2 = train(records, cfg)
         assert log1 == log2
-        for (_, a), (_, b) in zip(p1.named_arrays(), p2.named_arrays()):
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_insufficient_class(self):
         records = [PersonRecord("aa", "bb", "0", "white")] * 50
         with pytest.raises(InsufficientClassError):
             train(records, TrainConfig(seed=0, epochs=1, embed_dim=4, hidden=4, layers=1))
+
+    @pytest.mark.parametrize("dropout", [7.5, -0.1, 1.0])
+    def test_config_rejects_dropout_outside_unit_interval(self, dropout):
+        with pytest.raises(ValueError, match="dropout"):
+            TrainConfig(dropout=dropout)
 
 
 class TestPredictProba:
@@ -349,6 +353,10 @@ class TestPredictProba:
         probs = predict_proba(zero_params(), "jane", "doe")
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
 
+    @pytest.mark.parametrize("first,last", [("!!", ".."), ("jane", "123"), ("", "doe")])
+    def test_declines_name_that_normalizes_to_nothing(self, first, last):
+        assert predict_proba(tiny_params(), first, last) is None
+
 
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path):
@@ -356,10 +364,73 @@ class TestPersistence:
         path = tmp_path / "params.bin"
         save_params(params, path)
         loaded = load_params(path)
-        for (name_a, a), (name_b, b) in zip(params.named_arrays(), loaded.named_arrays()):
-            assert name_a == name_b
-            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+        np.testing.assert_array_equal(loaded.layers[1][1].w_rec, params.layers[1][1].w_rec)
         assert loaded.dropout == params.dropout
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        embed_dim=st.integers(1, 6),
+        hidden=st.integers(1, 5),
+        layers=st.integers(1, 3),
+        n_classes=st.integers(2, 5),
+        dropout=st.floats(0.0, 0.99),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_roundtrip_property(self, embed_dim, hidden, layers, n_classes, dropout, seed):
+        params = init_params(embed_dim, hidden, layers, n_classes, dropout, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.bin"
+            save_params(params, path)
+            blob = path.read_bytes()
+            loaded = load_params(path)
+            save_params(loaded, path)
+            assert path.read_bytes() == blob
+        assert (loaded.embed_dim, loaded.hidden, loaded.n_layers, loaded.n_classes) == (
+            embed_dim, hidden, layers, n_classes,
+        )
+        assert loaded.dropout == dropout
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+
+    def test_reads_hand_built_v1_file(self, tmp_path):
+        """A file written from the documented format, not by ``save_params``."""
+        rng = np.random.default_rng(8)
+        embed, hidden, classes = 3, 2, 4
+        arrays = [("embedding", rng.normal(size=(30, embed)))]
+        for l in range(2):
+            in_dim = embed if l == 0 else 2 * hidden
+            for tag in ("fwd", "bwd"):
+                arrays += [
+                    (f"layer{l}.{tag}.w_in", rng.normal(size=(in_dim, 4 * hidden))),
+                    (f"layer{l}.{tag}.w_rec", rng.normal(size=(hidden, 4 * hidden))),
+                    (f"layer{l}.{tag}.bias", rng.normal(size=4 * hidden)),
+                ]
+        arrays += [
+            ("dense_w", rng.normal(size=(2 * hidden, classes))),
+            ("dense_b", rng.normal(size=classes)),
+        ]
+        header = {
+            "format_version": 1,
+            "embed_dim": embed,
+            "hidden": hidden,
+            "layers": 2,
+            "n_classes": classes,
+            "dropout": 0.25,
+            "arrays": [[name, list(arr.shape)] for name, arr in arrays],
+        }
+        blob = json.dumps(header, sort_keys=True).encode("utf-8")
+        data = b"".join(arr.astype("<f8").tobytes() for _, arr in arrays)
+        path = tmp_path / "hand.bin"
+        path.write_bytes(b"NPRX" + struct.pack("<II", 1, len(blob)) + blob + data)
+
+        params = load_params(path)
+        assert params.dropout == 0.25
+        np.testing.assert_array_equal(params.embedding, arrays[0][1])
+        np.testing.assert_array_equal(params.layers[1][0].w_rec, arrays[8][1])
+        np.testing.assert_array_equal(params.dense_b, arrays[-1][1])
+        resaved = tmp_path / "resaved.bin"
+        save_params(params, resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_save_is_byte_deterministic(self, tmp_path):
         params = tiny_params(seed=31)
@@ -408,12 +479,16 @@ class TestPersistence:
             lambda h: h.__setitem__("layers", 2.0),
             lambda h: h.__setitem__("dropout", "0.2"),
             lambda h: h.clear(),
+            lambda h: h.__setitem__("dropout", 7.5),
+            lambda h: h.__setitem__("dropout", -0.1),
+            lambda h: h.__setitem__("dropout", 1.0),
         ],
         ids=[
             "shape_overflows_int64", "float_dim", "negative_dim", "bool_dim",
             "shape_not_list", "entry_without_shape", "arrays_not_list",
             "no_arrays", "no_layers", "no_dropout", "no_hidden", "float_layers",
-            "string_dropout", "no_fields",
+            "string_dropout", "no_fields", "dropout_7.5", "dropout_negative",
+            "dropout_one",
         ],
     )
     def test_malformed_header_rejected(self, tmp_path, corrupt):
@@ -450,12 +525,15 @@ class TestPersistence:
 
 
 class TestValidate:
-    def test_catches_wrong_layer_width(self):
+    def test_rejects_flat_of_wrong_size_or_dtype(self):
+        size = tiny_params().flat.size
+        for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32)):
+            with pytest.raises(ShapeMismatchError):
+                NetworkParams(4, 3, 2, 4, flat=flat)
+        NetworkParams(4, 3, 2, 4, flat=np.zeros(size))
+
+    def test_catches_non_finite(self):
         params = tiny_params()
-        fwd, bwd = params.layers[1]
-        params.layers[1] = (
-            LstmDirection(fwd.w_in[:, :-1], fwd.w_rec, fwd.bias),
-            bwd,
-        )
+        params.dense_w[0, 0] = np.nan
         with pytest.raises(ShapeMismatchError):
             params.validate()
