@@ -13,31 +13,65 @@ likelihood factors and renormalize.
 Every failure mode (unknown surname, unknown first name, unknown
 geography, zero posterior mass) produces a declined prediction rather
 than an error; the decline reason is available for diagnostics.
+
+The work is done over whole columns of records (:func:`bayes_scores`,
+:func:`geo_augment_scores`): each distinct raw name is normalized once,
+keys resolve to rows of per-table factor matrices, and a posterior is a
+row-wise product of gathered rows, renormalized.  The one-record
+functions (``bisg``, ``bifsg_reason``, ...) are one-row calls into the
+same code.
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import RaceSet, renormalize
+from .core import (
+    REASON_CODE,
+    UNKNOWN_FIRSTNAME,
+    UNKNOWN_GEO,
+    UNKNOWN_SURNAME,
+    ZERO_MASS,
+    RaceSet,
+    Scores,
+    renormalize_rows,
+)
 from .errors import MissingFirstnameTableError
-from .names import DEFAULT_SUFFIXES, table_key
+from .names import DEFAULT_SUFFIXES, TABLE, column_keys
 from .tables import GeoTable, NameTable
 
 logger = logging.getLogger(__name__)
 
-UNKNOWN_SURNAME = "unknown_surname"
-UNKNOWN_FIRSTNAME = "unknown_firstname"
-UNKNOWN_GEO = "unknown_geo"
-ZERO_MASS = "zero_mass"
+
+@dataclass(frozen=True)
+class Factor:
+    """One table's per-key factor rows: ``matrix[index[key]]``."""
+
+    index: dict[str, int]
+    matrix: np.ndarray
+
+    @classmethod
+    def of(cls, entries: dict, matrix: np.ndarray) -> "Factor":
+        return cls({key: i for i, key in enumerate(entries)}, matrix)
+
+    def rows(self, raws, profile: str | None = TABLE, suffixes=DEFAULT_SUFFIXES) -> np.ndarray:
+        """Row of each raw string's key, or -1 when the table lacks it."""
+        keys, codes = column_keys(raws, profile, suffixes)
+        by_key = np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
+        return by_key[codes]
 
 
 @dataclass
 class BayesContext:
-    """Tables a Bayes predictor draws its factors from."""
+    """Tables a Bayes predictor draws its factors from.
+
+    The factor matrices are built from the tables once per context, on
+    first use.
+    """
 
     surname_table: NameTable
     geo_table: GeoTable
@@ -52,6 +86,71 @@ class BayesContext:
             if table is not None and table.races != self.races:
                 raise ValueError("all tables must share one race set")
 
+    @cached_property
+    def surname_prior(self) -> Factor:
+        """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
+        return Factor.of(self.surname_table.entries, self.surname_table.prior_rows())
+
+    @cached_property
+    def firstname_likelihood(self) -> Factor:
+        """``P(first name | race)`` rows."""
+        if self.firstname_table is None:
+            raise MissingFirstnameTableError("bifsg needs a first-name table")
+        return Factor.of(self.firstname_table.entries, self.firstname_table.likelihood_rows())
+
+    @cached_property
+    def geo_likelihood(self) -> Factor:
+        """``P(geo | race)`` rows."""
+        return Factor.of(self.geo_table.entries, self.geo_table.likelihood_rows())
+
+
+def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
+    """BISG over columns of surnames and geo ids; BIFSG when ``firsts`` is given.
+
+    A record declines for the first factor its key is missing from, in
+    the order surname, first name, geography, and then for zero
+    posterior mass.
+
+    Raises:
+        MissingFirstnameTableError: ``firsts`` given without a first-name table.
+        ZeroMassError: a known surname's entry has no mass to normalize.
+        ValueError: a known surname's entry has negative or non-finite counts.
+    """
+    if firsts is not None:
+        first_like = ctx.firstname_likelihood
+    surname = ctx.surname_prior.rows(lasts, TABLE, ctx.suffixes)
+    reason = np.where(surname < 0, REASON_CODE[UNKNOWN_SURNAME], 0).astype(np.int8)
+    known = surname[surname >= 0]
+    unusable = np.isnan(ctx.surname_prior.matrix[known]).any(axis=1)
+    if unusable.any():
+        # raise what normalizing that entry raises
+        ctx.surname_table.race_given_name(list(ctx.surname_table.entries)[known[unusable][0]])
+    if firsts is not None:
+        first = first_like.rows(firsts, TABLE, ctx.suffixes)
+        reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]
+    geo = ctx.geo_likelihood.rows(geos, profile=None)
+    reason[(reason == 0) & (geo < 0)] = REASON_CODE[UNKNOWN_GEO]
+    live = reason == 0
+    numerator = ctx.surname_prior.matrix[surname[live]]
+    if firsts is not None:
+        numerator = numerator * first_like.matrix[first[live]]
+    numerator = numerator * ctx.geo_likelihood.matrix[geo[live]]
+    return _posterior(numerator, reason, len(ctx.races))
+
+
+def geo_augment_scores(name: Scores, geo_rows: np.ndarray, geo_likelihood: np.ndarray) -> Scores:
+    """Fold geography into a name-only model's scores, row by row.
+
+    ``geo_rows[i]`` is record ``i``'s row of ``geo_likelihood`` (the
+    ``P(geo | race)`` matrix), or -1 for an unknown geography.  Records
+    the name model declined keep its reason.
+    """
+    reason = name.reason.copy()
+    reason[(reason == 0) & (geo_rows < 0)] = REASON_CODE[UNKNOWN_GEO]
+    live = reason == 0
+    numerator = name.probs[live] * geo_likelihood[geo_rows[live]]
+    return _posterior(numerator, reason, name.probs.shape[1])
+
 
 def bisg(ctx: BayesContext, last: str, geo: str) -> np.ndarray | None:
     """Surname-geography posterior; ``None`` when the model declines."""
@@ -63,13 +162,7 @@ def bisg(ctx: BayesContext, last: str, geo: str) -> np.ndarray | None:
 
 def bisg_reason(ctx: BayesContext, last: str, geo: str):
     """Like :func:`bisg` but also returns the decline reason, if any."""
-    prior = _surname_prior(ctx, last)
-    if prior is None:
-        return None, UNKNOWN_SURNAME
-    geo_like = ctx.geo_table.geo_likelihood(geo)
-    if geo_like is None:
-        return None, UNKNOWN_GEO
-    return _posterior(prior * geo_like)
+    return bayes_scores(ctx, [last], [geo]).row(0)
 
 
 def bifsg(ctx: BayesContext, first: str, last: str, geo: str) -> np.ndarray | None:
@@ -84,18 +177,7 @@ def bifsg(ctx: BayesContext, first: str, last: str, geo: str) -> np.ndarray | No
 
 def bifsg_reason(ctx: BayesContext, first: str, last: str, geo: str):
     """Like :func:`bifsg` but also returns the decline reason, if any."""
-    if ctx.firstname_table is None:
-        raise MissingFirstnameTableError("bifsg needs a first-name table")
-    prior = _surname_prior(ctx, last)
-    if prior is None:
-        return None, UNKNOWN_SURNAME
-    first_like = _name_likelihood(ctx.firstname_table, first, ctx.suffixes)
-    if first_like is None:
-        return None, UNKNOWN_FIRSTNAME
-    geo_like = ctx.geo_table.geo_likelihood(geo)
-    if geo_like is None:
-        return None, UNKNOWN_GEO
-    return _posterior(prior * first_like * geo_like)
+    return bayes_scores(ctx, [last], [geo], firsts=[first]).row(0)
 
 
 def geo_augment(name_probs, geo_likelihood, races: RaceSet) -> np.ndarray | None:
@@ -113,28 +195,20 @@ def geo_augment_reason(name_probs, geo_likelihood, races: RaceSet):
     p = np.asarray(name_probs, dtype=np.float64)
     if p.size != len(races):
         raise ValueError(f"name probabilities have {p.size} entries for {len(races)} races")
+    name = Scores(p.reshape(1, -1), np.zeros(1, dtype=np.int8))
     if geo_likelihood is None:
-        return None, UNKNOWN_GEO
-    g = np.asarray(geo_likelihood, dtype=np.float64)
-    return _posterior(p * g)
+        # row -1 of an empty matrix: the kernel declines it as unknown
+        return geo_augment_scores(name, np.array([-1]), np.zeros((0, p.size))).row(0)
+    g = np.asarray(geo_likelihood, dtype=np.float64).reshape(1, -1)
+    return geo_augment_scores(name, np.array([0]), g).row(0)
 
 
-def _posterior(numerator: np.ndarray):
-    if numerator.sum() <= 0.0:
-        return None, ZERO_MASS
-    return renormalize(numerator), None
-
-
-def _surname_prior(ctx: BayesContext, last: str):
-    key = table_key(last, ctx.suffixes)
-    if key is None:
-        return None
-    return ctx.surname_table.race_given_name(key)
-
-
-def _name_likelihood(table: NameTable, name: str, suffixes):
-    key = table_key(name, suffixes)
-    if key is None:
-        return None
-    return table.name_likelihood(key)
-
+def _posterior(numerator: np.ndarray, reason: np.ndarray, width: int) -> Scores:
+    """Renormalize the numerators of the rows where ``reason`` is 0; a row
+    with no mass declines as zero mass."""
+    live = np.flatnonzero(reason == 0)
+    no_mass = numerator.sum(axis=1) <= 0.0
+    reason[live[no_mass]] = REASON_CODE[ZERO_MASS]
+    probs = np.zeros((reason.size, width))
+    probs[live[~no_mass]] = renormalize_rows(numerator[~no_mass])
+    return Scores(probs, reason)

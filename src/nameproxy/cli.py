@@ -20,12 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .bayes import BayesContext, bifsg_reason, bisg_reason, geo_augment_reason
+from .bayes import BayesContext, Factor, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
-from .core import PersonRecord, RaceSet, argmax_race
-from .ensemble import ensemble_predict
+from .core import REASON_CODE, UNENCODABLE_NAME, PersonRecord, RaceSet, Scores, argmax_race
+from .ensemble import ensemble_scores
 from .errors import (
-    EmptyAfterNormalizationError,
     MissingArtifactError,
     NameproxyError,
     SchemaError,
@@ -38,7 +37,7 @@ from .lstm import (
     train,
     write_training_log,
 )
-from .names import NEURAL, encode_name, is_person_name, normalize, table_key
+from .names import NEURAL, TABLE, column_keys, encode_name, is_person_name
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -48,8 +47,9 @@ from .tables import (
     GeoTable,
     NameTable,
     build_geo_table,
-    build_name_table,
+    count_name_table,
     merge_tables,
+    training_rows,
 )
 
 logger = logging.getLogger(__name__)
@@ -146,28 +146,30 @@ class Artifacts:
         )
 
 
-def _neural_probs(artifacts: Artifacts, records) -> list[np.ndarray | None]:
+def _neural_scores(artifacts: Artifacts, records) -> Scores:
     """Name-model probabilities per record; unencodable names decline."""
-    encoded = []
-    slots = []
-    for i, rec in enumerate(records):
-        try:
-            first = normalize(rec.first, NEURAL)
-            last = normalize(rec.last, NEURAL)
-            encoded.append(encode_name(first, last))
-            slots.append(i)
-        except EmptyAfterNormalizationError:
-            continue
-    out: list[np.ndarray | None] = [None] * len(records)
-    if encoded:
-        probs = predict_proba_batch(artifacts.params, np.stack(encoded))
-        for slot, vec in zip(slots, probs):
-            out[slot] = vec
-    return out
+    n = len(records)
+    firsts, first_codes = column_keys([rec.first for rec in records], NEURAL)
+    lasts, last_codes = column_keys([rec.last for rec in records], NEURAL)
+    encodable = (
+        np.array([key is not None for key in firsts], dtype=bool)[first_codes]
+        & np.array([key is not None for key in lasts], dtype=bool)[last_codes]
+    )
+    pairs, pair_codes = np.unique(
+        np.stack([first_codes[encodable], last_codes[encodable]], axis=1),
+        axis=0,
+        return_inverse=True,
+    )
+    probs = np.zeros((n, len(artifacts.config.races)))
+    if pairs.size:
+        encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs.tolist()])
+        probs[encodable] = predict_proba_batch(artifacts.params, encoded[pair_codes.ravel()])
+    reason = np.where(encodable, 0, REASON_CODE[UNENCODABLE_NAME]).astype(np.int8)
+    return Scores(probs, reason)
 
 
 def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig, memo=None):
-    """Probability vectors (or None) for every record under one model.
+    """:class:`Scores` of every record under one model.
 
     ``memo`` maps canonical model ids (after :data:`MEMBER_ALIASES`) to
     outputs already computed for these records.  Sharing one dict across
@@ -180,35 +182,30 @@ def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig, 
     if model in memo:
         return memo[model]
     if model == "first_last":
-        out = _neural_probs(artifacts, records)
+        out = _neural_scores(artifacts, records)
     elif model == "first_last_zcta":
-        name_probs = predict_model("first_last", records, artifacts, config, memo)
-        geo_table = artifacts.geo_table
-        out = []
-        for rec, probs in zip(records, name_probs):
-            if probs is None:
-                out.append(None)
-                continue
-            vec, _ = geo_augment_reason(
-                probs, geo_table.geo_likelihood(rec.geo), config.races
-            )
-            out.append(vec)
+        name = predict_model("first_last", records, artifacts, config, memo)
+        geo = Factor.of(artifacts.geo_table.entries, artifacts.geo_table.likelihood_rows())
+        out = geo_augment_scores(
+            name, geo.rows([rec.geo for rec in records], profile=None), geo.matrix
+        )
     elif model == "bisg":
         ctx = artifacts.bayes_context(with_firstname=False)
-        out = [bisg_reason(ctx, rec.last, rec.geo)[0] for rec in records]
+        out = bayes_scores(ctx, [rec.last for rec in records], [rec.geo for rec in records])
     elif model == "bifsg":
         ctx = artifacts.bayes_context(with_firstname=True)
-        out = [bifsg_reason(ctx, rec.first, rec.last, rec.geo)[0] for rec in records]
+        out = bayes_scores(
+            ctx,
+            [rec.last for rec in records],
+            [rec.geo for rec in records],
+            firsts=[rec.first for rec in records],
+        )
     elif model == "ensemble":
         spec = config.ensemble
-        member_outputs = [
-            predict_model(member, records, artifacts, config, memo)
-            for member in spec.members
-        ]
-        out = [
-            ensemble_predict([outputs[i] for outputs in member_outputs], spec)
-            for i in range(len(records))
-        ]
+        out = ensemble_scores(
+            [predict_model(member, records, artifacts, config, memo) for member in spec.members],
+            spec,
+        )
     else:
         raise ValueError(f"unknown model {model!r}")
     memo[model] = out
@@ -224,11 +221,11 @@ def cmd_build_tables(args, config: RunConfig) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
+    race, rows = training_rows(records, config.races, config.seed, config.target_shares)
+    per_race = np.bincount(race[race >= 0], minlength=len(config.races))
     manifest: dict = {
         "records": len(records),
-        "per_race": {
-            race: sum(1 for r in records if r.race == race) for race in config.races
-        },
+        "per_race": {label: int(n) for label, n in zip(config.races, per_race)},
         "seed": config.seed,
         "target_shares": list(config.target_shares) if config.target_shares else None,
     }
@@ -237,28 +234,25 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         (SURNAME, args.external_surname, EXTERNAL),
         (FIRSTNAME, args.external_firstname, INTERNAL),
     ):
-        table = build_name_table(
-            records,
-            kind,
-            seed=config.seed,
-            target_shares=config.target_shares,
-            races=config.races,
-            suffixes=config.suffixes,
+        # each distinct raw name is normalized once, for the counts and the
+        # manifest alike; the sample rows are shared by both kinds
+        keys, codes = column_keys(
+            [rec.last if kind == SURNAME else rec.first for rec in records],
+            TABLE,
+            config.suffixes,
         )
-        distinct = set()
-        field = "last" if kind == SURNAME else "first"
-        for rec in records:
-            name = table_key(getattr(rec, field), config.suffixes)
-            if name is not None and len(name) > 1:
-                distinct.add(name)
+        table = count_name_table(kind, config.races, keys, codes[rows], race[rows])
+        distinct = sum(1 for key in keys if key is not None and len(key) > 1)
         stats = {
-            "distinct_names": len(distinct),
+            "distinct_names": distinct,
             "kept_internal": len(table),
-            "suppressed": len(distinct) - len(table),
+            "suppressed": distinct - len(table),
             "external_file": str(external_path) if external_path else None,
         }
         if external_path:
-            external = NameTable.from_probability_csv(external_path, kind, config.races)
+            external = NameTable.from_probability_csv(
+                external_path, kind, config.races, config.suffixes
+            )
             table = merge_tables(table, external, prefer=prefer)
             stats["kept_merged"] = len(table)
         path = out_dir / f"{kind}_table.csv"
@@ -309,25 +303,33 @@ def cmd_predict(args, config: RunConfig) -> int:
     records = read_people_csv(args.input, config.races, require_race=False)
     models = _parse_models(args.models)
     artifacts = Artifacts(config)
-    memo: dict[str, list] = {}
+    memo: dict[str, Scores] = {}
     outputs = {
         model: predict_model(model, records, artifacts, config, memo) for model in models
     }
+    for model, scores in outputs.items():
+        logger.info("%s over %d records: %s", model, len(records), scores.histogram())
+    # per model: row values as Python floats (whose str is repr of the
+    # float64), the argmax label and the covered flag
+    blank = [""] * len(config.races) + ["", 0]
+    columns = [
+        (
+            model,
+            scores.probs.tolist(),
+            [config.races.labels[i] for i in scores.probs.argmax(axis=1).tolist()],
+            scores.covered.tolist(),
+        )
+        for model, scores in outputs.items()
+    ]
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(prediction_header(config.races))
         for i in range(len(records)):
-            for model in models:
-                probs = outputs[model][i]
-                if probs is None:
-                    row = [i, model] + [""] * len(config.races) + ["", 0]
+            for model, probs, labels, covered in columns:
+                if covered[i]:
+                    writer.writerow([i, model, *probs[i], labels[i], 1])
                 else:
-                    row = (
-                        [i, model]
-                        + [repr(float(p)) for p in probs]
-                        + [argmax_race(probs, config.races), 1]
-                    )
-                writer.writerow(row)
+                    writer.writerow([i, model, *blank])
     logger.info("wrote predictions for %d records x %d models", len(records), len(models))
     return 0
 

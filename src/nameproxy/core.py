@@ -8,6 +8,7 @@ instead of a vector; that absence is what the coverage metric counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,12 +76,62 @@ class Prediction:
         return self.probs is not None
 
 
+#: Why a model declined a record; a record's int reason code is its index
+#: here, and code 0 means the model covered it.
+UNKNOWN_SURNAME = "unknown_surname"
+UNKNOWN_FIRSTNAME = "unknown_firstname"
+UNKNOWN_GEO = "unknown_geo"
+ZERO_MASS = "zero_mass"
+UNENCODABLE_NAME = "unencodable_name"
+NO_MEMBER = "no_member"
+DECLINE_REASONS = (
+    None,
+    UNKNOWN_SURNAME,
+    UNKNOWN_FIRSTNAME,
+    UNKNOWN_GEO,
+    ZERO_MASS,
+    UNENCODABLE_NAME,
+    NO_MEMBER,
+)
+REASON_CODE = {reason: code for code, reason in enumerate(DECLINE_REASONS)}
+
+
+class Scores(NamedTuple):
+    """One model's output over a column of records.
+
+    ``probs`` is ``(n, races)`` with all-zero rows where the model
+    declined; ``reason`` holds each row's code in :data:`DECLINE_REASONS`.
+    """
+
+    probs: np.ndarray
+    reason: np.ndarray
+
+    @property
+    def covered(self) -> np.ndarray:
+        return self.reason == 0
+
+    def row(self, i: int):
+        """``(probability vector or None, decline reason or None)`` of row ``i``."""
+        code = int(self.reason[i])
+        return (self.probs[i] if code == 0 else None), DECLINE_REASONS[code]
+
+    def histogram(self) -> dict[str, int]:
+        """Rows per decline reason (``"covered"`` for code 0)."""
+        counts = np.bincount(self.reason, minlength=len(DECLINE_REASONS))
+        return {
+            reason or "covered": int(count)
+            for reason, count in zip(DECLINE_REASONS, counts)
+            if count
+        }
+
+
 def renormalize(raw) -> np.ndarray:
     """Scale a vector of non-negative reals so it sums to 1.
 
     Exactly idempotent: an input whose sum already sits within the
     floating-point error band of 1.0 is returned unchanged, and a single
-    division always lands inside that band.
+    division always lands inside that band.  One row of
+    :func:`renormalize_rows`.
 
     Raises:
         ZeroMassError: all entries are zero.
@@ -89,16 +140,31 @@ def renormalize(raw) -> np.ndarray:
     x = np.asarray(raw, dtype=np.float64)
     if x.ndim != 1:
         raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
+    return renormalize_rows(x[None, :])[0]
+
+
+def renormalize_rows(raw) -> np.ndarray:
+    """:func:`renormalize` applied to every row of a 2-d array.
+
+    Each row gets the same float operations as a lone vector: its sum,
+    the error-band test, and a division by the sum outside the band.
+
+    Raises:
+        ZeroMassError: some row is all zeros.
+        ValueError: any entry is negative or non-finite.
+    """
+    x = np.asarray(raw, dtype=np.float64)
+    if x.ndim != 2:
+        raise ValueError(f"expected a 2-d array, got shape {x.shape}")
     if not np.isfinite(x).all():
         raise ValueError("probability mass must be finite")
     if (x < 0).any():
         raise ValueError("probability mass must be non-negative")
-    s = float(x.sum())
-    if s == 0.0:
+    s = x.sum(axis=1)
+    if (s == 0.0).any():
         raise ZeroMassError("cannot normalize a vector of zeros")
-    if abs(s - 1.0) <= 64.0 * x.size * _EPS:
-        return x.copy()
-    return x / s
+    in_band = np.abs(s - 1.0) <= 64.0 * x.shape[1] * _EPS
+    return np.where(in_band[:, None], x, x / s[:, None])
 
 
 def is_prob_vector(p, n_races: int | None = None) -> bool:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import renormalize
+from .core import NO_MEMBER, REASON_CODE, Scores, renormalize_rows
 
 #: Default member ids: the geography-augmented name model plus the two
 #: Bayes predictors built on merged (internal + external) tables.
@@ -43,26 +43,55 @@ def ensemble_predict(predictions, spec: EnsembleSpec) -> np.ndarray | None:
     members that declined.  Weights are renormalized over the present
     members for each call, so every member that can predict carries its
     full relative weight.  Returns ``None`` only when every member
-    declined.
+    declined.  One row of :func:`ensemble_scores`.
     """
     if len(predictions) != len(spec.members):
         raise ValueError(
             f"got {len(predictions)} predictions for {len(spec.members)} members"
         )
-    present = [
-        (np.asarray(p, dtype=np.float64), w)
-        for p, w in zip(predictions, spec.weights)
-        if p is not None
-    ]
+    present = [np.asarray(p, dtype=np.float64) for p in predictions if p is not None]
     if not present:
         return None
-    first = present[0][0]
-    if all(np.array_equal(vec, first) for vec, _ in present):
-        # unanimous members pass through exactly, no averaging drift
-        return first.copy()
-    acc = np.zeros_like(first)
-    total = 0.0
-    for vec, weight in present:
-        acc += weight * vec
-        total += weight
-    return renormalize(acc / total)
+    width = present[0].size
+    members = [
+        Scores(np.zeros((1, width)), np.array([REASON_CODE[NO_MEMBER]], dtype=np.int8))
+        if p is None
+        else Scores(np.asarray(p, dtype=np.float64).reshape(1, -1), np.zeros(1, dtype=np.int8))
+        for p in predictions
+    ]
+    return ensemble_scores(members, spec).row(0)[0]
+
+
+def ensemble_scores(members, spec: EnsembleSpec) -> Scores:
+    """:func:`ensemble_predict` over columns: one :class:`Scores` per member.
+
+    Per record, members that agree exactly pass their vector through
+    unchanged; otherwise the present members' weighted sum, divided by
+    their total weight, is renormalized.  A record no member covers
+    declines as ``no_member``.
+    """
+    if len(members) != len(spec.members):
+        raise ValueError(f"got {len(members)} members for {len(spec.members)} in the spec")
+    n, width = members[0].probs.shape
+    covered = [m.covered for m in members]
+    first = np.zeros((n, width))
+    seen = np.zeros(n, dtype=bool)
+    for member, cov in zip(members, covered):
+        take = cov & ~seen
+        first[take] = member.probs[take]
+        seen |= cov
+    unanimous = seen.copy()
+    for member, cov in zip(members, covered):
+        unanimous &= ~cov | (member.probs == first).all(axis=1)
+    mixed = seen & ~unanimous
+    acc = np.zeros((int(mixed.sum()), width))
+    total = np.zeros(acc.shape[0])
+    for member, cov, weight in zip(members, covered, spec.weights):
+        # a member adds to a record's sums only where it covers it
+        rows = cov[mixed]
+        acc[rows] += weight * member.probs[mixed][rows]
+        total[rows] += weight
+    probs = np.where(unanimous[:, None], first, 0.0)
+    probs[mixed] = renormalize_rows(acc / total[:, None])
+    reason = np.where(seen, 0, REASON_CODE[NO_MEMBER]).astype(np.int8)
+    return Scores(probs, reason)

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 
 import json
 import math
+import os
 import struct
 
 import numpy as np
@@ -702,24 +703,32 @@ def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
             file's hidden size.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if len(data) < len(MAGIC) + 8 or data[: len(MAGIC)] != MAGIC:
-        raise CorruptFileError(f"{path}: not a parameter container")
-    version, header_len = struct.unpack_from("<II", data, len(MAGIC))
-    if version != FORMAT_VERSION:
-        raise CorruptFileError(f"{path}: unsupported format version {version}")
-    offset = len(MAGIC) + 8
-    try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
-    offset += header_len
-    size = _checked_size(header, path, len(data) - offset)
-    if expect_hidden is not None and header["hidden"] != expect_hidden:
-        raise ShapeMismatchError(
-            f"{path}: file has hidden={header['hidden']}, expected {expect_hidden}"
-        )
-    flat = np.frombuffer(data, dtype="<f8", count=size, offset=offset).astype(np.float64)
+        file_size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(len(MAGIC) + 8)
+        if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:
+            raise CorruptFileError(f"{path}: not a parameter container")
+        version, header_len = struct.unpack_from("<II", prefix, len(MAGIC))
+        if version != FORMAT_VERSION:
+            raise CorruptFileError(f"{path}: unsupported format version {version}")
+        offset = len(MAGIC) + 8
+        # read() sizes its buffer by the request, so bound it by the file first
+        if header_len > file_size - offset:
+            raise CorruptFileError(f"{path}: header runs past the end of the file")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
+        offset += header_len
+        size = _checked_size(header, path, file_size - offset)
+        if expect_hidden is not None and header["hidden"] != expect_hidden:
+            raise ShapeMismatchError(
+                f"{path}: file has hidden={header['hidden']}, expected {expect_hidden}"
+            )
+        # the data goes straight into the one vector the parameters keep
+        flat = np.empty(size, dtype="<f8")
+        if fh.readinto(memoryview(flat).cast("B")) != 8 * size:
+            raise CorruptFileError(f"{path}: file ended inside the parameter data")
+    flat = flat.astype(np.float64, copy=False)
     try:
         params = NetworkParams(
             header["embed_dim"],

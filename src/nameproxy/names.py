@@ -94,8 +94,36 @@ def normalize_table(name: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> 
 
 def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
     """:func:`normalize_table`, or None when nothing survives it."""
+    return _key_or_none(raw, TABLE, suffixes)
+
+
+def column_keys(
+    raws, profile: str | None = TABLE, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
+) -> tuple[list, np.ndarray]:
+    """Normalize a column of raw strings once per distinct string.
+
+    Returns ``(keys, codes)``: the distinct keys in order of first
+    appearance, and each raw string's index into ``keys``.  Raw strings
+    that normalize to one key share its index; ``None`` is the key of a
+    string with nothing left after normalization.  ``profile`` is
+    :data:`TABLE`, :data:`NEURAL`, or ``None`` to use the raw strings
+    themselves as keys.
+    """
+    raws = list(raws)
+    memo = dict.fromkeys(raws)
+    index: dict = {}
+    for raw in memo:
+        key = raw if profile is None else _key_or_none(raw, profile, suffixes)
+        memo[raw] = index.setdefault(key, len(index))
+    codes = np.fromiter(map(memo.__getitem__, raws), dtype=np.intp, count=len(raws))
+    return list(index), codes
+
+
+def _key_or_none(raw: str, profile: str, suffixes) -> str | None:
     try:
-        return normalize_table(raw, suffixes)
+        if profile == TABLE:
+            return normalize_table(raw, suffixes)
+        return normalize(raw, profile)
     except EmptyAfterNormalizationError:
         return None
 

@@ -17,18 +17,19 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
-from .core import RaceSet, renormalize
+from .core import RaceSet, renormalize_rows
 from .errors import (
     EmptyTableError,
     InsufficientClassError,
     KindMismatchError,
     SchemaError,
 )
-from .names import DEFAULT_SUFFIXES, table_key
-from .sampling import max_feasible_sample_size, representative_sample
+from .names import DEFAULT_SUFFIXES, TABLE, column_keys, table_key
+from .sampling import max_feasible_sample_size, representative_sample_indices
 
 SURNAME = "surname"
 FIRSTNAME = "firstname"
@@ -48,11 +49,15 @@ def passes_suppression(
     single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
 ) -> bool:
     """Apply the small-cell suppression rule to one entry's counts."""
-    total = int(counts.sum())
-    if total >= min_total:
-        return True
+    row = np.asarray(counts)[None, :]
+    return bool(_passes_suppression_rows(row, min_total, single_race_band)[0])
+
+
+def _passes_suppression_rows(counts, min_total, single_race_band) -> np.ndarray:
+    total = counts.sum(axis=1)
     lo, hi = single_race_band
-    return lo <= total <= hi and int(np.count_nonzero(counts)) == 1
+    single_race = np.count_nonzero(counts, axis=1) == 1
+    return (total >= min_total) | ((lo <= total) & (total <= hi) & single_race)
 
 
 @dataclass
@@ -86,9 +91,7 @@ class NameTable:
         counts = self.entries.get(name)
         if counts is None:
             return None
-        if self.smoothing_alpha > 0.0:
-            return renormalize(counts.astype(np.float64) + self.smoothing_alpha)
-        return renormalize(counts.astype(np.float64))
+        return renormalize_rows(self._smoothed(counts[None, :]))[0]
 
     def name_likelihood(self, name: str) -> np.ndarray | None:
         """``P(name | race)`` per race: entry count over that race's universe total.
@@ -99,15 +102,35 @@ class NameTable:
         counts = self.entries.get(name)
         if counts is None:
             return None
-        totals = self.source_totals.get(
-            self.provenance.get(name, INTERNAL), self.race_totals
-        ).astype(np.float64)
-        return np.divide(
-            counts.astype(np.float64),
-            totals,
-            out=np.zeros(len(self.races)),
-            where=totals > 0,
-        )
+        totals = self.source_totals.get(self.provenance.get(name, INTERNAL), self.race_totals)
+        return _likelihood_rows(counts[None, :], totals)[0]
+
+    def prior_rows(self) -> np.ndarray:
+        """:meth:`race_given_name` of every entry, one row each in ``entries`` order.
+
+        An entry that :meth:`race_given_name` cannot normalize (no mass at
+        all) gets a row of NaN.
+        """
+        x = self._smoothed(_counts_matrix(self.entries, len(self.races)))
+        out = np.full(x.shape, np.nan)
+        usable = np.isfinite(x).all(axis=1) & (x >= 0).all(axis=1) & (x.sum(axis=1) > 0.0)
+        out[usable] = renormalize_rows(x[usable])
+        return out
+
+    def likelihood_rows(self) -> np.ndarray:
+        """:meth:`name_likelihood` of every entry, one row each in ``entries`` order."""
+        totals = np.array(
+            [
+                self.source_totals.get(self.provenance.get(name, INTERNAL), self.race_totals)
+                for name in self.entries
+            ]
+        ).reshape(len(self.entries), len(self.races))
+        return _likelihood_rows(_counts_matrix(self.entries, len(self.races)), totals)
+
+    def _smoothed(self, counts: np.ndarray) -> np.ndarray:
+        if self.smoothing_alpha > 0.0:
+            return counts.astype(np.float64) + self.smoothing_alpha
+        return counts.astype(np.float64)
 
     def save(self, path) -> None:
         _write_table_csv(
@@ -148,12 +171,24 @@ class NameTable:
         )
 
     @classmethod
-    def from_probability_csv(cls, path, kind: str, races: RaceSet | None = None) -> "NameTable":
+    def from_probability_csv(
+        cls,
+        path,
+        kind: str,
+        races: RaceSet | None = None,
+        suffixes: tuple[str, ...] = DEFAULT_SUFFIXES,
+    ) -> "NameTable":
         """Load an external table published as probabilities plus a total count.
 
         Expected columns: ``name,total,p_<race>...``.  Probabilities are
         converted to pseudo-counts by rounding ``probability * total`` so a
         single counts-based representation serves every source.
+
+        Names are table-normalized like the keys of a built table, so a
+        published ``GARCIA`` or ``O'BRIEN`` matches the lookup key
+        ``garcia`` or ``obrien``.  As in :func:`build_name_table`, a name
+        with nothing or one character left is dropped.  Rows whose names
+        normalize to one key add their pseudo-counts together.
         """
         races = races or RaceSet()
         entries: dict[str, np.ndarray] = {}
@@ -166,7 +201,7 @@ class NameTable:
             for lineno, row in enumerate(reader, start=2):
                 if len(row) != len(expected):
                     raise SchemaError(f"{path}: line {lineno}: expected {len(expected)} fields")
-                name = row[0]
+                name = table_key(row[0], suffixes)
                 try:
                     total = int(row[1])
                     probs = np.array([float(v) for v in row[2:]], dtype=np.float64)
@@ -175,8 +210,13 @@ class NameTable:
                 if total < 0 or (probs < 0).any() or (probs > 1).any():
                     raise SchemaError(f"{path}: line {lineno}: values out of range")
                 counts = np.rint(probs * total).astype(np.int64)
-                if counts.sum() > 0:
+                if name is None or len(name) <= 1:
+                    continue
+                if name in entries:
+                    entries[name] = entries[name] + counts
+                else:
                     entries[name] = counts
+        entries = {name: counts for name, counts in entries.items() if counts.sum() > 0}
         if not entries:
             raise EmptyTableError(f"{path}: no usable rows")
         totals = np.sum(list(entries.values()), axis=0, dtype=np.int64)
@@ -212,13 +252,11 @@ class GeoTable:
         counts = self.entries.get(geo)
         if counts is None:
             return None
-        totals = self.race_totals.astype(np.float64)
-        return np.divide(
-            counts.astype(np.float64),
-            totals,
-            out=np.zeros(len(self.races)),
-            where=totals > 0,
-        )
+        return _likelihood_rows(counts[None, :], self.race_totals)[0]
+
+    def likelihood_rows(self) -> np.ndarray:
+        """:meth:`geo_likelihood` of every entry, one row each in ``entries`` order."""
+        return _likelihood_rows(_counts_matrix(self.entries, len(self.races)), self.race_totals)
 
     def save(self, path) -> None:
         _write_table_csv(
@@ -260,6 +298,9 @@ def build_name_table(
     be biased toward the majority classes.  Names are table-normalized,
     one-character names are dropped, and the suppression rule is applied.
 
+    This is :func:`training_rows`, :func:`names.column_keys` and
+    :func:`count_name_table` in a row.
+
     Raises:
         InsufficientClassError: a race has no records at all.
         EmptyTableError: nothing survives suppression.
@@ -268,52 +309,81 @@ def build_name_table(
     if kind not in (SURNAME, FIRSTNAME):
         raise ValueError(f"unknown table kind {kind!r}")
     records = list(records)
+    race, rows = training_rows(records, races, seed, target_shares)
+    keys, codes = column_keys(
+        [rec.last if kind == SURNAME else rec.first for rec in records], TABLE, suffixes
+    )
+    return count_name_table(
+        kind, races, keys, codes[rows], race[rows], suppress, min_total, single_race_band
+    )
+
+
+def training_rows(records, races: RaceSet, seed: int = 0, target_shares=None):
+    """Each record's race index and the rows a name table is counted from.
+
+    Returns ``(race, rows)``: ``race[i]`` indexes ``races`` (-1 for a label
+    outside it), and ``rows`` is every record, or with ``target_shares`` the
+    stratified sample described in :func:`build_name_table`.  Drawing it
+    once serves every table kind.
+
+    Raises:
+        ValueError: a record has no race.
+        InsufficientClassError: a race has no records at all.
+    """
+    labels = [rec.race for rec in records]
+    if None in labels:
+        raise ValueError("table construction needs ground-truth race on every record")
     race_index = {label: i for i, label in enumerate(races)}
-    counts_per_race = np.zeros(len(races), dtype=np.int64)
-    for rec in records:
-        if rec.race is None:
-            raise ValueError("table construction needs ground-truth race on every record")
-        if rec.race in race_index:
-            counts_per_race[race_index[rec.race]] += 1
+    race = np.fromiter(
+        map(race_index.get, labels, repeat(-1)), dtype=np.intp, count=len(labels)
+    )
+    counts_per_race = np.bincount(race[race >= 0], minlength=len(races))
     if (counts_per_race == 0).any():
         missing = [label for label, c in zip(races, counts_per_race) if c == 0]
         raise InsufficientClassError(f"no records for race(s): {', '.join(missing)}")
+    if target_shares is None:
+        return race, np.arange(len(records))
+    n = max_feasible_sample_size(counts_per_race, target_shares)
+    rows = representative_sample_indices(records, n, target_shares, seed=seed, races=races)
+    return race, np.array(rows, dtype=np.intp)
 
-    if target_shares is not None:
-        n = max_feasible_sample_size(counts_per_race, target_shares)
-        records = representative_sample(records, n, target_shares, seed=seed, races=races)
 
-    entries: dict[str, np.ndarray] = {}
-    race_totals = np.zeros(len(races), dtype=np.int64)
-    for rec in records:
-        if rec.race not in race_index:
-            continue
-        raw = rec.last if kind == SURNAME else rec.first
-        name = table_key(raw, suffixes)
-        if name is None or len(name) <= 1:
-            continue
-        idx = race_index[rec.race]
-        counts = entries.get(name)
-        if counts is None:
-            counts = np.zeros(len(races), dtype=np.int64)
-            entries[name] = counts
-        counts[idx] += 1
-        race_totals[idx] += 1
+def count_name_table(
+    kind: str,
+    races: RaceSet,
+    keys: list,
+    key_codes: np.ndarray,
+    race: np.ndarray,
+    suppress: bool = True,
+    min_total: int = MIN_TOTAL,
+    single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
+) -> NameTable:
+    """Count ``(name, race)`` pairs into a suppressed :class:`NameTable`.
 
+    Record ``i`` has name ``keys[key_codes[i]]`` (as from
+    :func:`names.column_keys`) and race index ``race[i]``.  Records with a
+    race outside the set, or a name that is None or one character, are
+    not counted.  Entries keep the order of each name's first counted
+    record.
+
+    Raises:
+        EmptyTableError: nothing survives suppression.
+    """
+    valid_key = np.array([k is not None and len(k) > 1 for k in keys], dtype=bool)
+    key_codes = np.asarray(key_codes, dtype=np.intp)
+    race = np.where(valid_key[key_codes], race, -1)
+    counts, race_totals, order = _count_pairs(key_codes, race, len(keys), len(races))
     if suppress:
-        entries = {
-            name: counts
-            for name, counts in entries.items()
-            if passes_suppression(counts, min_total, single_race_band)
-        }
-    if not entries:
+        order = order[_passes_suppression_rows(counts[order], min_total, single_race_band)]
+    if order.size == 0:
         raise EmptyTableError("no names survived normalization and suppression")
+    entries = {keys[k]: counts[k] for k in order.tolist()}
     return NameTable(
         kind=kind,
         races=races,
         entries=entries,
         race_totals=race_totals,
-        provenance={name: INTERNAL for name in entries},
+        provenance=dict.fromkeys(entries, INTERNAL),
         source_totals={INTERNAL: race_totals},
     )
 
@@ -322,25 +392,27 @@ def build_geo_table(records, races: RaceSet | None = None) -> GeoTable:
     """Accumulate per-(geo, race) counts; race totals are the column sums."""
     races = races or RaceSet()
     race_index = {label: i for i, label in enumerate(races)}
-    entries: dict[str, np.ndarray] = {}
-    race_totals = np.zeros(len(races), dtype=np.int64)
-    for rec in records:
-        if rec.race is None:
-            raise ValueError("geo table construction needs ground-truth race")
-        if not rec.geo:
-            raise ValueError("geo table construction needs non-empty geo ids")
-        if rec.race not in race_index:
-            continue
-        idx = race_index[rec.race]
-        counts = entries.get(rec.geo)
-        if counts is None:
-            counts = np.zeros(len(races), dtype=np.int64)
-            entries[rec.geo] = counts
-        counts[idx] += 1
-        race_totals[idx] += 1
-    if not entries:
+    labels = [rec.race for rec in records]
+    geos = [rec.geo for rec in records]
+    if None in labels or not all(geos):
+        # the first offending record decides the message
+        for label, geo in zip(labels, geos):
+            if label is None:
+                raise ValueError("geo table construction needs ground-truth race")
+            if not geo:
+                raise ValueError("geo table construction needs non-empty geo ids")
+    race = np.fromiter(
+        map(race_index.get, labels, repeat(-1)), dtype=np.intp, count=len(labels)
+    )
+    keys, codes = column_keys(geos, profile=None)
+    counts, race_totals, order = _count_pairs(codes, race, len(keys), len(races))
+    if order.size == 0:
         raise EmptyTableError("no records to build a geography table from")
-    return GeoTable(races=races, entries=entries, race_totals=race_totals)
+    return GeoTable(
+        races=races,
+        entries={keys[k]: counts[k] for k in order.tolist()},
+        race_totals=race_totals,
+    )
 
 
 def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameTable:
@@ -377,6 +449,35 @@ def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameT
     )
 
 
+def _count_pairs(key_codes, race, n_keys: int, width: int):
+    """Count ``(key, race)`` pairs over the records whose race index is not -1.
+
+    Returns the ``(n_keys, width)`` counts, the per-race totals of the
+    counted records, and the codes of the keys counted, in order of first
+    appearance.
+    """
+    race = np.asarray(race, dtype=np.intp)
+    counted = race >= 0
+    key_codes, race = key_codes[counted], race[counted]
+    counts = np.bincount(key_codes * width + race, minlength=n_keys * width)
+    counts = counts.astype(np.int64, copy=False).reshape(n_keys, width)
+    race_totals = np.bincount(race, minlength=width).astype(np.int64, copy=False)
+    seen, first_seen = np.unique(key_codes, return_index=True)
+    return counts, race_totals, seen[np.argsort(first_seen)]
+
+
+def _counts_matrix(entries: dict, width: int) -> np.ndarray:
+    """The entries' count vectors as one ``(len(entries), width)`` array."""
+    return np.array(list(entries.values())).reshape(len(entries), width)
+
+
+def _likelihood_rows(counts, totals) -> np.ndarray:
+    """Rows of ``counts / totals`` per race, 0 where a race's total is 0."""
+    totals = np.asarray(totals).astype(np.float64)
+    counts = np.asarray(counts).astype(np.float64)
+    return np.divide(counts, totals, out=np.zeros(counts.shape), where=totals > 0)
+
+
 def _fmt_counts(counts: np.ndarray) -> str:
     return ",".join(str(int(c)) for c in counts)
 
@@ -401,32 +502,34 @@ def _write_table_csv(path, key_header, races, rows, meta, with_source):
             for key, val in meta.items():
                 fh.write(f"# {key}: {val}\n")
             writer = csv.writer(fh, lineterminator="\n")
+            # with "\n" as line terminator the writer leaves a lone "\r"
+            # unquoted, and a reader would end the row there
+            quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
             writer.writerow(header)
             for key, counts, source in rows:
                 row = [key] + [str(int(c)) for c in counts]
                 if with_source:
                     row.append(source)
-                writer.writerow(row)
+                (quote_all if "\r" in key else writer).writerow(row)
     except OSError as exc:
         raise OSError(f"failed writing table to {path}: {exc}") from exc
 
 
 def _read_table_csv(path, key_header, with_source):
+    """Parse a table file: ``# key: value`` metadata lines, then CSV rows."""
     meta: dict[str, str] = {}
     keys: list[str] = []
     counts: list[np.ndarray] = []
     sources: list[str] = []
     with open(path, newline="", encoding="utf-8") as fh:
-        lines = iter(enumerate(fh, start=1))
         header = None
-        for lineno, line in lines:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, val = line[1:].partition(":")
-                meta[key.strip()] = val.strip()
-                continue
-            header = line.split(",")
-            break
+        header_lineno = 0
+        for header_lineno, line in enumerate(fh, start=1):
+            if not line.startswith("#"):
+                header = next(csv.reader([line]), None)
+                break
+            key, _, val = line[1:].rstrip("\n").partition(":")
+            meta[key.strip()] = val.strip()
         if "races" not in meta:
             raise SchemaError(f"{path}: missing 'races' metadata line")
         races = meta["races"].split(",")
@@ -436,8 +539,9 @@ def _read_table_csv(path, key_header, with_source):
         if header != expected:
             raise SchemaError(f"{path}: expected header {expected}, got {header}")
         n_counts = len(races)
-        for lineno, line in lines:
-            row = line.rstrip("\n").split(",")
+        reader = csv.reader(fh)
+        for row in reader:
+            lineno = header_lineno + reader.line_num
             if len(row) != len(expected):
                 raise SchemaError(f"{path}: line {lineno}: expected {len(expected)} fields")
             key = row[0]

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from nameproxy.cli import main, read_people_csv
 from nameproxy.config import load_config
 from nameproxy.core import RaceSet
 from nameproxy.errors import SchemaError
-from nameproxy.tables import EXTERNAL, INTERNAL, NameTable
+from nameproxy.tables import EXTERNAL, FIRSTNAME, INTERNAL, SURNAME, NameTable, build_name_table
 
 from conftest import SURNAME_MIX, write_csv
 
@@ -129,6 +130,52 @@ class TestBuildTables:
         table = NameTable.load(out / "firstname_table.csv")
         assert table.provenance["wei"] == INTERNAL  # internal side wins first names
         assert table.provenance["zelda"] == EXTERNAL
+
+    def test_target_shares_sample_drawn_once_matches_per_kind_build(self, world, tmp_path):
+        """Tables from the shared sample equal the tables each kind's own
+        resampling (same seed) gives, byte for byte."""
+        config = json.loads(world["config"].read_text())
+        config["target_shares"] = [0.1, 0.2, 0.3, 0.4]
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "tables"
+        rc = run("build-tables", "--config", cfg_path, "--voter", world["voter"], "--out-dir", out)
+        assert rc == 0
+        cfg = load_config(cfg_path)
+        records = read_people_csv(world["voter"], cfg.races, require_race=True)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["target_shares"] == [0.1, 0.2, 0.3, 0.4]
+        for kind in (SURNAME, FIRSTNAME):
+            table = build_name_table(
+                records, kind, seed=cfg.seed, target_shares=cfg.target_shares,
+                races=cfg.races, suffixes=cfg.suffixes,
+            )
+            table.save(tmp_path / f"{kind}.csv")
+            written = (out / f"{kind}_table.csv").read_bytes()
+            assert written == (tmp_path / f"{kind}.csv").read_bytes()
+            assert manifest[kind]["kept_internal"] == len(table)
+        # the tables were counted from a sample smaller than the file
+        sampled = NameTable.load(out / "surname_table.csv")
+        unsampled = build_name_table(records, SURNAME, races=cfg.races, suffixes=cfg.suffixes)
+        assert sampled.race_totals.sum() < unsampled.race_totals.sum()
+
+    def test_upper_case_external_keys_match(self, world, tmp_path):
+        external = tmp_path / "census.csv"
+        with open(external, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["name", "total", "p_asian", "p_black", "p_hispanic", "p_white"])
+            writer.writerow(["YODER", 400, 0.01, 0.02, 0.02, 0.95])
+            writer.writerow(["O'BRIEN", 300, 0.01, 0.02, 0.02, 0.95])
+        out = tmp_path / "tables"
+        rc = run(
+            "build-tables", "--config", world["config"], "--voter", world["voter"],
+            "--external-surname", external, "--out-dir", out,
+        )
+        assert rc == 0
+        table = NameTable.load(out / "surname_table.csv")
+        assert table.provenance["yoder"] == EXTERNAL
+        assert table.provenance["obrien"] == EXTERNAL
+        assert "YODER" not in table
 
     def test_missing_voter_file_is_io_error(self, world, tmp_path):
         rc = run(
@@ -251,7 +298,7 @@ class TestPredictCommand:
         assert by_model["ensemble"][2:6] == by_model["bisg"][2:6]
 
     def test_each_model_computed_once(self, world, tmp_path, monkeypatch):
-        calls = {"predict_proba_batch": 0, "bisg_reason": 0}
+        calls = {"predict_proba_batch": 0, "bayes_scores": 0}
 
         def counted(name):
             real = getattr(cli, name)
@@ -263,7 +310,7 @@ class TestPredictCommand:
             monkeypatch.setattr(cli, name, wrapper)
 
         counted("predict_proba_batch")
-        counted("bisg_reason")
+        counted("bayes_scores")
         _, out = predict_to(world, tmp_path, "first_last,first_last_zcta,ensemble")
         assert calls["predict_proba_batch"] == 1
         # the shared vectors give the same rows as a run of each model alone
@@ -280,7 +327,7 @@ class TestPredictCommand:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         input_csv = tmp_path / "input.csv"
-        calls["bisg_reason"] = 0
+        calls["bayes_scores"] = 0
         rc = run(
             "predict",
             "--config", cfg_path,
@@ -289,7 +336,22 @@ class TestPredictCommand:
             "--out", tmp_path / "bisg.csv",
         )
         assert rc == 0
-        assert calls["bisg_reason"] == len(DEFAULT_INPUT_ROWS)
+        # one column-kernel call scores every record for bisg and ensemble[ibisg]
+        assert calls["bayes_scores"] == 1
+
+    def test_decline_reasons_logged(self, world, tmp_path, caplog):
+        rows = DEFAULT_INPUT_ROWS + [("!!", "..", "10001", "")]
+        with caplog.at_level(logging.INFO, logger="nameproxy.cli"):
+            predict_to(world, tmp_path, "first_last,bisg,bifsg,ensemble", rows=rows)
+        by_model = {
+            r.args[0]: r.args[2] for r in caplog.records if r.msg.startswith("%s over")
+        }
+        assert by_model["bisg"] == {"covered": 4, "unknown_surname": 2, "unknown_geo": 1}
+        assert by_model["bifsg"]["unknown_surname"] == 2
+        assert by_model["first_last"] == {"covered": 6, "unencodable_name": 1}
+        # members first_last_zcta, ibisg, ibifsg: the unknown geography and
+        # the unencodable name leave no member
+        assert by_model["ensemble"] == {"covered": 5, "no_member": 2}
 
     def test_rerun_is_byte_identical(self, world, tmp_path):
         _, out1 = predict_to(world, tmp_path, "ensemble", name="p1.csv")

@@ -509,6 +509,26 @@ class TestPersistence:
         with pytest.raises(CorruptFileError):
             load_params(path)
 
+    def test_header_length_past_end_of_file(self, tmp_path):
+        path = tmp_path / "params.bin"
+        path.write_bytes(MAGIC + struct.pack("<II", 1, 2**32 - 1) + b"{}")
+        with pytest.raises(CorruptFileError, match="past the end"):
+            load_params(path)
+
+    def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
+        params = init_params(embed_dim=64, hidden=128, layers=2, n_classes=4, seed=0)
+        path = tmp_path / "params.bin"
+        save_params(params, path)
+        load_params(path)
+        tracemalloc.start()
+        try:
+            loaded = load_params(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(loaded.flat, params.flat)
+        assert peak < 1.25 * params.flat.nbytes
+
     def test_header_not_an_object(self, tmp_path):
         path = tmp_path / "params.bin"
         path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"[]")

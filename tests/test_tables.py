@@ -1,7 +1,12 @@
 """Probability table construction, suppression, merging, and persistence."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nameproxy.core import PersonRecord, RaceSet
 from nameproxy.errors import (
@@ -376,3 +381,100 @@ class TestPersistence:
         assert set(table.entries) == {"garcia"}  # zero-total row dropped
         np.testing.assert_array_equal(table.entries["garcia"], [10, 5, 920, 65])
         assert table.provenance["garcia"] == EXTERNAL
+
+
+# keys with the characters CSV must quote: commas, quotes, spaces and
+# line breaks, plus a leading '#' that could pass for a metadata line
+TABLE_KEYS = st.text(
+    alphabet=st.sampled_from(list("ab,\" '#\n\r-")), min_size=0, max_size=8
+)
+TABLE_COUNTS = st.lists(st.integers(0, 10**12), min_size=4, max_size=4)
+
+
+class TestRoundTripAnyKey:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.dictionaries(TABLE_KEYS, st.tuples(TABLE_COUNTS, st.sampled_from([INTERNAL, EXTERNAL])),
+                        min_size=1, max_size=8),
+        TABLE_COUNTS,
+        TABLE_COUNTS,
+    )
+    def test_name_table(self, rows, internal_totals, external_totals):
+        table = NameTable(
+            kind=FIRSTNAME,
+            races=RACES,
+            entries={key: np.array(c, dtype=np.int64) for key, (c, _) in rows.items()},
+            race_totals=np.array(internal_totals),
+            provenance={key: src for key, (_, src) in rows.items()},
+            source_totals={
+                INTERNAL: np.array(internal_totals), EXTERNAL: np.array(external_totals)
+            },
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            table.save(path)
+            loaded = NameTable.load(path)
+            again = Path(tmp) / "again.csv"
+            loaded.save(again)
+            assert again.read_bytes() == path.read_bytes()
+        assert loaded.kind == FIRSTNAME
+        assert loaded.provenance == table.provenance
+        assert {k: v.tolist() for k, v in loaded.entries.items()} == {
+            k: v.tolist() for k, v in table.entries.items()
+        }
+        assert loaded.source_totals[EXTERNAL].tolist() == external_totals
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(TABLE_KEYS, TABLE_COUNTS, min_size=1, max_size=8), TABLE_COUNTS)
+    def test_geo_table(self, rows, totals):
+        table = GeoTable(
+            races=RACES,
+            entries={key: np.array(c, dtype=np.int64) for key, c in rows.items()},
+            race_totals=np.array(totals),
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "g.csv"
+            table.save(path)
+            loaded = GeoTable.load(path)
+        assert {k: v.tolist() for k, v in loaded.entries.items()} == rows
+        assert loaded.race_totals.tolist() == totals
+
+    def test_comma_geo_id(self, tmp_path):
+        table = GeoTable(RACES, {"a,b": np.array([1, 2, 3, 4])}, np.array([1, 2, 3, 4]))
+        table.save(tmp_path / "g.csv")
+        assert GeoTable.load(tmp_path / "g.csv").entries["a,b"].tolist() == [1, 2, 3, 4]
+
+
+class TestExternalKeysNormalized:
+    HEADER = "name,total,p_asian,p_black,p_hispanic,p_white\n"
+
+    def test_census_style_keys_match_lookup_keys(self, tmp_path):
+        path = tmp_path / "census.csv"
+        path.write_text(self.HEADER + "GARCIA,1000,0.01,0.005,0.92,0.065\n"
+                        "O'BRIEN,200,0,0,0.05,0.95\nSMITH JR,100,0.1,0.2,0.3,0.4\n")
+        table = NameTable.from_probability_csv(path, SURNAME)
+        assert set(table.entries) == {"garcia", "obrien", "smith"}
+        assert table.entries["garcia"].tolist() == [10, 5, 920, 65]
+        assert table.provenance["obrien"] == EXTERNAL
+
+    def test_keys_with_nothing_or_one_character_left_dropped(self, tmp_path):
+        path = tmp_path / "census.csv"
+        path.write_text(self.HEADER + "!!,100,0.25,0.25,0.25,0.25\n"
+                        "X.,100,0.25,0.25,0.25,0.25\nLI,100,0.9,0,0,0.1\n")
+        table = NameTable.from_probability_csv(path, SURNAME)
+        assert set(table.entries) == {"li"}
+        assert table.race_totals.tolist() == [90, 0, 0, 10]
+
+    def test_colliding_rows_add_pseudo_counts(self, tmp_path):
+        path = tmp_path / "census.csv"
+        path.write_text(self.HEADER + "GARCIA,1000,0.01,0.005,0.92,0.065\n"
+                        "Garcia,100,0.1,0.1,0.7,0.1\n")
+        table = NameTable.from_probability_csv(path, SURNAME)
+        assert table.entries["garcia"].tolist() == [20, 15, 990, 75]
+        assert table.race_totals.tolist() == [20, 15, 990, 75]
+
+    def test_suffix_list_is_the_callers(self, tmp_path):
+        path = tmp_path / "census.csv"
+        path.write_text(self.HEADER + "NGUYEN ESQ,100,0.9,0,0,0.1\n")
+        table = NameTable.from_probability_csv(path, SURNAME, suffixes=("esq",))
+        assert set(table.entries) == {"nguyen"}
