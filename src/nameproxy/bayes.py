@@ -25,7 +25,7 @@ same code.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -70,7 +70,9 @@ class BayesContext:
     """Tables a Bayes predictor draws its factors from.
 
     The factor matrices are built from the tables once per context, on
-    first use.
+    first use.  A column of raw keys is resolved to factor rows once per
+    context too: BISG and BIFSG over the same records share the surname
+    and geography rows.
     """
 
     surname_table: NameTable
@@ -78,6 +80,8 @@ class BayesContext:
     firstname_table: NameTable | None = None
     races: RaceSet | None = None
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
+    # factor name -> (the raw column last resolved, its rows)
+    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.races is None:
@@ -85,6 +89,13 @@ class BayesContext:
         for table in (self.surname_table, self.firstname_table, self.geo_table):
             if table is not None and table.races != self.races:
                 raise ValueError("all tables must share one race set")
+
+    def add_firstname_table(self, table: NameTable) -> None:
+        """Give a context built without a first-name table one, keeping the
+        factors and rows it has built so far."""
+        if table.races != self.races:
+            raise ValueError("all tables must share one race set")
+        self.firstname_table = table
 
     @cached_property
     def surname_prior(self) -> Factor:
@@ -103,6 +114,22 @@ class BayesContext:
         """``P(geo | race)`` rows."""
         return Factor.of(self.geo_table.entries, self.geo_table.likelihood_rows())
 
+    def rows(self, factor: str, raws) -> np.ndarray:
+        """Each raw key's row in the named factor (``surname_prior``,
+        ``firstname_likelihood`` or ``geo_likelihood``), -1 when absent.
+
+        Name keys are table-normalized and geography ids used as they are.
+        Asked again for the same column, the context returns the rows it
+        resolved last time.
+        """
+        raws = list(raws)
+        last = self._resolved.get(factor)
+        if last is None or last[0] != raws:
+            profile = None if factor == "geo_likelihood" else TABLE
+            last = (raws, getattr(self, factor).rows(raws, profile, self.suffixes))
+            self._resolved[factor] = last
+        return last[1]
+
 
 def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     """BISG over columns of surnames and geo ids; BIFSG when ``firsts`` is given.
@@ -118,7 +145,7 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     """
     if firsts is not None:
         first_like = ctx.firstname_likelihood
-    surname = ctx.surname_prior.rows(lasts, TABLE, ctx.suffixes)
+    surname = ctx.rows("surname_prior", lasts)
     reason = np.where(surname < 0, REASON_CODE[UNKNOWN_SURNAME], 0).astype(np.int8)
     known = surname[surname >= 0]
     unusable = np.isnan(ctx.surname_prior.matrix[known]).any(axis=1)
@@ -126,9 +153,9 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
         # raise what normalizing that entry raises
         ctx.surname_table.race_given_name(list(ctx.surname_table.entries)[known[unusable][0]])
     if firsts is not None:
-        first = first_like.rows(firsts, TABLE, ctx.suffixes)
+        first = ctx.rows("firstname_likelihood", firsts)
         reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]
-    geo = ctx.geo_likelihood.rows(geos, profile=None)
+    geo = ctx.rows("geo_likelihood", geos)
     reason[(reason == 0) & (geo < 0)] = REASON_CODE[UNKNOWN_GEO]
     live = reason == 0
     numerator = ctx.surname_prior.matrix[surname[live]]

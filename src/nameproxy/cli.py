@@ -63,7 +63,11 @@ MEMBER_ALIASES = {"ibisg": "bisg", "ibifsg": "bifsg"}
 
 
 def read_people_csv(path, races: RaceSet, require_race: bool) -> list[PersonRecord]:
-    """Ingest a ``first_name,last_name,geo_id,race`` CSV with row validation."""
+    """Ingest a ``first_name,last_name,geo_id,race`` CSV with row validation.
+
+    Geography ids are stripped of surrounding whitespace, so ``" 10037 "``
+    matches the table key ``10037``.
+    """
     records: list[PersonRecord] = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -82,7 +86,7 @@ def read_people_csv(path, races: RaceSet, require_race: bool) -> list[PersonReco
                 race = None
             elif race not in races:
                 raise SchemaError(f"{path}: line {lineno}: unknown race {race!r}")
-            records.append(PersonRecord(first, last, geo, race))
+            records.append(PersonRecord(first, last, geo.strip(), race))
     if not records:
         raise SchemaError(f"{path}: no data rows")
     return records
@@ -138,12 +142,19 @@ class Artifacts:
         return self._load("geo_table", GeoTable.load)
 
     def bayes_context(self, with_firstname: bool) -> BayesContext:
-        return BayesContext(
-            surname_table=self.surname_table,
-            geo_table=self.geo_table,
-            firstname_table=self.firstname_table if with_firstname else None,
-            suffixes=self.config.suffixes,
-        )
+        """The one Bayes context of these artifacts, so BISG and BIFSG share
+        its factor matrices and resolved columns; the first-name table joins
+        it when a model first needs it."""
+        ctx = self._cache.get("bayes_context")
+        if ctx is None:
+            ctx = self._cache["bayes_context"] = BayesContext(
+                surname_table=self.surname_table,
+                geo_table=self.geo_table,
+                suffixes=self.config.suffixes,
+            )
+        if with_firstname and ctx.firstname_table is None:
+            ctx.add_firstname_table(self.firstname_table)
+        return ctx
 
 
 def _neural_scores(artifacts: Artifacts, records) -> Scores:

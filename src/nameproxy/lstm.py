@@ -20,12 +20,27 @@ named arrays are views into that vector.  Gradients and the Adam moments
 are vectors with the same layout, so an optimizer step, a copy, a
 finiteness check and the parameter file each handle one buffer.
 
+Activations are time-major, ``(steps, batch, features)``, so each
+step's slice is contiguous (Appleyard et al. 2016, *Optimizing
+Performance of RNNs on GPUs*), and every step writes into preallocated
+buffers with ufunc ``out=``; the input and forget gates share one sigmoid
+call.  The gate column order stays i/f/g/o, the order of the NPRX v1
+file.
+
 Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
-Only :func:`loss_and_gradients` keeps the per-step cache that BPTT reads.
 :func:`forward` (inference, and training-mode probabilities) keeps no
-training cache: each direction holds its input projection and the running
-``h``/``c`` state, so eval memory is that of one layer's activations.
+training cache: each direction projects its input :data:`_CHUNK` steps
+at a time into one reused buffer and holds the running ``h``/``c``
+state, so eval memory is a layer's input and output plus that buffer.
+Only :func:`loss_and_gradients` keeps what BPTT reads: per direction the
+whole window's input projection, overwritten step by step with the
+activated gates, and every ``c_t``.  ``h_{t-1}`` is read from the layer
+output and ``tanh(c_t)`` is recomputed; the gate gradients then
+overwrite the activations.  Probabilities and loss are bit-identical to
+those of the earlier batch-major kernels; gradients differ from them by
+at most about 1e-15 relative to the largest entry, as the weight-gradient
+GEMMs now sum their rows in time order.
 """
 
 from __future__ import annotations
@@ -53,6 +68,11 @@ EVAL = "eval"
 
 # gate slices within the stacked 4H dimension: input, forget, candidate, output
 _I, _F, _G, _O = range(4)
+
+# steps of input projection an eval pass holds per direction: at
+# production dims 5 had the lowest median eval time of 1, 3, 5, 10 and the
+# whole window (all within run-to-run noise) at a sixth of its memory
+_CHUNK = 5
 
 MAGIC = b"NPRX"
 FORMAT_VERSION = 1
@@ -183,11 +203,15 @@ def init_params(
     return params
 
 
-def _sigmoid(x):
+def _sigmoid_inplace(x):
+    """``x = 1 / (1 + exp(-x))``."""
+    np.negative(x, out=x)
     # exp overflow saturates to inf and the quotient to exactly 0, which is
     # the correctly rounded value, so the warning is just noise
     with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
+        np.exp(x, out=x)
+    x += 1.0
+    np.divide(1.0, x, out=x)
 
 
 def _log_softmax(logits):
@@ -195,102 +219,145 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: bool):
-    """One direction's pass over the whole window, writing each ``h_t`` into ``out``.
+def _project(direction: LstmDirection, x, out):
+    """``x @ w_in + bias`` for a ``(steps, batch, in_dim)`` run of steps,
+    written into ``out``, a contiguous ``(steps, batch, 4*hidden)`` array."""
+    steps, batch, in_dim = x.shape
+    np.matmul(x.reshape(steps * batch, in_dim), direction.w_in,
+              out=out.reshape(steps * batch, -1))
+    out += direction.bias
+    return out
 
-    ``out`` is a ``(batch, steps, hidden)`` view the caller owns.  With
-    ``keep_cache`` the per-step gate activations and states that BPTT reads
-    are stored and returned; without it only ``zx``, ``h`` and ``c`` are
-    live and the return value is None.
+
+def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: bool):
+    """One direction's pass over the window, writing each ``h_t`` into ``out``.
+
+    ``x`` is the time-major ``(steps, batch, in_dim)`` layer input and
+    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  Without
+    ``keep_cache`` the input is projected :data:`_CHUNK` steps at a time
+    into one reused buffer, and the return value is None.  With it the
+    whole window is projected into ``(steps, batch, 4*hidden)`` ``acts``,
+    which each step overwrites with its activated gates, and every ``c_t``
+    is kept; those two arrays plus ``x`` and ``out`` are what BPTT reads,
+    and they are returned.
     """
-    batch, steps, in_dim = x.shape
+    steps, batch, _ = x.shape
     hidden = direction.w_rec.shape[0]
-    order = range(steps - 1, -1, -1) if reverse else range(steps)
-    # the input contribution has no recurrence: one big matmul up front
-    zx = (x.reshape(batch * steps, in_dim) @ direction.w_in).reshape(
-        batch, steps, 4 * hidden
-    )
-    zx += direction.bias
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
     if keep_cache:
-        gates = np.empty((batch, steps, 4, hidden))
-        c_prev = np.empty((batch, steps, hidden))
-        h_prev = np.empty((batch, steps, hidden))
-        tanh_c = np.empty((batch, steps, hidden))
-    for t in order:
-        z = zx[:, t] + h @ direction.w_rec
-        i = _sigmoid(z[:, 0 * hidden : 1 * hidden])
-        f = _sigmoid(z[:, 1 * hidden : 2 * hidden])
-        g = np.tanh(z[:, 2 * hidden : 3 * hidden])
-        o = _sigmoid(z[:, 3 * hidden : 4 * hidden])
-        if keep_cache:
-            c_prev[:, t] = c
-            h_prev[:, t] = h
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        if keep_cache:
-            gates[:, t, _I] = i
-            gates[:, t, _F] = f
-            gates[:, t, _G] = g
-            gates[:, t, _O] = o
-            tanh_c[:, t] = tc
-        out[:, t] = h
+        acts = np.empty((steps, batch, 4 * hidden))
+        c_all = np.empty((steps, batch, hidden))
+        spans = [(0, steps)]
+    else:
+        acts = np.empty((min(_CHUNK, steps), batch, 4 * hidden))
+        c = np.empty((batch, hidden))
+        spans = [(t0, min(t0 + _CHUNK, steps)) for t0 in range(0, steps, _CHUNK)]
+    rec = np.empty((batch, 4 * hidden))
+    tmp = np.empty((batch, hidden))
+    # the state before the first step: h and c are zero
+    h_prev = c_prev = np.zeros((batch, hidden))
+    for t0, t1 in reversed(spans) if reverse else spans:
+        zs = _project(direction, x[t0:t1], acts[: t1 - t0])
+        for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
+            z = zs[t - t0]
+            np.matmul(h_prev, direction.w_rec, out=rec)
+            z += rec
+            i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
+            g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
+            _sigmoid_inplace(z[:, : 2 * hidden])  # i and f in one call
+            np.tanh(g, out=g)
+            _sigmoid_inplace(o)
+            # c = f * c_prev + i * g
+            c_t = c_all[t] if keep_cache else c
+            np.multiply(f, c_prev, out=c_t)
+            np.multiply(i, g, out=tmp)
+            c_t += tmp
+            # h = o * tanh(c)
+            np.tanh(c_t, out=tmp)
+            h_prev = out[t]
+            np.multiply(o, tmp, out=h_prev)
+            c_prev = c_t
     if not keep_cache:
         return None
-    return {
-        "x": x,
-        "gates": gates,
-        "c_prev": c_prev,
-        "h_prev": h_prev,
-        "tanh_c": tanh_c,
-        "reverse": reverse,
-    }
+    return {"x": x, "h": out, "acts": acts, "c": c_all, "reverse": reverse}
 
 
 def _backprop_direction(direction: LstmDirection, cache, d_out, grad: LstmDirection):
     """BPTT through one direction: writes its weight gradients into ``grad``'s
-    views and returns the gradient with respect to the direction's input."""
-    x = cache["x"]
-    gates = cache["gates"]
-    batch, steps, _, hidden = gates.shape
-    order = range(steps - 1, -1, -1) if cache["reverse"] else range(steps)
-    dz = np.empty((batch, steps, 4 * hidden))
+    views and returns the gradient with respect to the direction's input.
+
+    ``d_out`` is the time-major ``(steps, batch, hidden)`` gradient of the
+    direction's output.  Each step's gate gradients overwrite its gate
+    activations in ``acts``, which then holds every ``dz`` for the weight
+    gradients.  ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from the
+    direction's output.
+    """
+    x, h, acts, c = cache["x"], cache["h"], cache["acts"], cache["c"]
+    reverse = cache["reverse"]
+    steps, batch, in_dim = x.shape
+    hidden = h.shape[2]
+    zero = np.zeros((batch, hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
-    for t in reversed(list(order)):
-        i = gates[:, t, _I]
-        f = gates[:, t, _F]
-        g = gates[:, t, _G]
-        o = gates[:, t, _O]
-        tc = cache["tanh_c"][:, t]
-        dh = d_out[:, t] + dh_next
-        do = dh * tc
-        dc = dh * o * (1.0 - tc * tc) + dc_next
-        df = dc * cache["c_prev"][:, t]
-        di = dc * g
-        dg = dc * i
-        dc_next = dc * f
-        dz_t = dz[:, t]
-        dz_t[:, 0 * hidden : 1 * hidden] = di * i * (1.0 - i)
-        dz_t[:, 1 * hidden : 2 * hidden] = df * f * (1.0 - f)
-        dz_t[:, 2 * hidden : 3 * hidden] = dg * (1.0 - g * g)
-        dz_t[:, 3 * hidden : 4 * hidden] = do * o * (1.0 - o)
-        dh_next = dz_t @ direction.w_rec.T
-    flat_x = x.reshape(batch * steps, -1)
-    flat_dz = dz.reshape(batch * steps, -1)
-    grad.w_in[...] = flat_x.T @ flat_dz
-    grad.w_rec[...] = cache["h_prev"].reshape(batch * steps, hidden).T @ flat_dz
-    grad.bias[...] = flat_dz.sum(axis=0)
-    return (flat_dz @ direction.w_in.T).reshape(x.shape)
+    a, dc, d = (np.empty((batch, hidden)) for _ in range(3))
+    w_rec_t = direction.w_rec.T
+    # the reverse of the forward order; the state before each step comes
+    # from its predecessor in the forward order
+    for t in range(steps) if reverse else range(steps - 1, -1, -1):
+        t_prev = t + 1 if reverse else t - 1
+        c_prev = c[t_prev] if 0 <= t_prev < steps else zero
+        z = acts[t]
+        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
+        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
+        np.tanh(c[t], out=a)
+        # dh = d_out + dh_next; do = dh * tanh(c)
+        np.add(d_out[t], dh_next, out=dc)
+        np.multiply(dc, a, out=d)
+        # dc = dh * o * (1 - tanh(c)^2) + dc_next
+        dc *= o
+        np.multiply(a, a, out=a)
+        np.subtract(1.0, a, out=a)
+        dc *= a
+        dc += dc_next
+        # dz_o = do * o * (1 - o)
+        d *= o
+        np.subtract(1.0, o, out=a)
+        np.multiply(d, a, out=o)
+        np.multiply(dc, f, out=dc_next)
+        # dz_f = dc * c_prev * f * (1 - f)
+        np.multiply(dc, c_prev, out=d)
+        d *= f
+        np.subtract(1.0, f, out=a)
+        np.multiply(d, a, out=f)
+        # dz_i = dc * g * i * (1 - i); dz_g = dc * i * (1 - g^2)
+        np.multiply(dc, g, out=d)
+        dc *= i
+        d *= i
+        np.subtract(1.0, i, out=a)
+        np.multiply(d, a, out=i)
+        np.multiply(g, g, out=a)
+        np.subtract(1.0, a, out=a)
+        np.multiply(dc, a, out=g)
+        np.matmul(z, w_rec_t, out=dh_next)
+    rows = steps * batch
+    dz = acts.reshape(rows, 4 * hidden)
+    np.matmul(x.reshape(rows, in_dim).T, dz, out=grad.w_in)
+    # h_{t-1} is zero at the first step: that step adds nothing to w_rec
+    if reverse:
+        h_prev, dz_rec = h[1:], acts[:-1]
+    else:
+        h_prev, dz_rec = h[:-1], acts[1:]
+    rows = (steps - 1) * batch
+    np.matmul(h_prev.reshape(rows, hidden).T, dz_rec.reshape(rows, 4 * hidden), out=grad.w_rec)
+    np.sum(dz, axis=0, out=grad.bias)
+    return (dz @ direction.w_in.T).reshape(steps, batch, in_dim)
 
 
 def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, keep_cache: bool):
     """Probabilities, plus the BPTT cache when ``keep_cache`` (else None).
 
-    Without the cache each layer's output is dropped as soon as the next
-    layer has read it, so memory stays at one layer's activations.
+    Activations are time-major, ``(steps, batch, features)``.  Without the
+    cache each layer's output is dropped as soon as the next layer has
+    read it, so memory stays at one layer's activations.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -308,24 +375,29 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ke
     drop_rng = np.random.default_rng(dropout_seed)
     use_dropout = mode == TRAIN and params.dropout > 0.0
 
-    x = params.embedding[codes]  # (B, T, D)
+    x = params.embedding[codes.T]  # (T, B, D)
     layer_caches = []
     for l, (fwd, bwd) in enumerate(params.layers):
-        out = np.empty((batch, steps, 2 * hidden))  # forward | backward
+        out = np.empty((steps, batch, 2 * hidden))  # forward | backward
         cache_f = _run_direction(fwd, x, False, out[:, :, :hidden], keep_cache)
         cache_b = _run_direction(bwd, x, True, out[:, :, hidden:], keep_cache)
         mask = None
         if l < params.n_layers - 1:
             if use_dropout:
+                # drawn in (batch, steps) order: that order fixes which units
+                # a seed drops, so train-mode probabilities do not depend on
+                # the activation layout
                 keep = 1.0 - params.dropout
-                mask = (drop_rng.random(out.shape) < keep) / keep
+                mask = drop_rng.random((batch, steps, 2 * hidden))
+                np.divide(mask < keep, keep, out=mask)
+                mask = mask.transpose(1, 0, 2)
                 x = out * mask
             else:
                 x = out
         if keep_cache:
             layer_caches.append({"fwd": cache_f, "bwd": cache_b, "mask": mask})
 
-    feat = np.concatenate([out[:, -1, :hidden], out[:, 0, hidden:]], axis=1)
+    feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
     logits = feat @ params.dense_w + params.dense_b
     log_probs = _log_softmax(logits)
     probs = np.exp(log_probs)
@@ -346,10 +418,10 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
 
     Eval mode is a pure function of (params, codes); train mode applies
     seeded inter-layer dropout.  Either way no training cache is kept: each
-    direction holds only its input projection and running ``h``/``c``, so
-    memory is that of one layer's activations, not of all
-    ``(batch, steps, 4, hidden)`` BPTT stores.  The probabilities are
-    bit-identical to those :func:`loss_and_gradients` computes.
+    direction holds a few steps of input projection and its running
+    ``h``/``c``, so memory is that of one layer's input and output.  The
+    probabilities are bit-identical to those :func:`loss_and_gradients`
+    computes.
     """
     probs, _ = _forward_pass(params, codes, mode, dropout_seed, keep_cache=False)
     return probs
@@ -388,21 +460,23 @@ def loss_and_gradients(
     d_feat = d_logits @ params.dense_w.T
 
     steps = cache["codes"].shape[1]
-    d_out = np.zeros((batch, steps, 2 * hidden))
-    d_out[:, -1, :hidden] = d_feat[:, :hidden]
-    d_out[:, 0, hidden:] += d_feat[:, hidden:]
+    d_out = np.zeros((steps, batch, 2 * hidden))
+    d_out[-1, :, :hidden] = d_feat[:, :hidden]
+    d_out[0, :, hidden:] += d_feat[:, hidden:]
 
+    layer_caches = cache["layers"]
     for l in range(params.n_layers - 1, -1, -1):
-        layer_cache = cache["layers"][l]
+        # each layer's cache is released once its gradients are out
+        layer_cache = layer_caches.pop()
         (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
-        d_x_f = _backprop_direction(fwd, layer_cache["fwd"], d_out[:, :, :hidden], grad_f)
-        d_x_b = _backprop_direction(bwd, layer_cache["bwd"], d_out[:, :, hidden:], grad_b)
-        d_input = d_x_f + d_x_b
+        d_input = _backprop_direction(fwd, layer_cache["fwd"], d_out[:, :, :hidden], grad_f)
+        d_input += _backprop_direction(bwd, layer_cache["bwd"], d_out[:, :, hidden:], grad_b)
+        del layer_cache
         if l > 0:
-            mask = cache["layers"][l - 1]["mask"]
+            mask = layer_caches[-1]["mask"]
             d_out = d_input if mask is None else d_input * mask
         else:
-            flat_codes = cache["codes"].ravel()
+            flat_codes = cache["codes"].T.ravel()
             np.add.at(grads.embedding, flat_codes, d_input.reshape(-1, params.embed_dim))
     return loss, grads.flat
 

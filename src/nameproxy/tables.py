@@ -516,11 +516,16 @@ def _write_table_csv(path, key_header, races, rows, meta, with_source):
 
 
 def _read_table_csv(path, key_header, with_source):
-    """Parse a table file: ``# key: value`` metadata lines, then CSV rows."""
+    """Parse a table file: ``# key: value`` metadata lines, then CSV rows.
+
+    Raises:
+        SchemaError: a malformed header or row, or a key that appears twice.
+    """
     meta: dict[str, str] = {}
     keys: list[str] = []
     counts: list[np.ndarray] = []
     sources: list[str] = []
+    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         header = None
         header_lineno = 0
@@ -551,6 +556,9 @@ def _read_table_csv(path, key_header, with_source):
                 raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
             if (vec < 0).any():
                 raise SchemaError(f"{path}: line {lineno}: negative count")
+            if key in seen:
+                raise SchemaError(f"{path}: line {lineno}: duplicate key {key!r}")
+            seen.add(key)
             keys.append(key)
             counts.append(vec)
             if with_source:

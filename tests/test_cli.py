@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import nameproxy.cli as cli
+import nameproxy.names as names
 from nameproxy.cli import main, read_people_csv
 from nameproxy.config import load_config
 from nameproxy.core import RaceSet
@@ -338,6 +339,35 @@ class TestPredictCommand:
         assert rc == 0
         # one column-kernel call scores every record for bisg and ensemble[ibisg]
         assert calls["bayes_scores"] == 1
+
+    def test_each_surname_normalized_once(self, world, tmp_path, monkeypatch):
+        calls = []
+        real = names.normalize_table
+
+        def counted(raw, *args, **kwargs):
+            calls.append(raw)
+            return real(raw, *args, **kwargs)
+
+        monkeypatch.setattr(names, "normalize_table", counted)
+        rows = DEFAULT_INPUT_ROWS + [("ana", "Garcia ", "30003", ""), ("li", "chen", "10001", "")]
+        predict_to(world, tmp_path, "bisg,bifsg,ensemble", rows=rows)
+        # bisg, bifsg and the ensemble's ibisg/ibifsg share one resolution of
+        # the surname column; the first-name column is normalized once too
+        counts = {raw: calls.count(raw) for raw in calls}
+        firsts = {row[0] for row in rows}
+        for last in {row[1] for row in rows}:
+            assert counts[last] == 1 + (last in firsts)
+
+    def test_geo_id_whitespace_stripped(self, world, tmp_path):
+        rows = [("wei", "chen", "10001", ""), ("wei", "chen", " 10001 ", ""),
+                ("wei", "chen", "\t10001", "")]
+        _, out = predict_to(world, tmp_path, "bisg,bifsg", rows=rows)
+        by_row = {}
+        for row in read_rows(out)[1:]:
+            by_row.setdefault(row[0], []).append(row[1:])
+        assert by_row["0"][0][-1] == "1"
+        assert by_row["1"] == by_row["0"]
+        assert by_row["2"] == by_row["0"]
 
     def test_decline_reasons_logged(self, world, tmp_path, caplog):
         rows = DEFAULT_INPUT_ROWS + [("!!", "..", "10001", "")]

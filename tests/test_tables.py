@@ -359,6 +359,24 @@ class TestPersistence:
         with pytest.raises(SchemaError):
             NameTable.load(path)
 
+    @pytest.mark.parametrize("table_cls,header", [
+        (GeoTable, "geo,count_asian,count_black,count_hispanic,count_white"),
+        (NameTable, "name,count_asian,count_black,count_hispanic,count_white,source"),
+    ])
+    def test_load_rejects_duplicate_key(self, tmp_path, table_cls, header):
+        source = ",internal" if table_cls is NameTable else ""
+        path = tmp_path / "dup.csv"
+        path.write_text(
+            "# races: asian,black,hispanic,white\n# kind: surname\n"
+            "# race_totals: 2,0,1,0\n"
+            f"{header}\n"
+            f"10037,1,0,0,0{source}\n"
+            f"10038,0,0,1,0{source}\n"
+            f"10037,1,0,0,0{source}\n"
+        )
+        with pytest.raises(SchemaError, match="line 7: duplicate key '10037'"):
+            table_cls.load(path)
+
     def test_load_rejects_bad_row(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text(
