@@ -8,7 +8,7 @@ and BISG / BIFSG posteriors with their decline reasons.
 
 import numpy as np
 
-from nameproxy import PersonRecord, RaceSet
+from nameproxy import People, RaceSet
 from nameproxy.bayes import BayesContext, bifsg_reason, bisg_reason
 from nameproxy.tables import (
     EXTERNAL,
@@ -43,22 +43,25 @@ firstname_pool = {
 }
 geos = {"10001": (40, 10, 15, 60), "20002": (5, 55, 10, 30), "30003": (8, 12, 70, 25)}
 
-records = []
+# People are columns: names and geo ids, plus each race as an index into
+# the race set.
+firsts, lasts, geo_ids, race_ids = [], [], [], []
 for last, counts in surname_mix.items():
-    for race, count in zip(races, counts):
-        ridx = races.index(race)
+    for ridx, (race, count) in enumerate(zip(races, counts)):
         weights = np.array([geos[g][ridx] for g in geos], dtype=float)
         weights /= weights.sum()
         for _ in range(count):
-            first = firstname_pool[race][int(rng.integers(2))]
-            geo = list(geos)[int(rng.choice(len(geos), p=weights))]
-            records.append(PersonRecord(first, last, geo, race))
-print(f"synthetic voter file: {len(records)} records, {len(surname_mix)} surnames")
+            firsts.append(firstname_pool[race][int(rng.integers(2))])
+            lasts.append(last)
+            geo_ids.append(list(geos)[int(rng.choice(len(geos), p=weights))])
+            race_ids.append(ridx)
+people = People(firsts, lasts, geo_ids, np.array(race_ids), races)
+print(f"synthetic voter file: {len(people)} records, {len(surname_mix)} surnames")
 
 # ------------------------------------------------------------- tables --
-surname_table = build_name_table(records, SURNAME, seed=1)
-firstname_table = build_name_table(records, FIRSTNAME, seed=1)
-geo_table = build_geo_table(records)
+surname_table = build_name_table(people, SURNAME, seed=1)
+firstname_table = build_name_table(people, FIRSTNAME, seed=1)
+geo_table = build_geo_table(people)
 
 print(f"\nsurname table kept {len(surname_table)} of {len(surname_mix)} surnames:")
 for name in sorted(surname_table.entries):

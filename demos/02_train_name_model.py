@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nameproxy import RaceSet, PersonRecord
+from nameproxy import People, RaceSet
 from nameproxy.lstm import (
     TrainConfig,
     load_params,
@@ -25,16 +25,17 @@ races = RaceSet()
 rng = np.random.default_rng(3)
 
 groups = {"asian": "abcdef", "black": "ghijklm", "hispanic": "nopqrs", "white": "tuvwxyz"}
-records = []
+firsts, lasts, race_ids = [], [], []
 for _ in range(2000):
-    race = races.labels[int(rng.integers(4))]
-    letters = groups[race]
-    first = letters[int(rng.integers(len(letters)))] + "".join(
+    ridx = int(rng.integers(4))
+    letters = groups[races.labels[ridx]]
+    firsts.append(letters[int(rng.integers(len(letters)))] + "".join(
         chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=5)
-    )
-    last = "".join(chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=6))
-    records.append(PersonRecord(first, last, "00000", race))
-print(f"{len(records)} synthetic records; class = f(first letter)")
+    ))
+    lasts.append("".join(chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=6)))
+    race_ids.append(ridx)
+people = People(firsts, lasts, ["00000"] * len(firsts), np.array(race_ids), races)
+print(f"{len(people)} synthetic records; class = f(first letter)")
 
 cfg = TrainConfig(
     seed=11,
@@ -48,7 +49,7 @@ cfg = TrainConfig(
     dropout=0.2,
 )
 print(f"training: {cfg.layers} BiLSTM layers, hidden {cfg.hidden}, embed {cfg.embed_dim}")
-params, log = train(records, cfg)
+params, log = train(people, cfg)
 for row in log:
     print(f"  epoch {row.epoch}: train loss {row.train_loss:.4f}, "
           f"val accuracy {row.val_accuracy:.3f}")

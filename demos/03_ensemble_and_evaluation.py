@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nameproxy import RaceSet, argmax_race
+from nameproxy import RaceSet
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 
@@ -18,17 +18,18 @@ races = RaceSet()
 rng = np.random.default_rng(13)
 
 n = 3000
-truths = [races.labels[int(rng.integers(4))] for _ in range(n)]
+# each record's true race, as an index into the race set
+truth = np.array([int(rng.integers(4)) for _ in range(n)])
 
 
 def noisy_model(quality, coverage):
     """A synthetic predictor: mostly right with prob=quality, else random."""
     preds = []
-    for t in truths:
+    for t in truth:
         if rng.random() > coverage:
             preds.append(None)
             continue
-        target = races.index(t) if rng.random() < quality else int(rng.integers(4))
+        target = t if rng.random() < quality else int(rng.integers(4))
         probs = rng.dirichlet(np.ones(4) * 0.5)
         probs[target] += 2.0
         preds.append(probs / probs.sum())
@@ -47,30 +48,32 @@ combined = [
 ]
 models["ensemble"] = combined
 
+# the evaluation harness reads columns: a probability row and a covered
+# flag per record, and the argmax race index (-1 for a decline)
+probs = {name: np.array([np.zeros(4) if p is None else p for p in preds])
+         for name, preds in models.items()}
+covered = {name: np.array([p is not None for p in preds]) for name, preds in models.items()}
+predicted = {name: np.where(covered[name], probs[name].argmax(axis=1), -1) for name in models}
+
 print("coverage per model:")
-for name, preds in models.items():
-    covered = sum(p is not None for p in preds)
-    print(f"  {name:18s} {covered / n:.3f}")
+for name in models:
+    print(f"  {name:18s} {covered[name].sum() / n:.3f}")
 
 print("\nper-race F1 (declines excluded from the confusion counts):")
 reports = {}
 rocs = {}
-for name, preds in models.items():
-    labels = [argmax_race(p, races) if p is not None else None for p in preds]
-    report = class_metrics(truths, labels)
+for name in models:
+    report = class_metrics(truth, predicted[name])
     reports[name] = report
-    covered_truths = [t for t, p in zip(truths, preds) if p is not None]
-    covered_probs = [p for p in preds if p is not None]
-    rocs[name] = {race: roc_curve(covered_truths, covered_probs, race) for race in races}
+    mask = covered[name]
+    rocs[name] = {race: roc_curve(truth[mask], probs[name][mask], race) for race in races}
     f1s = " ".join(f"{race}={report[race].f1:.3f}" for race in races)
     print(f"  {name:18s} {f1s}")
 
-subset = intersect_covered(list(models.values()))
+subset = intersect_covered(covered.values())
 print(f"\nsubset where every model predicts: {len(subset)} of {n} records")
-sub_truths = [truths[i] for i in subset]
-for name, preds in models.items():
-    labels = [argmax_race(preds[i], races) for i in subset]
-    report = class_metrics(sub_truths, labels)
+for name in models:
+    report = class_metrics(truth[subset], predicted[name][subset])
     mean_f1 = np.mean([report[race].f1 for race in races])
     print(f"  {name:18s} mean F1 on shared subset: {mean_f1:.3f}")
 

@@ -9,8 +9,7 @@ benchmarking prediction files against ground truth.
 
 from .core import (
     DEFAULT_RACES,
-    PersonRecord,
-    Prediction,
+    People,
     RaceSet,
     argmax_race,
     is_prob_vector,
@@ -40,7 +39,7 @@ from .lstm import (
     train,
 )
 from .names import encode_name, is_person_name, is_valid_name, normalize
-from .sampling import representative_sample
+from .sampling import representative_sample_indices
 from .tables import (
     GeoTable,
     NameTable,
@@ -51,8 +50,7 @@ from .tables import (
 
 __all__ = [
     "DEFAULT_RACES",
-    "PersonRecord",
-    "Prediction",
+    "People",
     "RaceSet",
     "argmax_race",
     "is_prob_vector",
@@ -68,7 +66,7 @@ __all__ = [
     "class_metrics",
     "emit_report",
     "intersect_covered",
-    "representative_sample",
+    "representative_sample_indices",
     "roc_curve",
     "AdamState",
     "NetworkParams",

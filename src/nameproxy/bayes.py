@@ -25,6 +25,7 @@ same code.
 from __future__ import annotations
 
 import logging
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -69,15 +70,18 @@ class Factor:
 class BayesContext:
     """Tables a Bayes predictor draws its factors from.
 
-    The factor matrices are built from the tables once per context, on
-    first use.  A column of raw keys is resolved to factor rows once per
-    context too: BISG and BIFSG over the same records share the surname
-    and geography rows.
+    Each table is given as a table, or as a zero-argument function that
+    loads it; a loader is called when a factor first needs its table, so
+    a context serves models that need only some of the tables.  The
+    factor matrices are built from the tables once per context, on first
+    use.  A column of raw keys is resolved to factor rows once per context
+    too: BISG, BIFSG and geography augmentation over the same records
+    share the surname and geography rows.
     """
 
-    surname_table: NameTable
-    geo_table: GeoTable
-    firstname_table: NameTable | None = None
+    surname_table: NameTable | Callable[[], NameTable]
+    geo_table: GeoTable | Callable[[], GeoTable]
+    firstname_table: NameTable | Callable[[], NameTable] | None = None
     races: RaceSet | None = None
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
     # factor name -> (the raw column last resolved, its rows)
@@ -85,34 +89,43 @@ class BayesContext:
 
     def __post_init__(self):
         if self.races is None:
+            if callable(self.surname_table):
+                self.surname_table = self.surname_table()
             self.races = self.surname_table.races
-        for table in (self.surname_table, self.firstname_table, self.geo_table):
-            if table is not None and table.races != self.races:
-                raise ValueError("all tables must share one race set")
+        for name in ("surname_table", "firstname_table", "geo_table"):
+            if not callable(getattr(self, name)):
+                self.table(name)
 
-    def add_firstname_table(self, table: NameTable) -> None:
-        """Give a context built without a first-name table one, keeping the
-        factors and rows it has built so far."""
-        if table.races != self.races:
+    def table(self, name: str):
+        """The named table (``surname_table``, ``firstname_table`` or
+        ``geo_table``), loaded now if it was given as a loader."""
+        table = getattr(self, name)
+        if callable(table):
+            table = table()
+            setattr(self, name, table)
+        if table is not None and table.races != self.races:
             raise ValueError("all tables must share one race set")
-        self.firstname_table = table
+        return table
 
     @cached_property
     def surname_prior(self) -> Factor:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
-        return Factor.of(self.surname_table.entries, self.surname_table.prior_rows())
+        table = self.table("surname_table")
+        return Factor.of(table.entries, table.prior_rows())
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
         """``P(first name | race)`` rows."""
-        if self.firstname_table is None:
+        table = self.table("firstname_table")
+        if table is None:
             raise MissingFirstnameTableError("bifsg needs a first-name table")
-        return Factor.of(self.firstname_table.entries, self.firstname_table.likelihood_rows())
+        return Factor.of(table.entries, table.likelihood_rows())
 
     @cached_property
     def geo_likelihood(self) -> Factor:
         """``P(geo | race)`` rows."""
-        return Factor.of(self.geo_table.entries, self.geo_table.likelihood_rows())
+        table = self.table("geo_table")
+        return Factor.of(table.entries, table.likelihood_rows())
 
     def rows(self, factor: str, raws) -> np.ndarray:
         """Each raw key's row in the named factor (``surname_prior``,
@@ -151,7 +164,8 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     unusable = np.isnan(ctx.surname_prior.matrix[known]).any(axis=1)
     if unusable.any():
         # raise what normalizing that entry raises
-        ctx.surname_table.race_given_name(list(ctx.surname_table.entries)[known[unusable][0]])
+        table = ctx.table("surname_table")
+        table.race_given_name(list(table.entries)[known[unusable][0]])
     if firsts is not None:
         first = ctx.rows("firstname_likelihood", firsts)
         reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]

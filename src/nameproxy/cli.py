@@ -13,16 +13,17 @@ import argparse
 import csv
 import json
 import logging
+import math
 import os
 import sys
-from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from .bayes import BayesContext, Factor, bayes_scores, geo_augment_scores
+from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
-from .core import REASON_CODE, UNENCODABLE_NAME, PersonRecord, RaceSet, Scores, argmax_race
+from .core import DECLINED, REASON_CODE, UNENCODABLE_NAME, People, RaceSet, Scores
 from .ensemble import ensemble_scores
 from .errors import (
     MissingArtifactError,
@@ -37,7 +38,7 @@ from .lstm import (
     train,
     write_training_log,
 )
-from .names import NEURAL, TABLE, column_keys, encode_name, is_person_name
+from .names import TABLE, column_keys, encode_columns, is_person_name
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -62,13 +63,18 @@ MODEL_CHOICES = ("first_last", "first_last_zcta", "bisg", "bifsg", "ensemble")
 MEMBER_ALIASES = {"ibisg": "bisg", "ibifsg": "bifsg"}
 
 
-def read_people_csv(path, races: RaceSet, require_race: bool) -> list[PersonRecord]:
+def read_people_csv(path, races: RaceSet, require_race: bool) -> People:
     """Ingest a ``first_name,last_name,geo_id,race`` CSV with row validation.
 
     Geography ids are stripped of surrounding whitespace, so ``" 10037 "``
-    matches the table key ``10037``.
+    matches the table key ``10037``.  Race labels become indices into
+    ``races`` (-1 for an empty label); each distinct label is checked once.
     """
-    records: list[PersonRecord] = []
+    first: list[str] = []
+    last: list[str] = []
+    geo: list[str] = []
+    race: list[int] = []
+    codes = {label: i for i, label in enumerate(races)}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -77,38 +83,44 @@ def read_people_csv(path, races: RaceSet, require_race: bool) -> list[PersonReco
         for lineno, row in enumerate(reader, start=2):
             if len(row) != 4:
                 raise SchemaError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
-            first, last, geo, race = row
-            if not first or not last:
+            if not row[0] or not row[1]:
                 raise SchemaError(f"{path}: line {lineno}: empty name field")
-            if race == "":
+            code = codes.get(row[3])
+            if code is None:
+                if row[3] != "":
+                    raise SchemaError(f"{path}: line {lineno}: unknown race {row[3]!r}")
                 if require_race:
                     raise SchemaError(f"{path}: line {lineno}: missing race")
-                race = None
-            elif race not in races:
-                raise SchemaError(f"{path}: line {lineno}: unknown race {race!r}")
-            records.append(PersonRecord(first, last, geo.strip(), race))
-    if not records:
+                code = codes[""] = -1
+            first.append(row[0])
+            last.append(row[1])
+            geo.append(row[2].strip())
+            race.append(code)
+    if not first:
         raise SchemaError(f"{path}: no data rows")
-    return records
+    return People(first, last, geo, np.array(race, dtype=np.intp), races)
 
 
-def write_people_csv(records, path) -> None:
+def write_people_csv(people: People, path) -> None:
+    labels = [*people.races.labels, ""]  # index -1 writes an empty race
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
+        # with "\n" as line terminator the writer leaves a lone "\r"
+        # unquoted, and a reader would end the row there
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
         writer.writerow(VOTER_HEADER)
-        for rec in records:
-            writer.writerow([rec.first, rec.last, rec.geo, rec.race or ""])
+        columns = zip(people.first, people.last, people.geo, people.race.tolist())
+        for first, last, geo, race in columns:
+            row = [first, last, geo, labels[race]]
+            (quote_all if any("\r" in field for field in row) else writer).writerow(row)
 
 
-@dataclass
 class Artifacts:
     """Lazily loaded tables and parameters, resolved from config paths."""
 
-    config: RunConfig
-    _cache: dict = None
-
-    def __post_init__(self):
-        self._cache = {}
+    def __init__(self, config: RunConfig):
+        self.config = config
+        self._cache: dict = {}
 
     def _load(self, key, loader):
         if key not in self._cache:
@@ -129,61 +141,35 @@ class Artifacts:
         table.smoothing_alpha = self.config.smoothing_alpha
         return table
 
-    @property
-    def surname_table(self) -> NameTable:
-        return self._load("surname_table", self._load_surname_table)
-
-    @property
-    def firstname_table(self) -> NameTable:
-        return self._load("firstname_table", NameTable.load)
-
-    @property
-    def geo_table(self) -> GeoTable:
-        return self._load("geo_table", GeoTable.load)
-
-    def bayes_context(self, with_firstname: bool) -> BayesContext:
-        """The one Bayes context of these artifacts, so BISG and BIFSG share
-        its factor matrices and resolved columns; the first-name table joins
-        it when a model first needs it."""
-        ctx = self._cache.get("bayes_context")
-        if ctx is None:
-            ctx = self._cache["bayes_context"] = BayesContext(
-                surname_table=self.surname_table,
-                geo_table=self.geo_table,
-                suffixes=self.config.suffixes,
-            )
-        if with_firstname and ctx.firstname_table is None:
-            ctx.add_firstname_table(self.firstname_table)
-        return ctx
+    @cached_property
+    def bayes_context(self) -> BayesContext:
+        """The one Bayes context of a predict: every model shares its
+        factor matrices and resolved columns, and each table loads when a
+        model first needs it."""
+        return BayesContext(
+            surname_table=lambda: self._load("surname_table", self._load_surname_table),
+            geo_table=lambda: self._load("geo_table", GeoTable.load),
+            firstname_table=lambda: self._load("firstname_table", NameTable.load),
+            races=self.config.races,
+            suffixes=self.config.suffixes,
+        )
 
 
-def _neural_scores(artifacts: Artifacts, records) -> Scores:
-    """Name-model probabilities per record; unencodable names decline."""
-    n = len(records)
-    firsts, first_codes = column_keys([rec.first for rec in records], NEURAL)
-    lasts, last_codes = column_keys([rec.last for rec in records], NEURAL)
-    encodable = (
-        np.array([key is not None for key in firsts], dtype=bool)[first_codes]
-        & np.array([key is not None for key in lasts], dtype=bool)[last_codes]
-    )
-    pairs, pair_codes = np.unique(
-        np.stack([first_codes[encodable], last_codes[encodable]], axis=1),
-        axis=0,
-        return_inverse=True,
-    )
-    probs = np.zeros((n, len(artifacts.config.races)))
-    if pairs.size:
-        encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs.tolist()])
-        probs[encodable] = predict_proba_batch(artifacts.params, encoded[pair_codes.ravel()])
+def _neural_scores(artifacts: Artifacts, people: People) -> Scores:
+    """Name-model probabilities per person; unencodable names decline."""
+    codes, encodable = encode_columns(people.first, people.last)
+    probs = np.zeros((len(people), len(artifacts.config.races)))
+    if codes.size:
+        probs[encodable] = predict_proba_batch(artifacts.params, codes)
     reason = np.where(encodable, 0, REASON_CODE[UNENCODABLE_NAME]).astype(np.int8)
     return Scores(probs, reason)
 
 
-def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig, memo=None):
-    """:class:`Scores` of every record under one model.
+def predict_model(model: str, people: People, artifacts: Artifacts, config: RunConfig, memo=None):
+    """:class:`Scores` of every person under one model.
 
     ``memo`` maps canonical model ids (after :data:`MEMBER_ALIASES`) to
-    outputs already computed for these records.  Sharing one dict across
+    outputs already computed for these people.  Sharing one dict across
     a predict call computes each model at most once: ``first_last_zcta``
     reuses ``first_last``'s vectors and ensemble members reuse the
     requested models' outputs.
@@ -192,29 +178,22 @@ def predict_model(model: str, records, artifacts: Artifacts, config: RunConfig, 
     memo = {} if memo is None else memo
     if model in memo:
         return memo[model]
+    ctx = artifacts.bayes_context
     if model == "first_last":
-        out = _neural_scores(artifacts, records)
+        out = _neural_scores(artifacts, people)
     elif model == "first_last_zcta":
-        name = predict_model("first_last", records, artifacts, config, memo)
-        geo = Factor.of(artifacts.geo_table.entries, artifacts.geo_table.likelihood_rows())
+        name = predict_model("first_last", people, artifacts, config, memo)
         out = geo_augment_scores(
-            name, geo.rows([rec.geo for rec in records], profile=None), geo.matrix
+            name, ctx.rows("geo_likelihood", people.geo), ctx.geo_likelihood.matrix
         )
     elif model == "bisg":
-        ctx = artifacts.bayes_context(with_firstname=False)
-        out = bayes_scores(ctx, [rec.last for rec in records], [rec.geo for rec in records])
+        out = bayes_scores(ctx, people.last, people.geo)
     elif model == "bifsg":
-        ctx = artifacts.bayes_context(with_firstname=True)
-        out = bayes_scores(
-            ctx,
-            [rec.last for rec in records],
-            [rec.geo for rec in records],
-            firsts=[rec.first for rec in records],
-        )
+        out = bayes_scores(ctx, people.last, people.geo, firsts=people.first)
     elif model == "ensemble":
         spec = config.ensemble
         out = ensemble_scores(
-            [predict_model(member, records, artifacts, config, memo) for member in spec.members],
+            [predict_model(member, people, artifacts, config, memo) for member in spec.members],
             spec,
         )
     else:
@@ -228,14 +207,14 @@ def prediction_header(races: RaceSet) -> list[str]:
 
 
 def cmd_build_tables(args, config: RunConfig) -> int:
-    records = read_people_csv(args.voter, config.races, require_race=True)
+    people = read_people_csv(args.voter, config.races, require_race=True)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    race, rows = training_rows(records, config.races, config.seed, config.target_shares)
-    per_race = np.bincount(race[race >= 0], minlength=len(config.races))
+    rows = training_rows(people, config.seed, config.target_shares)
+    per_race = np.bincount(people.race, minlength=len(config.races))
     manifest: dict = {
-        "records": len(records),
+        "records": len(people),
         "per_race": {label: int(n) for label, n in zip(config.races, per_race)},
         "seed": config.seed,
         "target_shares": list(config.target_shares) if config.target_shares else None,
@@ -248,11 +227,9 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         # each distinct raw name is normalized once, for the counts and the
         # manifest alike; the sample rows are shared by both kinds
         keys, codes = column_keys(
-            [rec.last if kind == SURNAME else rec.first for rec in records],
-            TABLE,
-            config.suffixes,
+            people.last if kind == SURNAME else people.first, TABLE, config.suffixes
         )
-        table = count_name_table(kind, config.races, keys, codes[rows], race[rows])
+        table = count_name_table(kind, config.races, keys, codes[rows], people.race[rows])
         distinct = sum(1 for key in keys if key is not None and len(key) > 1)
         stats = {
             "distinct_names": distinct,
@@ -271,7 +248,7 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         stats["path"] = str(path)
         manifest[kind] = stats
 
-    geo_table = build_geo_table(records, config.races)
+    geo_table = build_geo_table(people)
     geo_path = out_dir / "geo_table.csv"
     geo_table.save(geo_path)
     manifest["geo"] = {"entries": len(geo_table), "path": str(geo_path)}
@@ -285,9 +262,8 @@ def cmd_build_tables(args, config: RunConfig) -> int:
 
 
 def cmd_train(args, config: RunConfig) -> int:
-    records = read_people_csv(args.voter, config.races, require_race=True)
-    cfg = config.train_config()
-    params, log = train(records, cfg, races=config.races)
+    people = read_people_csv(args.voter, config.races, require_race=True)
+    params, log = train(people, config.train_config())
     save_params(params, args.out_params)
     write_training_log(log, args.out_log)
     logger.info(
@@ -311,15 +287,15 @@ def _parse_models(spec: str) -> list[str]:
 
 
 def cmd_predict(args, config: RunConfig) -> int:
-    records = read_people_csv(args.input, config.races, require_race=False)
+    people = read_people_csv(args.input, config.races, require_race=False)
     models = _parse_models(args.models)
     artifacts = Artifacts(config)
     memo: dict[str, Scores] = {}
     outputs = {
-        model: predict_model(model, records, artifacts, config, memo) for model in models
+        model: predict_model(model, people, artifacts, config, memo) for model in models
     }
     for model, scores in outputs.items():
-        logger.info("%s over %d records: %s", model, len(records), scores.histogram())
+        logger.info("%s over %d records: %s", model, len(people), scores.histogram())
     # per model: row values as Python floats (whose str is repr of the
     # float64), the argmax label and the covered flag
     blank = [""] * len(config.races) + ["", 0]
@@ -335,27 +311,28 @@ def cmd_predict(args, config: RunConfig) -> int:
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(prediction_header(config.races))
-        for i in range(len(records)):
+        for i in range(len(people)):
             for model, probs, labels, covered in columns:
                 if covered[i]:
                     writer.writerow([i, model, *probs[i], labels[i], 1])
                 else:
                     writer.writerow([i, model, *blank])
-    logger.info("wrote predictions for %d records x %d models", len(records), len(models))
+    logger.info("wrote predictions for %d records x %d models", len(people), len(models))
     return 0
 
 
-class _Unseen:
-    pass
+def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]:
+    """Parse a predictions file into one :class:`Scores` of ``n_rows`` rows
+    per model; a declined row's reason is :data:`core.DECLINED`.
 
-
-_UNSEEN = _Unseen()
-
-
-def read_predictions_csv(path, races: RaceSet, n_rows: int):
-    """Parse a predictions file into {model: [probs or None] * n_rows}."""
+    Raises:
+        SchemaError: a malformed line, a ``(row_id, model)`` pair that
+            appears twice, a covered row with a negative or non-finite
+            probability, or a model missing some row.
+    """
     expected = prediction_header(races)
-    by_model: dict[str, list] = {}
+    width = len(races)
+    by_model: dict[str, Scores] = {}
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -373,22 +350,34 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int):
                 raise SchemaError(
                     f"{path}: line {lineno}: row_id {row_id} outside truth file"
                 )
-            slots = by_model.get(model)
-            if slots is None:
-                slots = by_model[model] = [_UNSEEN] * n_rows
+            scores = by_model.get(model)
+            if scores is None:
+                # reason -1 marks a row not seen yet
+                scores = by_model[model] = Scores(
+                    np.zeros((n_rows, width)), np.full(n_rows, -1, dtype=np.int8)
+                )
+            if scores.reason[row_id] >= 0:
+                raise SchemaError(
+                    f"{path}: line {lineno}: second line for row_id {row_id}, model {model!r}"
+                )
             covered = row[-1]
             if covered not in ("0", "1"):
                 raise SchemaError(f"{path}: line {lineno}: covered must be 0 or 1")
             if covered == "1":
                 try:
-                    probs = np.array([float(v) for v in row[2:-2]], dtype=np.float64)
+                    probs = [float(v) for v in row[2:-2]]
                 except ValueError as exc:
                     raise SchemaError(f"{path}: line {lineno}: bad probability") from exc
-                slots[row_id] = probs
+                if not all(0.0 <= p < math.inf for p in probs):
+                    raise SchemaError(
+                        f"{path}: line {lineno}: probabilities must be finite and non-negative"
+                    )
+                scores.probs[row_id] = probs
+                scores.reason[row_id] = 0
             else:
-                slots[row_id] = None
-    for model, slots in by_model.items():
-        missing = sum(1 for s in slots if s is _UNSEEN)
+                scores.reason[row_id] = REASON_CODE[DECLINED]
+    for model, scores in by_model.items():
+        missing = int((scores.reason < 0).sum())
         if missing:
             raise SchemaError(
                 f"{path}: model {model!r} is missing {missing} of {n_rows} row_ids"
@@ -404,82 +393,73 @@ def _require_sample_shares(config: RunConfig):
 
 def cmd_evaluate(args, config: RunConfig) -> int:
     truth = read_people_csv(args.truth, config.races, require_race=True)
-    all_models: dict[str, list] = {}
+    all_models: dict[str, Scores] = {}
     for path in args.predictions:
         parsed = read_predictions_csv(path, config.races, len(truth))
-        for model, slots in parsed.items():
+        for model, scores in parsed.items():
             if model in all_models:
                 raise SchemaError(f"model {model!r} appears in more than one file")
-            all_models[model] = slots
+            all_models[model] = scores
     if not all_models:
         raise SchemaError("prediction files contained no models")
 
-    indices = list(range(len(truth)))
+    rows = np.arange(len(truth))
     if args.sample is not None:
-        indices = representative_sample_indices(
-            truth,
-            args.sample,
-            _require_sample_shares(config),
-            seed=config.seed,
-            races=config.races,
+        rows = representative_sample_indices(
+            truth.race, args.sample, _require_sample_shares(config), config.seed, config.races
         )
     if args.intersect_covered:
-        keep = set(
-            intersect_covered([[all_models[m][i] for i in indices] for m in all_models])
-        )
-        indices = [i for pos, i in enumerate(indices) if pos in keep]
-        if not indices:
+        rows = rows[intersect_covered([s.covered[rows] for s in all_models.values()])]
+        if not rows.size:
             logger.warning("covered-subset intersection is empty; metrics undefined")
 
-    truths = [truth[i].race for i in indices]
+    race = truth.race[rows]
     reports = {}
     rocs = {}
-    for model, slots in all_models.items():
-        probs = [slots[i] for i in indices]
-        labels = [
-            argmax_race(p, config.races) if p is not None else None for p in probs
-        ]
+    for model, scores in all_models.items():
+        probs = scores.probs[rows]
+        covered = scores.covered[rows]
+        predicted = np.where(covered, probs.argmax(axis=1), -1)
         reports[model] = class_metrics(
-            truths, labels, config.races, strict=config.strict_metrics
+            race, predicted, config.races, strict=config.strict_metrics
         )
-        covered_truths = [t for t, p in zip(truths, probs) if p is not None]
-        covered_probs = [p for p in probs if p is not None]
         curves = {}
-        for race in config.races:
+        for label in config.races:
             try:
-                curves[race] = roc_curve(covered_truths, covered_probs, race, config.races)
+                curves[label] = roc_curve(race[covered], probs[covered], label, config.races)
             except NameproxyError as exc:
-                logger.warning("skipping ROC for %s/%s: %s", model, race, exc)
+                logger.warning("skipping ROC for %s/%s: %s", model, label, exc)
         rocs[model] = curves
     written = emit_report(reports, rocs, args.out_dir)
     logger.info("wrote %d report files under %s", len(written), args.out_dir)
     return 0
 
 
+def _person_rows(values, filter_words) -> np.ndarray:
+    """Whether each value has no filter word, checked once per distinct value."""
+    verdict = {value: is_person_name(value, filter_words) for value in dict.fromkeys(values)}
+    return np.fromiter(map(verdict.__getitem__, values), dtype=bool, count=len(values))
+
+
 def cmd_sample(args, config: RunConfig) -> int:
-    records = read_people_csv(args.input, config.races, require_race=True)
-    kept = [
-        rec
-        for rec in records
-        if is_person_name(f"{rec.first} {rec.last}", config.filter_words)
-    ]
-    seen = set()
-    unique = []
-    for rec in kept:
-        key = (rec.first, rec.last, rec.geo)
-        if key not in seen:
-            seen.add(key)
-            unique.append(rec)
-    indices = representative_sample_indices(
-        unique, args.n, _require_sample_shares(config), seed=config.seed, races=config.races
+    people = read_people_csv(args.input, config.races, require_race=True)
+    # "first last" has a filter word exactly when one of its parts has one
+    kept = np.flatnonzero(
+        _person_rows(people.first, config.filter_words)
+        & _person_rows(people.last, config.filter_words)
     )
-    write_people_csv([unique[i] for i in indices], args.out)
+    # the first kept row of each distinct (first, last, geo)
+    columns = (people.first, people.last, people.geo)
+    triples = np.stack([column_keys(column, profile=None)[1] for column in columns], axis=1)
+    _, first_seen = np.unique(triples[kept], axis=0, return_index=True)
+    unique = kept[np.sort(first_seen)]
+    indices = representative_sample_indices(
+        people.race[unique], args.n, _require_sample_shares(config), config.seed, config.races
+    )
+    write_people_csv(people.take(unique[indices]), args.out)
     logger.info(
         "filtered %d -> %d person rows, %d unique, sampled %d",
-        len(records),
-        len(kept),
-        len(unique),
-        len(indices),
+        len(people), len(kept), len(unique), len(indices),
     )
     return 0
 

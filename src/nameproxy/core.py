@@ -53,27 +53,39 @@ class RaceSet:
         return label in self.labels
 
 
-@dataclass(frozen=True)
-class PersonRecord:
-    """One person: first name, last name, geography id, optional true race."""
+@dataclass(frozen=True, eq=False)
+class People:
+    """Columns of voter-style records, one entry per person in each.
 
-    first: str
-    last: str
-    geo: str = ""
-    race: str | None = None
+    ``race[i]`` is the index of person ``i``'s race in ``races``, or -1
+    when it is not known.  Geography ids are compared as they are, so a
+    reader strips them before they get here.
+    """
 
+    first: list[str]
+    last: list[str]
+    geo: list[str]
+    race: np.ndarray
+    races: RaceSet = field(default_factory=RaceSet)
 
-@dataclass(frozen=True)
-class Prediction:
-    """A model's output for one record; ``probs is None`` means it declined."""
+    def __post_init__(self):
+        race = np.asarray(self.race, dtype=np.intp).reshape(-1)
+        if not len(self.first) == len(self.last) == len(self.geo) == race.size:
+            raise ValueError("people columns must have equal lengths")
+        if race.size and (race.min() < -1 or race.max() >= len(self.races)):
+            raise ValueError(f"race indices must lie in [-1, {len(self.races)})")
+        object.__setattr__(self, "race", race)
 
-    model_id: str
-    probs: np.ndarray | None = None
-    reason: str | None = field(default=None, compare=False)
+    def __len__(self) -> int:
+        return len(self.first)
 
-    @property
-    def covered(self) -> bool:
-        return self.probs is not None
+    def take(self, rows) -> "People":
+        """The people at ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        first, last, geo = (
+            [column[i] for i in rows.tolist()] for column in (self.first, self.last, self.geo)
+        )
+        return People(first, last, geo, self.race[rows], self.races)
 
 
 #: Why a model declined a record; a record's int reason code is its index
@@ -83,6 +95,8 @@ UNKNOWN_FIRSTNAME = "unknown_firstname"
 UNKNOWN_GEO = "unknown_geo"
 ZERO_MASS = "zero_mass"
 UNENCODABLE_NAME = "unencodable_name"
+#: a decline read back from a predictions file, which does not say why
+DECLINED = "declined"
 NO_MEMBER = "no_member"
 DECLINE_REASONS = (
     None,
@@ -91,6 +105,7 @@ DECLINE_REASONS = (
     UNKNOWN_GEO,
     ZERO_MASS,
     UNENCODABLE_NAME,
+    DECLINED,
     NO_MEMBER,
 )
 REASON_CODE = {reason: code for code, reason in enumerate(DECLINE_REASONS)}

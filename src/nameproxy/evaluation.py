@@ -57,70 +57,71 @@ class RocCurve:
     auc: float
 
 
-def class_metrics(truths, predictions, races: RaceSet | None = None, strict: bool = False) -> ClassReport:
+def class_metrics(truth, predicted, races: RaceSet | None = None, strict: bool = False) -> ClassReport:
     """Per-race one-vs-rest metrics.
 
-    ``predictions`` holds a race label per record or ``None`` for a decline.
-    Declines are excluded from the confusion counts unless ``strict`` is
-    set, in which case they count as a false negative for the true race.
-    Support is the covered count among records whose truth is the given
-    race; coverage is support over that race's truth count.
+    ``truth`` and ``predicted`` hold race indices into ``races`` per
+    record; a predicted index of -1 is a decline.  Declines are excluded
+    from the confusion counts unless ``strict`` is set, in which case they
+    count as a false negative for the true race.  Support is the covered
+    count among records whose truth is the given race; coverage is support
+    over that race's truth count.
     """
     races = races or RaceSet()
-    if len(truths) != len(predictions):
-        raise LengthMismatchError(
-            f"{len(truths)} truths vs {len(predictions)} predictions"
-        )
-    for t in truths:
-        if t not in races:
-            raise ValueError(f"unknown truth label {t!r}")
+    k = len(races)
+    truth = np.asarray(truth, dtype=np.intp).reshape(-1)
+    predicted = np.asarray(predicted, dtype=np.intp).reshape(-1)
+    if truth.size != predicted.size:
+        raise LengthMismatchError(f"{truth.size} truths vs {predicted.size} predictions")
+    if ((truth < 0) | (truth >= k)).any():
+        raise ValueError(f"truth indices must lie in [0, {k})")
+    if ((predicted < -1) | (predicted >= k)).any():
+        raise ValueError(f"predicted indices must lie in [-1, {k})")
+    covered = predicted >= 0
+    scored = np.ones_like(covered) if strict else covered
+    # confusion[t, p] over the scored records; column k holds declines
+    confusion = np.bincount(
+        truth[scored] * (k + 1) + np.where(covered, predicted, k)[scored],
+        minlength=k * (k + 1),
+    ).reshape(k, k + 1)
+    truth_count = np.bincount(truth, minlength=k)
+    support = np.bincount(truth[covered], minlength=k)
+    n_scored = int(scored.sum())
     rows: dict[str, MetricRow] = {}
-    scored = [
-        (t, p) for t, p in zip(truths, predictions) if strict or p is not None
-    ]
-    for race in races:
-        tp = fp = fn = tn = 0
-        for t, p in scored:
-            if p == race:
-                if t == race:
-                    tp += 1
-                else:
-                    fp += 1
-            elif t == race:
-                fn += 1
-            else:
-                tn += 1
+    for i, race in enumerate(races):
+        tp = int(confusion[i, i])
+        fp = int(confusion[:, i].sum()) - tp
+        fn = int(confusion[i].sum()) - tp
+        tn = n_scored - tp - fp - fn
         denom = tp + tn + fp + fn
         precision = tp / (tp + fp) if tp + fp else 0.0
         recall = tp / (tp + fn) if tp + fn else 0.0
         f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
         accuracy = (tp + tn) / denom if denom else 0.0
-        truth_count = sum(1 for t in truths if t == race)
-        support = sum(
-            1 for t, p in zip(truths, predictions) if t == race and p is not None
-        )
-        coverage = support / truth_count if truth_count else 0.0
-        rows[race] = MetricRow(accuracy, precision, recall, f1, coverage, support)
+        coverage = int(support[i]) / int(truth_count[i]) if truth_count[i] else 0.0
+        rows[race] = MetricRow(accuracy, precision, recall, f1, coverage, int(support[i]))
     return ClassReport(races=races, rows=rows)
 
 
-def roc_curve(truths, scores, race: str, races: RaceSet | None = None) -> RocCurve:
+def roc_curve(truth, scores, race: str, races: RaceSet | None = None) -> RocCurve:
     """One-vs-rest ROC for ``race`` over per-record probability vectors.
 
-    Sweeps every distinct score of that race's probability; tied scores
-    collapse into one step.  AUC is trapezoidal, which matches the
-    tie-corrected pairwise (Mann-Whitney) statistic exactly.
+    ``truth`` holds each record's race index into ``races`` and ``scores``
+    its probability vector, one row per record.  Sweeps every distinct
+    score of that race's probability; tied scores collapse into one step.
+    AUC is trapezoidal, which matches the tie-corrected pairwise
+    (Mann-Whitney) statistic exactly.
 
     Raises:
         SingleClassError: the one-vs-rest truth set has no positives or
             no negatives.
     """
     races = races or RaceSet()
-    if len(truths) != len(scores):
-        raise LengthMismatchError(f"{len(truths)} truths vs {len(scores)} score vectors")
+    truth = np.asarray(truth, dtype=np.intp).reshape(-1)
+    if truth.size != len(scores):
+        raise LengthMismatchError(f"{truth.size} truths vs {len(scores)} score vectors")
     idx = races.index(race)
-    y = np.array([t == race for t in truths], dtype=bool)
-    s = np.array([np.asarray(vec, dtype=np.float64)[idx] for vec in scores])
+    y = truth == idx
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -128,6 +129,7 @@ def roc_curve(truths, scores, race: str, races: RaceSet | None = None) -> RocCur
             f"ROC for {race!r} needs both positives and negatives "
             f"(got {n_pos} positive, {n_neg} negative)"
         )
+    s = np.asarray(scores, dtype=np.float64)[:, idx]
     order = np.argsort(-s, kind="stable")
     s_sorted = s[order]
     y_sorted = y[order]
@@ -142,18 +144,15 @@ def roc_curve(truths, scores, race: str, races: RaceSet | None = None) -> RocCur
     return RocCurve(fpr=fpr, tpr=tpr, auc=auc)
 
 
-def intersect_covered(prediction_sets) -> list[int]:
-    """Indices where every model produced a valid prediction."""
-    sets = list(prediction_sets)
-    if not sets:
-        return []
-    length = len(sets[0])
-    for preds in sets[1:]:
-        if len(preds) != length:
-            raise LengthMismatchError("prediction lists differ in length")
-    return [
-        i for i in range(length) if all(preds[i] is not None for preds in sets)
-    ]
+def intersect_covered(covered) -> np.ndarray:
+    """Indices where every model covered the record, given each model's
+    boolean covered mask."""
+    masks = [np.asarray(mask, dtype=bool) for mask in covered]
+    if not masks:
+        return np.zeros(0, dtype=np.intp)
+    if any(mask.shape != masks[0].shape for mask in masks):
+        raise LengthMismatchError("covered masks differ in length")
+    return np.flatnonzero(np.logical_and.reduce(masks))
 
 
 def emit_report(

@@ -54,14 +54,14 @@ import struct
 
 import numpy as np
 
-from .core import RaceSet
+from .core import People
 from .errors import (
     CorruptFileError,
     EmptyAfterNormalizationError,
     InsufficientClassError,
     ShapeMismatchError,
 )
-from .names import NEURAL, VOCAB_SIZE, WINDOW, encode_name, is_valid_name, normalize
+from .names import NEURAL, VOCAB_SIZE, encode_columns, encode_name, normalize
 
 TRAIN = "train"
 EVAL = "eval"
@@ -559,30 +559,16 @@ class EpochStats:
     val_accuracy: float
 
 
-def prepare_dataset(records, races: RaceSet | None = None):
-    """Normalize, validate, and encode records into (codes, labels).
+def prepare_dataset(people: People):
+    """Normalize, validate, and encode people into (codes, labels).
 
-    Records whose names normalize to nothing or fail the length rule are
-    dropped, mirroring the table-construction filters.
+    People without a race, or whose names normalize to nothing or fail the
+    length rule (:func:`names.is_valid_name`), are dropped, mirroring the
+    table-construction filters.
     """
-    races = races or RaceSet()
-    codes_list = []
-    labels = []
-    for rec in records:
-        if rec.race is None or rec.race not in races:
-            continue
-        try:
-            first = normalize(rec.first, NEURAL)
-            last = normalize(rec.last, NEURAL)
-        except EmptyAfterNormalizationError:
-            continue
-        if not is_valid_name(first, last):
-            continue
-        codes_list.append(encode_name(first, last))
-        labels.append(races.index(rec.race))
-    if not codes_list:
-        return np.zeros((0, WINDOW), dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return np.stack(codes_list), np.array(labels, dtype=np.int64)
+    codes, usable = encode_columns(people.first, people.last, min_length=2)
+    labeled = people.race[usable] >= 0
+    return codes[labeled], people.race[usable][labeled].astype(np.int64)
 
 
 def split_and_balance(labels, n_classes: int, split: float, rng: np.random.Generator):
@@ -613,7 +599,7 @@ def split_and_balance(labels, n_classes: int, split: float, rng: np.random.Gener
     return np.sort(train_idx), np.sort(val_idx)
 
 
-def train(records, cfg: TrainConfig, races: RaceSet | None = None):
+def train(people: People, cfg: TrainConfig):
     """Full training run; returns (best-validation params, per-epoch stats).
 
     Pipeline: encode, stratified 80:20 split, undersample the training
@@ -621,8 +607,8 @@ def train(records, cfg: TrainConfig, races: RaceSet | None = None):
     Adam.  The parameters returned are a copy from the epoch with the best
     validation accuracy.
     """
-    races = races or RaceSet()
-    codes, labels = prepare_dataset(records, races)
+    races = people.races
+    codes, labels = prepare_dataset(people)
     seeds = np.random.SeedSequence(cfg.seed).spawn(4)
     split_rng = np.random.default_rng(seeds[0])
     epoch_rng = np.random.default_rng(seeds[1])

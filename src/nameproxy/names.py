@@ -192,6 +192,32 @@ def encode_name(first: str, last: str) -> np.ndarray:
     return codes
 
 
+def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Encode columns of raw first and last names for the neural model.
+
+    Each distinct raw name is normalized once (:func:`column_keys` with the
+    neural profile) and each distinct pair of keys encoded once.  Returns
+    ``(codes, usable)``: ``usable`` marks the rows whose first and last
+    name both keep at least ``min_length`` characters, and ``codes`` holds
+    the encodings of those rows, in order.
+    """
+    firsts, first_codes = column_keys(firsts, NEURAL)
+    lasts, last_codes = column_keys(lasts, NEURAL)
+    usable = (
+        np.array([k is not None and len(k) >= min_length for k in firsts], dtype=bool)[first_codes]
+        & np.array([k is not None and len(k) >= min_length for k in lasts], dtype=bool)[last_codes]
+    )
+    pairs, pair_codes = np.unique(
+        np.stack([first_codes[usable], last_codes[usable]], axis=1),
+        axis=0,
+        return_inverse=True,
+    )
+    if not pairs.size:
+        return np.zeros((0, WINDOW), dtype=np.int64), usable
+    encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs.tolist()])
+    return encoded[pair_codes.ravel()], usable
+
+
 def decode_codes(codes) -> str:
     """Inverse of :func:`encode_name` on the nonzero prefix (test/debug aid)."""
     out = []

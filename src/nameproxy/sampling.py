@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import PersonRecord, RaceSet
+from .core import RaceSet
 from .errors import InsufficientClassError
 
 
@@ -34,17 +34,18 @@ def largest_remainder_quotas(n: int, shares) -> np.ndarray:
 
 
 def representative_sample_indices(
-    records,
+    race,
     n: int,
     shares,
     seed: int,
     races: RaceSet | None = None,
-) -> list[int]:
+) -> np.ndarray:
     """Indices of a stratified sample of ``n`` records matching ``shares``.
 
-    Within each race the draw is uniform without replacement; the returned
-    indices are ascending, so the sample preserves input order and a fixed
-    seed reproduces it byte for byte.
+    ``race[i]`` is record ``i``'s index in ``races`` (-1 for none, never
+    drawn).  Within each race the draw is uniform without replacement; the
+    returned indices are ascending, so the sample preserves input order and
+    a fixed seed reproduces it byte for byte.
 
     Raises:
         InsufficientClassError: a race has fewer records than its quota.
@@ -53,35 +54,18 @@ def representative_sample_indices(
     if len(np.asarray(shares)) != len(races):
         raise ValueError("shares must align with the race set")
     quotas = largest_remainder_quotas(n, shares)
-    by_race: dict[str, list[int]] = {label: [] for label in races}
-    for i, rec in enumerate(records):
-        if rec.race in by_race:
-            by_race[rec.race].append(i)
+    race = np.asarray(race)
     rng = np.random.default_rng(seed)
-    chosen: list[int] = []
-    for label, quota in zip(races, quotas):
-        pool = by_race[label]
-        if quota > len(pool):
+    chosen = []
+    for k, (label, quota) in enumerate(zip(races, quotas)):
+        pool = np.flatnonzero(race == k)
+        if quota > pool.size:
             raise InsufficientClassError(
-                f"race {label!r} has {len(pool)} records, quota is {int(quota)}"
+                f"race {label!r} has {pool.size} records, quota is {int(quota)}"
             )
         if quota > 0:
-            picks = rng.choice(len(pool), size=int(quota), replace=False)
-            chosen.extend(pool[j] for j in picks)
-    chosen.sort()
-    return chosen
-
-
-def representative_sample(
-    records: list[PersonRecord],
-    n: int,
-    shares,
-    seed: int,
-    races: RaceSet | None = None,
-) -> list[PersonRecord]:
-    """Stratified sample of ``n`` records; see :func:`representative_sample_indices`."""
-    indices = representative_sample_indices(records, n, shares, seed, races)
-    return [records[i] for i in indices]
+            chosen.append(pool[rng.choice(pool.size, size=int(quota), replace=False)])
+    return np.sort(np.concatenate(chosen)) if chosen else np.zeros(0, dtype=np.intp)
 
 
 def max_feasible_sample_size(available: np.ndarray, shares) -> int:

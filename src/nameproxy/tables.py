@@ -1,4 +1,4 @@
-"""Name and geography probability tables built from voter-style records.
+"""Name and geography probability tables built from voter-style columns.
 
 A :class:`NameTable` stores per-race counts keyed by a table-normalized
 name.  It answers two questions: the race distribution of a name,
@@ -17,11 +17,10 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
-from .core import RaceSet, renormalize_rows
+from .core import People, RaceSet, renormalize_rows
 from .errors import (
     EmptyTableError,
     InsufficientClassError,
@@ -280,72 +279,59 @@ class GeoTable:
 
 
 def build_name_table(
-    records,
+    people: People,
     kind: str,
     seed: int = 0,
     target_shares=None,
-    races: RaceSet | None = None,
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES,
     suppress: bool = True,
     min_total: int = MIN_TOTAL,
     single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
 ) -> NameTable:
-    """Build a suppressed name table from records carrying ground-truth race.
+    """Build a suppressed name table from people carrying ground-truth race.
 
-    When ``target_shares`` is given, the records are first resampled
+    When ``target_shares`` is given, the people are first resampled
     (stratified, seeded) to the largest size whose per-race quotas match the
     shares; probabilities from a heavily imbalanced source would otherwise
     be biased toward the majority classes.  Names are table-normalized,
     one-character names are dropped, and the suppression rule is applied.
+    People without a race are not counted.
 
     This is :func:`training_rows`, :func:`names.column_keys` and
     :func:`count_name_table` in a row.
 
     Raises:
-        InsufficientClassError: a race has no records at all.
+        InsufficientClassError: a race has no people at all.
         EmptyTableError: nothing survives suppression.
     """
-    races = races or RaceSet()
     if kind not in (SURNAME, FIRSTNAME):
         raise ValueError(f"unknown table kind {kind!r}")
-    records = list(records)
-    race, rows = training_rows(records, races, seed, target_shares)
-    keys, codes = column_keys(
-        [rec.last if kind == SURNAME else rec.first for rec in records], TABLE, suffixes
-    )
+    rows = training_rows(people, seed, target_shares)
+    keys, codes = column_keys(people.last if kind == SURNAME else people.first, TABLE, suffixes)
+    race = people.race[rows]
     return count_name_table(
-        kind, races, keys, codes[rows], race[rows], suppress, min_total, single_race_band
+        kind, people.races, keys, codes[rows], race, suppress, min_total, single_race_band
     )
 
 
-def training_rows(records, races: RaceSet, seed: int = 0, target_shares=None):
-    """Each record's race index and the rows a name table is counted from.
+def training_rows(people: People, seed: int = 0, target_shares=None) -> np.ndarray:
+    """The rows a name table is counted from.
 
-    Returns ``(race, rows)``: ``race[i]`` indexes ``races`` (-1 for a label
-    outside it), and ``rows`` is every record, or with ``target_shares`` the
-    stratified sample described in :func:`build_name_table`.  Drawing it
-    once serves every table kind.
+    Every row, or with ``target_shares`` the stratified sample described
+    in :func:`build_name_table`.  Drawing it once serves every table kind.
 
     Raises:
-        ValueError: a record has no race.
-        InsufficientClassError: a race has no records at all.
+        InsufficientClassError: a race has no people at all.
     """
-    labels = [rec.race for rec in records]
-    if None in labels:
-        raise ValueError("table construction needs ground-truth race on every record")
-    race_index = {label: i for i, label in enumerate(races)}
-    race = np.fromiter(
-        map(race_index.get, labels, repeat(-1)), dtype=np.intp, count=len(labels)
-    )
-    counts_per_race = np.bincount(race[race >= 0], minlength=len(races))
+    races = people.races
+    counts_per_race = np.bincount(people.race[people.race >= 0], minlength=len(races))
     if (counts_per_race == 0).any():
         missing = [label for label, c in zip(races, counts_per_race) if c == 0]
         raise InsufficientClassError(f"no records for race(s): {', '.join(missing)}")
     if target_shares is None:
-        return race, np.arange(len(records))
+        return np.arange(len(people))
     n = max_feasible_sample_size(counts_per_race, target_shares)
-    rows = representative_sample_indices(records, n, target_shares, seed=seed, races=races)
-    return race, np.array(rows, dtype=np.intp)
+    return representative_sample_indices(people.race, n, target_shares, seed=seed, races=races)
 
 
 def count_name_table(
@@ -388,28 +374,23 @@ def count_name_table(
     )
 
 
-def build_geo_table(records, races: RaceSet | None = None) -> GeoTable:
-    """Accumulate per-(geo, race) counts; race totals are the column sums."""
-    races = races or RaceSet()
-    race_index = {label: i for i, label in enumerate(races)}
-    labels = [rec.race for rec in records]
-    geos = [rec.geo for rec in records]
-    if None in labels or not all(geos):
-        # the first offending record decides the message
-        for label, geo in zip(labels, geos):
-            if label is None:
-                raise ValueError("geo table construction needs ground-truth race")
-            if not geo:
-                raise ValueError("geo table construction needs non-empty geo ids")
-    race = np.fromiter(
-        map(race_index.get, labels, repeat(-1)), dtype=np.intp, count=len(labels)
-    )
-    keys, codes = column_keys(geos, profile=None)
-    counts, race_totals, order = _count_pairs(codes, race, len(keys), len(races))
+def build_geo_table(people: People) -> GeoTable:
+    """Accumulate per-(geo, race) counts; race totals are the column sums.
+
+    People without a race are not counted.
+
+    Raises:
+        ValueError: a geo id is empty.
+        EmptyTableError: nobody is counted.
+    """
+    if not all(people.geo):
+        raise ValueError("geo table construction needs non-empty geo ids")
+    keys, codes = column_keys(people.geo, profile=None)
+    counts, race_totals, order = _count_pairs(codes, people.race, len(keys), len(people.races))
     if order.size == 0:
         raise EmptyTableError("no records to build a geography table from")
     return GeoTable(
-        races=races,
+        races=people.races,
         entries={keys[k]: counts[k] for k in order.tolist()},
         race_totals=race_totals,
     )

@@ -2,11 +2,13 @@
 
 import csv
 import json
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
 from nameproxy.cli import main
+from nameproxy.core import People, RaceSet
 
 RACE_LABELS = ("asian", "black", "hispanic", "white")
 
@@ -37,6 +39,30 @@ GEO_MIX = {
     "30003": (8, 12, 70, 25),
     "40004": (15, 20, 18, 90),
 }
+
+
+class Row(NamedTuple):
+    """One person as a test writes it down; ``race`` is a label or None."""
+
+    first: str
+    last: str
+    geo: str = ""
+    race: str | None = None
+
+
+def people_of(rows, races=None) -> People:
+    """The columns of ``(first, last, geo, race label)`` rows; a label
+    outside ``races`` (or None) becomes race index -1."""
+    races = races or RaceSet()
+    index = {label: i for i, label in enumerate(races)}
+    rows = [Row(*row) for row in rows]
+    return People(
+        [row.first for row in rows],
+        [row.last for row in rows],
+        [row.geo for row in rows],
+        np.array([index.get(row.race, -1) for row in rows], dtype=np.intp),
+        races,
+    )
 
 
 def synthetic_voter_rows(seed=0):

@@ -14,12 +14,12 @@ import pytest
 
 from nameproxy.bayes import BayesContext, bifsg_reason, bisg_reason, geo_augment
 from nameproxy.cli import main
-from nameproxy.core import PersonRecord, RaceSet, argmax_race
+from nameproxy.core import RaceSet, argmax_race
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, roc_curve
 from nameproxy.lstm import TrainConfig, forward, init_params, loss_and_gradients, train
 from nameproxy.names import encode_name
-from nameproxy.sampling import largest_remainder_quotas, representative_sample
+from nameproxy.sampling import largest_remainder_quotas, representative_sample_indices
 from nameproxy.tables import (
     FIRSTNAME,
     SURNAME,
@@ -28,7 +28,7 @@ from nameproxy.tables import (
     build_name_table,
 )
 
-from conftest import synthetic_voter_rows, write_csv
+from conftest import Row, people_of, synthetic_voter_rows, write_csv
 from test_lstm import synthetic_records
 
 RACES = RaceSet()
@@ -38,6 +38,11 @@ US_SHARES = (0.059, 0.126, 0.189, 0.593)
 
 def _pass(name):
     print(f"[acceptance] {name}: PASS")
+
+
+def race_indices(labels):
+    """Race indices of labels; None (a decline) becomes -1."""
+    return np.array([-1 if label is None else RACES.index(label) for label in labels])
 
 
 def _letters(i, width=2):
@@ -65,12 +70,11 @@ class TestC01BayesOracleEquivalence:
                 for ri, race in enumerate(RACES):
                     count = int(u[si, ri]) * int(v[gi, ri])
                     if count:
-                        records.extend([PersonRecord("anna", s, g, race)] * count)
+                        records.extend([Row("anna", s, g, race)] * count)
         assert len(records) >= 100_000
 
-        ctx = BayesContext(
-            build_name_table(records, SURNAME), build_geo_table(records)
-        )
+        people = people_of(records)
+        ctx = BayesContext(build_name_table(people, SURNAME), build_geo_table(people))
         joint: dict[tuple[str, str], np.ndarray] = {}
         for rec in records:  # independent enumeration oracle
             joint.setdefault((rec.last, rec.geo), np.zeros(4))[
@@ -104,11 +108,12 @@ class TestC01BayesOracleEquivalence:
                     for ri, race in enumerate(RACES):
                         count = int(u[si, ri]) * int(w[fi, ri]) * int(v[gi, ri])
                         if count:
-                            records.extend([PersonRecord(f, s, g, race)] * count)
+                            records.extend([Row(f, s, g, race)] * count)
+        people = people_of(records)
         ctx = BayesContext(
-            build_name_table(records, SURNAME),
-            build_geo_table(records),
-            firstname_table=build_name_table(records, FIRSTNAME),
+            build_name_table(people, SURNAME),
+            build_geo_table(people),
+            firstname_table=build_name_table(people, FIRSTNAME),
         )
         joint: dict[tuple[str, str, str], np.ndarray] = {}
         for rec in records:
@@ -144,11 +149,11 @@ class TestC02NeutralFactorIdentities:
             FIRSTNAME, RACES, {"neutral": np.array([50, 50, 50, 50])}, totals
         )
         geo_records = [
-            PersonRecord("aa", "bb", f"{g:05d}", RACES.labels[int(rng.integers(4))])
+            ("aa", "bb", f"{g:05d}", RACES.labels[int(rng.integers(4))])
             for g in range(10)
             for _ in range(30)
         ]
-        geo = build_geo_table(geo_records)
+        geo = build_geo_table(people_of(geo_records))
         ctx = BayesContext(surname, geo, firstname_table=firstname)
         checked = 0
         for s in surname_entries:
@@ -292,12 +297,12 @@ class TestC06SuppressionRule:
                 else:
                     counts[0], counts[1] = 7, total - 7
                 for race, count in zip(RACES, counts):
-                    records.extend([PersonRecord("anna", name, "0", race)] * count)
+                    records.extend([("anna", name, "0", race)] * count)
                 cases[name] = total >= 30 or (15 <= total <= 29 and n_races == 1)
         # filler keeps every race populated and the table non-empty
         for race in RACES:
-            records.extend([PersonRecord("anna", "filler", "0", race)] * 40)
-        table = build_name_table(records, SURNAME)
+            records.extend([("anna", "filler", "0", race)] * 40)
+        table = build_name_table(people_of(records), SURNAME)
         for name, expected in cases.items():
             assert (name in table) is expected, (name, expected)
         _pass("suppression matrix: totals {14,15,29,30,31} x {1,2} races")
@@ -311,7 +316,7 @@ class TestC07MetricsOracle:
             None if rng.random() < 0.2 else RACES.labels[int(rng.integers(0, 4))]
             for _ in range(10_000)
         ]
-        report = class_metrics(truths, preds)
+        report = class_metrics(race_indices(truths), race_indices(preds))
         for race in RACES:
             tp = fp = fn = tn = 0
             for t, p in zip(truths, preds):
@@ -340,7 +345,7 @@ class TestC07MetricsOracle:
         truths = [RACES.labels[int(rng.integers(0, 4))] for _ in range(1000)]
         scores = [np.round(rng.dirichlet(np.ones(4)), 2) for _ in range(1000)]
         for race in RACES:
-            curve = roc_curve(truths, scores, race)
+            curve = roc_curve(race_indices(truths), scores, race)
             idx = RACES.index(race)
             pos = np.array([s[idx] for t, s in zip(truths, scores) if t == race])
             neg = np.array([s[idx] for t, s in zip(truths, scores) if t != race])
@@ -366,15 +371,17 @@ class TestC08Sampling:
         pool = []
         for label, size in zip(RACES, (1500, 3000, 4500, 13000)):
             for i in range(size):
-                pool.append(PersonRecord(f"fn{_letters(i, 3)}", "ln", "0", label))
+                pool.append((f"fn{_letters(i, 3)}", "ln", "0", label))
         n = 20_000
         quotas = largest_remainder_quotas(n, US_SHARES)
         assert int(quotas.sum()) == n
-        sample = representative_sample(pool, n, US_SHARES, seed=31)
+        people = people_of(pool)
+        rows = representative_sample_indices(people.race, n, US_SHARES, seed=31)
+        sample = [pool[i][3] for i in rows]
         assert len(sample) == n
         targets = np.array(US_SHARES) / sum(US_SHARES)
         for label, target in zip(RACES, targets):
-            got = sum(1 for r in sample if r.race == label) / n
+            got = sum(1 for race in sample if race == label) / n
             assert abs(got - target) < 1.0 / n, (label, got, target)
         _pass(f"sampling: quotas sum to {n}, shares within 1/n of targets")
 
@@ -406,7 +413,7 @@ class TestC09EnsembleCoverageDominance:
 
         # ensemble F1 must match a direct recomputation from its own labels
         labels = [argmax_race(c, RACES) if c is not None else None for c in combined]
-        report = class_metrics(truths, labels)
+        report = class_metrics(race_indices(truths), race_indices(labels))
         for race in RACES:
             tp = fp = fn = 0
             for t, p in zip(truths, labels):
@@ -437,8 +444,8 @@ class TestC09EnsembleCoverageDominance:
             argmax_race(p, RACES) if p is not None else None for p in members[0]
         ]
         assert agreed_labels == member_labels
-        assert class_metrics(truths, agreed_labels) == class_metrics(
-            truths, member_labels
+        assert class_metrics(race_indices(truths), race_indices(agreed_labels)) == class_metrics(
+            race_indices(truths), race_indices(member_labels)
         )
         _pass("ensemble: union coverage + F1 recomputation + unanimity")
 

@@ -16,9 +16,11 @@ from nameproxy.bayes import (
     geo_augment,
     geo_augment_reason,
 )
-from nameproxy.core import PersonRecord, RaceSet, is_prob_vector
+from nameproxy.core import RaceSet, is_prob_vector
 from nameproxy.errors import MissingFirstnameTableError
 from nameproxy.tables import FIRSTNAME, SURNAME, GeoTable, NameTable
+
+from conftest import Row, people_of
 
 RACES = RaceSet()
 
@@ -217,10 +219,11 @@ class TestSyntheticPopulationOracle:
             for gi, g in enumerate(geos):
                 for ri, race in enumerate(RACES):
                     records.extend(
-                        [PersonRecord("anna", s, g, race)] * int(u[si, ri] * v[gi, ri])
+                        [Row("anna", s, g, race)] * int(u[si, ri] * v[gi, ri])
                     )
-        surname_table = build_name_table(records, SURNAME, suppress=False)
-        geo_table = build_geo_table(records)
+        people = people_of(records)
+        surname_table = build_name_table(people, SURNAME, suppress=False)
+        geo_table = build_geo_table(people)
         ctx = BayesContext(surname_table, geo_table)
 
         # brute-force enumeration oracle

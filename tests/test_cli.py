@@ -6,16 +6,33 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import nameproxy.cli as cli
 import nameproxy.names as names
-from nameproxy.cli import main, read_people_csv
+from nameproxy.cli import (
+    main,
+    prediction_header,
+    read_people_csv,
+    read_predictions_csv,
+    write_people_csv,
+)
 from nameproxy.config import load_config
-from nameproxy.core import RaceSet
+from nameproxy.core import People, RaceSet
 from nameproxy.errors import SchemaError
-from nameproxy.tables import EXTERNAL, FIRSTNAME, INTERNAL, SURNAME, NameTable, build_name_table
+from nameproxy.sampling import representative_sample_indices
+from nameproxy.tables import (
+    EXTERNAL,
+    FIRSTNAME,
+    INTERNAL,
+    SURNAME,
+    GeoTable,
+    NameTable,
+    build_name_table,
+)
 
-from conftest import SURNAME_MIX, write_csv
+from conftest import SURNAME_MIX, people_of, write_csv
 
 RACES = RaceSet()
 
@@ -77,8 +94,41 @@ class TestIngestion:
     def test_optional_race(self, tmp_path):
         path = tmp_path / "data.csv"
         write_csv(path, [("aa", "bb", "10001", "")])
-        records = read_people_csv(path, RACES, require_race=False)
-        assert records[0].race is None
+        people = read_people_csv(path, RACES, require_race=False)
+        assert people.race.tolist() == [-1]
+
+    def test_lone_carriage_return_survives_write_and_read(self, tmp_path):
+        path = tmp_path / "people.csv"
+        write_people_csv(people_of([("a\rb", "c", "10001", "white")]), path)
+        people = read_people_csv(path, RACES, require_race=True)
+        assert people.first == ["a\rb"]
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(min_size=1),
+                st.text(min_size=1),
+                st.text(),
+                st.integers(-1, len(RACES) - 1),
+            ),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    def test_people_round_trip(self, tmp_path, rows):
+        first, last, geo, race = (list(column) for column in zip(*rows))
+        path = tmp_path / "people.csv"
+        write_people_csv(People(first, last, geo, np.array(race), RACES), path)
+        people = read_people_csv(path, RACES, require_race=False)
+        assert people.first == first
+        assert people.last == last
+        assert people.geo == [g.strip() for g in geo]
+        assert people.race.tolist() == race
 
 
 class TestBuildTables:
@@ -143,13 +193,13 @@ class TestBuildTables:
         rc = run("build-tables", "--config", cfg_path, "--voter", world["voter"], "--out-dir", out)
         assert rc == 0
         cfg = load_config(cfg_path)
-        records = read_people_csv(world["voter"], cfg.races, require_race=True)
+        people = read_people_csv(world["voter"], cfg.races, require_race=True)
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["target_shares"] == [0.1, 0.2, 0.3, 0.4]
         for kind in (SURNAME, FIRSTNAME):
             table = build_name_table(
-                records, kind, seed=cfg.seed, target_shares=cfg.target_shares,
-                races=cfg.races, suffixes=cfg.suffixes,
+                people, kind, seed=cfg.seed, target_shares=cfg.target_shares,
+                suffixes=cfg.suffixes,
             )
             table.save(tmp_path / f"{kind}.csv")
             written = (out / f"{kind}_table.csv").read_bytes()
@@ -157,7 +207,7 @@ class TestBuildTables:
             assert manifest[kind]["kept_internal"] == len(table)
         # the tables were counted from a sample smaller than the file
         sampled = NameTable.load(out / "surname_table.csv")
-        unsampled = build_name_table(records, SURNAME, races=cfg.races, suffixes=cfg.suffixes)
+        unsampled = build_name_table(people, SURNAME, suffixes=cfg.suffixes)
         assert sampled.race_totals.sum() < unsampled.race_totals.sum()
 
     def test_upper_case_external_keys_match(self, world, tmp_path):
@@ -358,6 +408,38 @@ class TestPredictCommand:
         for last in {row[1] for row in rows}:
             assert counts[last] == 1 + (last in firsts)
 
+    def test_geo_factor_shared_by_zcta_and_bayes_members(self, world, tmp_path, monkeypatch):
+        calls = []
+        real = GeoTable.likelihood_rows
+
+        def counted(table):
+            calls.append(table)
+            return real(table)
+
+        monkeypatch.setattr(GeoTable, "likelihood_rows", counted)
+        # ensemble members: first_last_zcta, ibisg, ibifsg
+        predict_to(world, tmp_path, "first_last_zcta,ensemble")
+        assert len(calls) == 1
+
+    def test_first_last_zcta_needs_no_surname_table(self, world, tmp_path):
+        config = json.loads(world["config"].read_text())
+        del config["paths"]["surname_table"]
+        for key in config["paths"]:
+            config["paths"][key] = str(world["root"] / config["paths"][key])
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        input_csv, full = predict_to(world, tmp_path, "first_last_zcta", name="full.csv")
+        out = tmp_path / "no_surname.csv"
+        rc = run(
+            "predict",
+            "--config", cfg_path,
+            "--input", input_csv,
+            "--models", "first_last_zcta",
+            "--out", out,
+        )
+        assert rc == 0
+        assert out.read_bytes() == full.read_bytes()
+
     def test_geo_id_whitespace_stripped(self, world, tmp_path):
         rows = [("wei", "chen", "10001", ""), ("wei", "chen", " 10001 ", ""),
                 ("wei", "chen", "\t10001", "")]
@@ -415,6 +497,46 @@ class TestPredictCommand:
             "--out", tmp_path / "p.csv",
         )
         assert rc == 1
+
+
+def write_predictions(path, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(prediction_header(RACES))
+        writer.writerows(rows)
+
+
+class TestReadPredictions:
+    COVERED = [0.25, 0.25, 0.25, 0.25, "asian", 1]
+    DECLINED = ["", "", "", "", "", 0]
+
+    def test_scores_per_model(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions(path, [
+            [0, "m", *self.COVERED], [1, "m", *self.DECLINED],
+            [1, "k", *self.COVERED], [0, "k", *self.COVERED],
+        ])
+        scores = read_predictions_csv(path, RACES, n_rows=2)
+        assert scores["m"].covered.tolist() == [True, False]
+        assert scores["k"].covered.tolist() == [True, True]
+        np.testing.assert_array_equal(scores["m"].probs, [[0.25] * 4, [0.0] * 4])
+
+    def test_second_line_for_a_row_names_line(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        write_predictions(path, [
+            [0, "m", *self.COVERED], [1, "m", *self.COVERED], [0, "m", *self.DECLINED],
+        ])
+        with pytest.raises(SchemaError, match="line 4"):
+            read_predictions_csv(path, RACES, n_rows=2)
+
+    @pytest.mark.parametrize("bad", ["nan", "-5", "inf"])
+    def test_negative_or_non_finite_probability_names_line(self, tmp_path, bad):
+        path = tmp_path / "preds.csv"
+        write_predictions(path, [
+            [0, "m", *self.COVERED], [1, "m", bad, 0.25, 0.25, 0.25, "asian", 1],
+        ])
+        with pytest.raises(SchemaError, match="line 3"):
+            read_predictions_csv(path, RACES, n_rows=2)
 
 
 class TestEvaluateCommand:
@@ -515,13 +637,45 @@ class TestSampleCommand:
             "--input", pool, "--n", 40, "--out", out,
         )
         assert rc == 0
-        records = read_people_csv(out, RACES, require_race=True)
-        assert len(records) == 40
-        counts = {race: sum(1 for r in records if r.race == race) for race in RACES}
+        people = read_people_csv(out, RACES, require_race=True)
+        assert len(people) == 40
+        counts = dict(zip(RACES, np.bincount(people.race, minlength=len(RACES)).tolist()))
         assert counts == {race: 10 for race in RACES}  # equal shares in test config
-        assert not any(r.last == "llc" for r in records)
-        keys = [(r.first, r.last, r.geo) for r in records]
+        assert "llc" not in people.last
+        keys = list(zip(people.first, people.last, people.geo))
         assert len(keys) == len(set(keys))
+
+    def test_matches_per_record_filter_and_dedupe(self, world, tmp_path):
+        """The column filter and dedupe pick the rows a per-record loop picks."""
+        rng = np.random.default_rng(17)
+        firsts = ["ann", "Acme", "bo", "bo inc", "cy", "LLC", "di"]
+        lasts = ["lee", "smith co", "kim", "ray", "Services", "ng", "ox"]
+        geos = ["10001", "20002", " 10001"]
+        rows = [
+            (firsts[int(rng.integers(7))], lasts[int(rng.integers(7))],
+             geos[int(rng.integers(3))], RACES.labels[int(rng.integers(4))])
+            for _ in range(400)
+        ]
+        pool = tmp_path / "pool.csv"
+        write_csv(pool, rows)
+        out = tmp_path / "sampled.csv"
+        rc = run("sample", "--config", world["config"], "--input", pool, "--n", 8, "--out", out)
+        assert rc == 0
+        # per-record reference: the filter on "first last", the first row
+        # of each (first, last, stripped geo), then the stratified draw
+        seen, unique = set(), []
+        for first, last, geo, race in rows:
+            key = (first, last, geo.strip())
+            if names.is_person_name(f"{first} {last}") and key not in seen:
+                seen.add(key)
+                unique.append((first, last, geo.strip(), race))
+        cfg = load_config(world["config"])
+        picks = representative_sample_indices(
+            people_of(unique).race, 8, cfg.sample_shares, cfg.seed, RACES
+        )
+        want = tmp_path / "want.csv"
+        write_csv(want, [unique[i] for i in picks])
+        assert out.read_bytes() == want.read_bytes()
 
     def test_oversized_n_fails_validation(self, world, tmp_path):
         pool = self.make_pool(tmp_path)

@@ -29,7 +29,6 @@ from nameproxy.core import (
     UNKNOWN_GEO,
     UNKNOWN_SURNAME,
     ZERO_MASS,
-    PersonRecord,
     RaceSet,
     Scores,
 )
@@ -48,6 +47,8 @@ from nameproxy.tables import (
     merge_tables,
     passes_suppression,
 )
+
+from conftest import Row, people_of
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -475,19 +476,18 @@ class TestTableCountingOracle:
     )
     def test_name_and_geo_tables_match_per_record_counts(self, rows):
         races = RaceSet(("r0", "r1", "r2"))
-        records = [PersonRecord(*row) for row in rows] + [
-            PersonRecord("anna", "smith", "g1", label) for label in races
+        records = [Row(*row) for row in rows] + [
+            Row("anna", "smith", "g1", label) for label in races
         ]
+        people = people_of(records, races)
         for kind in (SURNAME, FIRSTNAME):
-            table = build_name_table(
-                records, kind, races=races, min_total=3, single_race_band=(2, 2)
-            )
+            table = build_name_table(people, kind, min_total=3, single_race_band=(2, 2))
             entries, totals = ref_build_name_table(records, kind, races)
             assert list(table.entries) == list(entries)
             for key, counts in entries.items():
                 assert table.entries[key].tolist() == counts.tolist()
             assert table.race_totals.tolist() == totals.tolist()
-        geo = build_geo_table(records, races)
+        geo = build_geo_table(people)
         want = {}
         for rec in records:
             if rec.race in races:

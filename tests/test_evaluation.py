@@ -15,6 +15,11 @@ from nameproxy.evaluation import (
 RACES = RaceSet()
 
 
+def idx(labels):
+    """Race indices of labels; None (a decline) becomes -1."""
+    return np.array([-1 if label is None else RACES.index(label) for label in labels])
+
+
 def brute_force_counts(truths, predictions, race):
     """Independent confusion-count oracle over covered records."""
     tp = fp = fn = tn = 0
@@ -37,7 +42,7 @@ class TestClassMetrics:
         # asian one-vs-rest: TP=2, FP=1, FN=1, TN=6
         truths = ["asian"] * 3 + ["black"] * 7
         preds = ["asian", "asian", "black", "asian"] + ["black"] * 6
-        report = class_metrics(truths, preds)
+        report = class_metrics(idx(truths), idx(preds))
         row = report["asian"]
         assert row.precision == pytest.approx(2 / 3, abs=1e-12)
         assert row.recall == pytest.approx(2 / 3, abs=1e-12)
@@ -47,7 +52,7 @@ class TestClassMetrics:
 
     def test_perfect_classifier(self):
         truths = [RACES.labels[i % 4] for i in range(40)]
-        report = class_metrics(truths, list(truths))
+        report = class_metrics(idx(truths), idx(truths))
         for race in RACES:
             row = report[race]
             assert (row.accuracy, row.precision, row.recall, row.f1, row.coverage) == (
@@ -66,7 +71,7 @@ class TestClassMetrics:
             None if rng.random() < 0.15 else RACES.labels[int(rng.integers(0, 4))]
             for _ in range(10_000)
         ]
-        report = class_metrics(truths, preds)
+        report = class_metrics(idx(truths), idx(preds))
         for race in RACES:
             tp, fp, fn, tn = brute_force_counts(truths, preds, race)
             row = report[race]
@@ -85,7 +90,7 @@ class TestClassMetrics:
     def test_declined_not_scored_as_wrong(self):
         truths = ["asian", "asian", "black", "black"]
         preds = ["asian", None, "black", None]
-        report = class_metrics(truths, preds)
+        report = class_metrics(idx(truths), idx(preds))
         assert report["asian"].precision == 1.0
         assert report["asian"].recall == 1.0
         assert report["asian"].coverage == 0.5
@@ -94,18 +99,18 @@ class TestClassMetrics:
     def test_strict_mode_scores_declines_as_misses(self):
         truths = ["asian", "asian", "black", "black"]
         preds = ["asian", None, "black", None]
-        report = class_metrics(truths, preds, strict=True)
+        report = class_metrics(idx(truths), idx(preds), strict=True)
         assert report["asian"].recall == 0.5  # the decline became a false negative
         assert report["asian"].precision == 1.0
         assert report["asian"].support == 1  # support still counts covered records
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            class_metrics(["asian"], ["asian", "black"])
+            class_metrics(idx(["asian"]), idx(["asian", "black"]))
 
     def test_unknown_truth_label(self):
         with pytest.raises(ValueError):
-            class_metrics(["martian"], ["asian"])
+            class_metrics([len(RACES)], idx(["asian"]))
 
 
 class TestRocCurve:
@@ -114,13 +119,13 @@ class TestRocCurve:
         scores = [np.array([0.9, 0.03, 0.03, 0.04])] * 5 + [
             np.array([0.1, 0.2, 0.2, 0.5])
         ] * 5
-        curve = roc_curve(truths, scores, "asian")
+        curve = roc_curve(idx(truths), scores, "asian")
         assert curve.auc == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_scores_give_half(self):
         truths = ["asian"] * 3 + ["white"] * 7
         scores = [np.array([0.25, 0.25, 0.25, 0.25])] * 10
-        curve = roc_curve(truths, scores, "asian")
+        curve = roc_curve(idx(truths), scores, "asian")
         assert curve.auc == pytest.approx(0.5, abs=1e-12)
         # single tie group: one step from (0,0) to (1,1)
         assert curve.fpr.tolist() == [0.0, 1.0]
@@ -130,7 +135,7 @@ class TestRocCurve:
         rng = np.random.default_rng(3)
         truths = [RACES.labels[int(rng.integers(0, 4))] for _ in range(200)]
         scores = [rng.dirichlet(np.ones(4)) for _ in range(200)]
-        curve = roc_curve(truths, scores, "black")
+        curve = roc_curve(idx(truths), scores, "black")
         assert curve.fpr[0] == 0.0 and curve.tpr[0] == 0.0
         assert curve.fpr[-1] == 1.0 and curve.tpr[-1] == 1.0
         assert (np.diff(curve.fpr) >= 0).all()
@@ -144,10 +149,10 @@ class TestRocCurve:
         # coarse scores force plenty of ties
         scores = [np.round(rng.dirichlet(np.ones(4)), 2) for _ in range(1000)]
         for race in RACES:
-            curve = roc_curve(truths, scores, race)
-            idx = RACES.index(race)
-            pos = np.array([s[idx] for t, s in zip(truths, scores) if t == race])
-            neg = np.array([s[idx] for t, s in zip(truths, scores) if t != race])
+            curve = roc_curve(idx(truths), scores, race)
+            col = RACES.index(race)
+            pos = np.array([s[col] for t, s in zip(truths, scores) if t == race])
+            neg = np.array([s[col] for t, s in zip(truths, scores) if t != race])
             wins = (pos[:, None] > neg[None, :]).sum()
             ties = (pos[:, None] == neg[None, :]).sum()
             oracle = (wins + 0.5 * ties) / (pos.size * neg.size)
@@ -155,26 +160,26 @@ class TestRocCurve:
 
     def test_single_class_raises(self):
         with pytest.raises(SingleClassError):
-            roc_curve(["asian", "asian"], [np.ones(4) / 4] * 2, "asian")
+            roc_curve(idx(["asian", "asian"]), [np.ones(4) / 4] * 2, "asian")
         with pytest.raises(SingleClassError):
-            roc_curve(["white", "white"], [np.ones(4) / 4] * 2, "asian")
+            roc_curve(idx(["white", "white"]), [np.ones(4) / 4] * 2, "asian")
 
 
 class TestIntersectCovered:
     def test_patterns(self):
-        a = [object(), object(), None]
-        b = [object(), None, object()]
-        assert intersect_covered([a, b]) == [0]
+        a = [True, True, False]
+        b = [True, False, True]
+        assert intersect_covered([a, b]).tolist() == [0]
 
     def test_full_coverage_model_is_neutral(self):
-        a = [object()] * 3
-        b = [object(), None, object()]
-        assert intersect_covered([a, b]) == intersect_covered([b])
+        a = [True] * 3
+        b = [True, False, True]
+        assert intersect_covered([a, b]).tolist() == intersect_covered([b]).tolist()
 
     def test_no_overlap(self):
-        a = [object(), None]
-        b = [None, object()]
-        assert intersect_covered([a, b]) == []
+        a = [True, False]
+        b = [False, True]
+        assert intersect_covered([a, b]).tolist() == []
 
     def test_order_invariance_of_subset_metrics(self):
         rng = np.random.default_rng(21)
@@ -187,20 +192,21 @@ class TestIntersectCovered:
                     for _ in range(500)
                 ]
             )
-        subset_a = intersect_covered(model_preds)
-        subset_b = intersect_covered(model_preds[::-1])
+        covered = [idx(preds) >= 0 for preds in model_preds]
+        subset_a = intersect_covered(covered).tolist()
+        subset_b = intersect_covered(covered[::-1]).tolist()
         assert subset_a == subset_b
         report_a = class_metrics(
-            [truths[i] for i in subset_a], [model_preds[0][i] for i in subset_a]
+            idx([truths[i] for i in subset_a]), idx([model_preds[0][i] for i in subset_a])
         )
         report_b = class_metrics(
-            [truths[i] for i in subset_b], [model_preds[0][i] for i in subset_b]
+            idx([truths[i] for i in subset_b]), idx([model_preds[0][i] for i in subset_b])
         )
         assert report_a == report_b
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
-            intersect_covered([[None], [None, None]])
+            intersect_covered([[False], [False, False]])
 
 
 class TestEmitReport:
@@ -208,7 +214,7 @@ class TestEmitReport:
         truths = ["asian", "black", "hispanic", "white"] * 5
         preds = list(truths)
         preds[3] = "asian"
-        return class_metrics(truths, preds)
+        return class_metrics(idx(truths), idx(preds))
 
     def test_table_shape(self, tmp_path):
         report = self.make_report()
@@ -230,7 +236,7 @@ class TestEmitReport:
         rng = np.random.default_rng(5)
         truths = [RACES.labels[int(rng.integers(0, 4))] for _ in range(50)]
         scores = [rng.dirichlet(np.ones(4)) for _ in range(50)]
-        curves = {race: roc_curve(truths, scores, race) for race in RACES}
+        curves = {race: roc_curve(idx(truths), scores, race) for race in RACES}
         emit_report({"demo": self.make_report()}, {"demo": curves}, tmp_path)
         lines = (tmp_path / "roc_demo.csv").read_text().splitlines()
         assert lines[0] == "model,race,fpr,tpr"

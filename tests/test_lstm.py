@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nameproxy.core import PersonRecord, RaceSet
+from nameproxy.core import RaceSet
 from nameproxy.errors import (
     CorruptFileError,
     InsufficientClassError,
@@ -39,6 +39,8 @@ from nameproxy.lstm import (
     _layout,
 )
 from nameproxy.names import WINDOW
+
+from conftest import people_of
 
 RACES = RaceSet()
 
@@ -271,8 +273,8 @@ def synthetic_records(n, seed, letters_per_class=None):
             chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=5)
         )
         last = "".join(chr(ord("a") + int(c)) for c in rng.integers(0, 26, size=6))
-        records.append(PersonRecord(first, last, "00000", RACES.labels[cls]))
-    return records
+        records.append((first, last, "00000", RACES.labels[cls]))
+    return people_of(records)
 
 
 class TestSplitAndBalance:
@@ -295,13 +297,13 @@ class TestSplitAndBalance:
 
 class TestPrepareDataset:
     def test_drops_invalid_and_encodes(self):
-        records = [
-            PersonRecord("Jo", "Li", "0", "asian"),
-            PersonRecord("J", "Smith", "0", "white"),  # one-char first
-            PersonRecord("123", "...", "0", "black"),  # empty after normalization
-            PersonRecord("Ana", "Cruz", "0", "hispanic"),
-        ]
-        codes, labels = prepare_dataset(records)
+        people = people_of([
+            ("Jo", "Li", "0", "asian"),
+            ("J", "Smith", "0", "white"),  # one-char first
+            ("123", "...", "0", "black"),  # empty after normalization
+            ("Ana", "Cruz", "0", "hispanic"),
+        ])
+        codes, labels = prepare_dataset(people)
         assert codes.shape == (2, WINDOW)
         assert labels.tolist() == [0, 2]
 
@@ -332,7 +334,7 @@ class TestTrain:
         np.testing.assert_array_equal(p1.flat, p2.flat)
 
     def test_insufficient_class(self):
-        records = [PersonRecord("aa", "bb", "0", "white")] * 50
+        records = people_of([("aa", "bb", "0", "white")] * 50)
         with pytest.raises(InsufficientClassError):
             train(records, TrainConfig(seed=0, epochs=1, embed_dim=4, hidden=4, layers=1))
 

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from nameproxy.core import PersonRecord, RaceSet
+from nameproxy.core import RaceSet
 from nameproxy.errors import InsufficientClassError
 from nameproxy.sampling import (
     largest_remainder_quotas,
     max_feasible_sample_size,
-    representative_sample,
+    representative_sample_indices,
 )
+
+from conftest import people_of
 
 RACES = RaceSet()
 
@@ -50,47 +52,53 @@ class TestLargestRemainderQuotas:
 
 
 def make_pool(counts):
-    records = []
+    rows = []
     for race, count in zip(RACES, counts):
         for i in range(count):
-            records.append(PersonRecord(f"fn{i}", f"ln{i}", f"{i:05d}", race))
-    return records
+            rows.append((f"fn{i}", f"ln{i}", f"{i:05d}", race))
+    return people_of(rows)
+
+
+def sample_races(pool, n, shares, seed):
+    """The sampled people's race labels, in sample order."""
+    rows = representative_sample_indices(pool.race, n, shares, seed, pool.races)
+    return [pool.races.labels[i] for i in pool.race[rows]], rows.tolist()
 
 
 class TestRepresentativeSample:
     def test_proportions_within_one_over_n(self):
         pool = make_pool((2000, 4000, 6000, 18000))
         n = 10_000
-        sample = representative_sample(pool, n, US_SHARES, seed=42)
+        sample, _ = sample_races(pool, n, US_SHARES, seed=42)
         assert len(sample) == n
         targets = np.array(US_SHARES) / sum(US_SHARES)
         for label, target in zip(RACES, targets):
-            got = sum(1 for r in sample if r.race == label) / n
+            got = sum(1 for race in sample if race == label) / n
             assert abs(got - target) < 1.0 / n
 
     def test_one_hot_shares(self):
         pool = make_pool((5, 5, 5, 20))
-        sample = representative_sample(pool, 10, (0, 0, 0, 1), seed=1)
+        sample, _ = sample_races(pool, 10, (0, 0, 0, 1), seed=1)
         assert len(sample) == 10
-        assert all(r.race == "white" for r in sample)
+        assert all(race == "white" for race in sample)
 
     def test_quota_exceeding_pool(self):
         pool = make_pool((2, 50, 50, 50))
         with pytest.raises(InsufficientClassError):
-            representative_sample(pool, 100, (0.25, 0.25, 0.25, 0.25), seed=0)
+            sample_races(pool, 100, (0.25, 0.25, 0.25, 0.25), seed=0)
 
     def test_deterministic_and_order_preserving(self):
         pool = make_pool((100, 100, 100, 100))
-        s1 = representative_sample(pool, 50, US_SHARES, seed=9)
-        s2 = representative_sample(pool, 50, US_SHARES, seed=9)
+        s1 = sample_races(pool, 50, US_SHARES, seed=9)
+        s2 = sample_races(pool, 50, US_SHARES, seed=9)
         assert s1 == s2
-        positions = [pool.index(r) for r in s1]
+        positions = s1[1]
         assert positions == sorted(positions)
 
     def test_different_seed_differs(self):
         pool = make_pool((100, 100, 100, 100))
-        s1 = representative_sample(pool, 50, US_SHARES, seed=9)
-        s2 = representative_sample(pool, 50, US_SHARES, seed=10)
+        s1 = sample_races(pool, 50, US_SHARES, seed=9)
+        s2 = sample_races(pool, 50, US_SHARES, seed=10)
         assert s1 != s2
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nameproxy.core import PersonRecord, RaceSet
+from nameproxy.core import RaceSet
 from nameproxy.errors import (
     EmptyTableError,
     InsufficientClassError,
@@ -28,20 +28,22 @@ from nameproxy.tables import (
     passes_suppression,
 )
 
+from conftest import Row, people_of
+
 RACES = RaceSet()
 
 
 def records_for(name_counts, kind=SURNAME, geo="00001"):
-    """Expand {name: (counts per race)} into PersonRecords."""
+    """Expand {name: (counts per race)} into people."""
     records = []
     for name, counts in name_counts.items():
         for race, count in zip(RACES, counts):
             for _ in range(count):
                 if kind == SURNAME:
-                    records.append(PersonRecord("anna", name, geo, race))
+                    records.append(("anna", name, geo, race))
                 else:
-                    records.append(PersonRecord(name, "smith", geo, race))
-    return records
+                    records.append((name, "smith", geo, race))
+    return people_of(records)
 
 
 class TestSuppressionRule:
@@ -194,16 +196,16 @@ class TestQueryDirections:
 
 class TestGeoTable:
     def test_single_record(self):
-        table = build_geo_table([PersonRecord("a b", "cd", "11111", "black")])
+        table = build_geo_table(people_of([Row("a b", "cd", "11111", "black")]))
         like = table.geo_likelihood("11111")
         np.testing.assert_allclose(like, [0, 1.0, 0, 0])
 
     def test_two_geos_split_evenly(self):
         recs = [
-            PersonRecord("aa", "bb", "11111", "white"),
-            PersonRecord("aa", "bb", "22222", "white"),
+            Row("aa", "bb", "11111", "white"),
+            Row("aa", "bb", "22222", "white"),
         ]
-        table = build_geo_table(recs)
+        table = build_geo_table(people_of(recs))
         assert table.geo_likelihood("11111")[3] == 0.5
         assert table.geo_likelihood("22222")[3] == 0.5
 
@@ -212,10 +214,10 @@ class TestGeoTable:
         rng = np.random.default_rng(123)
         geos = [f"{g:05d}" for g in range(25)]
         recs = [
-            PersonRecord("aa", "bb", geos[int(rng.integers(25))], RACES.labels[int(rng.integers(4))])
+            Row("aa", "bb", geos[int(rng.integers(25))], RACES.labels[int(rng.integers(4))])
             for _ in range(10_000)
         ]
-        table = build_geo_table(recs)
+        table = build_geo_table(people_of(recs))
 
         # independent oracle: plain dict counting
         geo_race: dict[tuple[str, str], int] = {}
@@ -230,17 +232,17 @@ class TestGeoTable:
     def test_column_sums_equal_totals(self):
         rng = np.random.default_rng(4)
         recs = [
-            PersonRecord("aa", "bb", f"{int(rng.integers(9)):05d}", RACES.labels[int(rng.integers(4))])
+            Row("aa", "bb", f"{int(rng.integers(9)):05d}", RACES.labels[int(rng.integers(4))])
             for _ in range(1000)
         ]
-        table = build_geo_table(recs)
+        table = build_geo_table(people_of(recs))
         np.testing.assert_array_equal(
             np.sum(list(table.entries.values()), axis=0), table.race_totals
         )
 
     def test_empty_input(self):
         with pytest.raises(EmptyTableError):
-            build_geo_table([])
+            build_geo_table(people_of([]))
 
 
 class TestMergeTables:
