@@ -10,7 +10,6 @@ Exit codes: 0 success, 1 validation error, 2 IO error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import math
@@ -24,6 +23,7 @@ import numpy as np
 from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, UNENCODABLE_NAME, People, RaceSet, Scores
+from .csvio import read_csv, write_csv
 from .ensemble import ensemble_scores
 from .errors import (
     MissingArtifactError,
@@ -75,22 +75,16 @@ def read_people_csv(path, races: RaceSet, require_race: bool) -> People:
     geo: list[str] = []
     race: list[int] = []
     codes = {label: i for i, label in enumerate(races)}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != VOTER_HEADER:
-            raise SchemaError(f"{path}: expected header {VOTER_HEADER}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != 4:
-                raise SchemaError(f"{path}: line {lineno}: expected 4 fields, got {len(row)}")
+    with read_csv(path, VOTER_HEADER) as rows:
+        for row in rows:
             if not row[0] or not row[1]:
-                raise SchemaError(f"{path}: line {lineno}: empty name field")
+                raise SchemaError("empty name field")
             code = codes.get(row[3])
             if code is None:
                 if row[3] != "":
-                    raise SchemaError(f"{path}: line {lineno}: unknown race {row[3]!r}")
+                    raise SchemaError(f"unknown race {row[3]!r}")
                 if require_race:
-                    raise SchemaError(f"{path}: line {lineno}: missing race")
+                    raise SchemaError("missing race")
                 code = codes[""] = -1
             first.append(row[0])
             last.append(row[1])
@@ -103,16 +97,9 @@ def read_people_csv(path, races: RaceSet, require_race: bool) -> People:
 
 def write_people_csv(people: People, path) -> None:
     labels = [*people.races.labels, ""]  # index -1 writes an empty race
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        # with "\n" as line terminator the writer leaves a lone "\r"
-        # unquoted, and a reader would end the row there
-        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        writer.writerow(VOTER_HEADER)
-        columns = zip(people.first, people.last, people.geo, people.race.tolist())
-        for first, last, geo, race in columns:
-            row = [first, last, geo, labels[race]]
-            (quote_all if any("\r" in field for field in row) else writer).writerow(row)
+    columns = zip(people.first, people.last, people.geo, people.race.tolist())
+    rows = ([first, last, geo, labels[race]] for first, last, geo, race in columns)
+    write_csv(path, VOTER_HEADER, rows, text=(0, 1, 2))
 
 
 class Artifacts:
@@ -296,29 +283,33 @@ def cmd_predict(args, config: RunConfig) -> int:
     }
     for model, scores in outputs.items():
         logger.info("%s over %d records: %s", model, len(people), scores.histogram())
+    write_predictions_csv(outputs, config.races, args.out)
+    logger.info("wrote predictions for %d records x %d models", len(people), len(models))
+    return 0
+
+
+def write_predictions_csv(outputs: dict[str, Scores], races: RaceSet, path) -> None:
+    """Write each model's :class:`Scores`, one line per row and model;
+    :func:`read_predictions_csv` reads the file back."""
     # per model: row values as Python floats (whose str is repr of the
     # float64), the argmax label and the covered flag
-    blank = [""] * len(config.races) + ["", 0]
+    blank = [""] * len(races) + ["", 0]
     columns = [
         (
             model,
             scores.probs.tolist(),
-            [config.races.labels[i] for i in scores.probs.argmax(axis=1).tolist()],
+            [races.labels[i] for i in scores.probs.argmax(axis=1).tolist()],
             scores.covered.tolist(),
         )
         for model, scores in outputs.items()
     ]
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(prediction_header(config.races))
-        for i in range(len(people)):
-            for model, probs, labels, covered in columns:
-                if covered[i]:
-                    writer.writerow([i, model, *probs[i], labels[i], 1])
-                else:
-                    writer.writerow([i, model, *blank])
-    logger.info("wrote predictions for %d records x %d models", len(people), len(models))
-    return 0
+    n_rows = len(columns[0][1]) if columns else 0
+    rows = (
+        [i, model, *probs[i], labels[i], 1] if covered[i] else [i, model, *blank]
+        for i in range(n_rows)
+        for model, probs, labels, covered in columns
+    )
+    write_csv(path, prediction_header(races), rows)
 
 
 def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]:
@@ -330,26 +321,17 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
             appears twice, a covered row with a negative or non-finite
             probability, or a model missing some row.
     """
-    expected = prediction_header(races)
     width = len(races)
     by_model: dict[str, Scores] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != expected:
-            raise SchemaError(f"{path}: expected header {expected}, got {header}")
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != len(expected):
-                raise SchemaError(f"{path}: line {lineno}: wrong field count")
+    with read_csv(path, prediction_header(races)) as rows:
+        for row in rows:
             try:
                 row_id = int(row[0])
             except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: bad row_id") from exc
+                raise SchemaError("bad row_id") from exc
             model = row[1]
             if not 0 <= row_id < n_rows:
-                raise SchemaError(
-                    f"{path}: line {lineno}: row_id {row_id} outside truth file"
-                )
+                raise SchemaError(f"row_id {row_id} outside truth file")
             scores = by_model.get(model)
             if scores is None:
                 # reason -1 marks a row not seen yet
@@ -357,21 +339,17 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
                     np.zeros((n_rows, width)), np.full(n_rows, -1, dtype=np.int8)
                 )
             if scores.reason[row_id] >= 0:
-                raise SchemaError(
-                    f"{path}: line {lineno}: second line for row_id {row_id}, model {model!r}"
-                )
+                raise SchemaError(f"second line for row_id {row_id}, model {model!r}")
             covered = row[-1]
             if covered not in ("0", "1"):
-                raise SchemaError(f"{path}: line {lineno}: covered must be 0 or 1")
+                raise SchemaError("covered must be 0 or 1")
             if covered == "1":
                 try:
                     probs = [float(v) for v in row[2:-2]]
                 except ValueError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: bad probability") from exc
+                    raise SchemaError("bad probability") from exc
                 if not all(0.0 <= p < math.inf for p in probs):
-                    raise SchemaError(
-                        f"{path}: line {lineno}: probabilities must be finite and non-negative"
-                    )
+                    raise SchemaError("probabilities must be finite and non-negative")
                 scores.probs[row_id] = probs
                 scores.reason[row_id] = 0
             else:

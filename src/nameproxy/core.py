@@ -38,6 +38,12 @@ class RaceSet:
             raise ValueError("race set must be non-empty")
         if len(set(labels)) != len(labels):
             raise ValueError(f"race labels must be unique, got {labels!r}")
+        # each label is a CSV header field and a race cell, read back as is
+        for label in labels:
+            if not (isinstance(label, str) and label and label == label.strip()) or (
+                {*label} & {*",\r\n"}
+            ):
+                raise ValueError(f"race label {label!r} is empty, padded, or holds , \\r or \\n")
         object.__setattr__(self, "labels", labels)
 
     def __len__(self) -> int:

@@ -1,0 +1,59 @@
+"""The CSV framing every nameproxy file shares (RFC 4180, "\\n" line ends):
+one header line that must match exactly, then records of its field count.
+"""
+
+from __future__ import annotations
+
+import csv
+from contextlib import contextmanager, nullcontext
+
+from .errors import SchemaError
+
+
+@contextmanager
+def read_csv(path, header: list[str], fh=None, skipped: int = 0):
+    """Check ``path``'s header line and yield an iterator over its records.
+
+    A :class:`SchemaError` raised in the ``with`` block, by the iterator
+    (a wrong field count) or by the caller, is raised again with the path
+    and the file line the current record ends on.  ``fh`` is the file
+    already open with ``skipped`` lines read; by default ``path`` is opened.
+    """
+    with open(path, newline="", encoding="utf-8") if fh is None else nullcontext(fh) as fh:
+        reader = csv.reader(fh)
+        got = next(reader, None)
+        if got != header:
+            raise SchemaError(f"{path}: expected header {header}, got {got}")
+        width = len(header)
+
+        def records():
+            for row in reader:
+                if len(row) != width:
+                    raise SchemaError(f"expected {width} fields, got {len(row)}")
+                yield row
+
+        try:
+            yield records()
+        except SchemaError as exc:
+            line = skipped + reader.line_num
+            raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
+
+
+def write_csv(path, header: list[str], rows, text: tuple[int, ...] = (), preamble: str = ""):
+    """Write ``preamble`` as it is, then ``header`` and ``rows``.
+
+    ``text`` holds the indices of free-text columns (names, geo ids, table
+    keys); a row with a "\\r" in one of them is quoted in full, since with
+    "\\n" line ends the csv writer before Python 3.13 leaves a lone "\\r"
+    unquoted.  Race labels never hold one (see :class:`core.RaceSet`).
+    """
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(preamble)
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        if not text:
+            writer.writerows(rows)
+            return
+        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        for row in rows:
+            (quote_all if any("\r" in row[i] for i in text) else writer).writerow(row)

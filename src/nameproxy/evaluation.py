@@ -10,12 +10,13 @@ who want a single blended number.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
 from .core import RaceSet
+from .csvio import write_csv
 from .errors import LengthMismatchError, SingleClassError
 
 __all__ = [
@@ -162,70 +163,41 @@ def emit_report(
 ) -> list[str]:
     """Write per-model metric tables, ROC points, and an F1 comparison.
 
-    Output is deterministic: models sorted by id, races in race-set order,
-    values printed with 6 decimal places.  Returns the written paths.
+    Output is deterministic: models sorted by id, races in race-set order
+    (each model's curves in the order given), values printed with 6
+    decimal places.  Returns the written paths.
     """
-    from pathlib import Path
-
     out_dir = Path(out_dir)
-    rocs = rocs or {}
     written: list[str] = []
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+        header = ["race", "accuracy", "precision", "recall", "f1", "coverage", "support"]
         for model in sorted(reports):
-            report = reports[model]
             path = out_dir / f"metrics_{model}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(
-                    ["race", "accuracy", "precision", "recall", "f1", "coverage", "support"]
-                )
-                for race in report.races:
-                    row = report[race]
-                    writer.writerow(
-                        [
-                            race,
-                            f"{row.accuracy:.6f}",
-                            f"{row.precision:.6f}",
-                            f"{row.recall:.6f}",
-                            f"{row.f1:.6f}",
-                            f"{row.coverage:.6f}",
-                            row.support,
-                        ]
-                    )
+            rows = (
+                [race, *(f"{getattr(m, key):.6f}" for key in header[1:-1]), m.support]
+                for race, m in reports[model].rows.items()
+            )
+            write_csv(path, header, rows)
             written.append(str(path))
-        roc_models = sorted(set(rocs))
-        for model in roc_models:
+        for model in sorted(rocs or {}):
             path = out_dir / f"roc_{model}.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["model", "race", "fpr", "tpr"])
-                curves = rocs[model]
-                for race in sorted(curves, key=_race_order(reports, model)):
-                    curve = curves[race]
-                    if curve is None:
-                        continue
-                    for x, t in zip(curve.fpr, curve.tpr):
-                        writer.writerow([model, race, f"{x:.6f}", f"{t:.6f}"])
+            rows = (
+                [model, race, f"{x:.6f}", f"{t:.6f}"]
+                for race, curve in rocs[model].items()
+                for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
+            )
+            write_csv(path, ["model", "race", "fpr", "tpr"], rows)
             written.append(str(path))
         if reports:
             path = out_dir / "f1_comparison.csv"
-            with open(path, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["model", "race", "f1"])
-                for model in sorted(reports):
-                    report = reports[model]
-                    for race in report.races:
-                        writer.writerow([model, race, f"{report[race].f1:.6f}"])
+            rows = (
+                [model, race, f"{m.f1:.6f}"]
+                for model in sorted(reports)
+                for race, m in reports[model].rows.items()
+            )
+            write_csv(path, ["model", "race", "f1"], rows)
             written.append(str(path))
     except OSError as exc:
         raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
     return written
-
-
-def _race_order(reports, model):
-    report = reports.get(model)
-    if report is None:
-        return lambda race: race
-    order = {race: i for i, race in enumerate(report.races)}
-    return lambda race: order.get(race, len(order))

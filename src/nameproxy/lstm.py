@@ -55,6 +55,7 @@ import struct
 import numpy as np
 
 from .core import People
+from .csvio import write_csv
 from .errors import (
     CorruptFileError,
     EmptyAfterNormalizationError,
@@ -807,9 +808,7 @@ def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
 def write_training_log(log, path) -> None:
     """Per-epoch CSV: epoch, train loss, validation accuracy."""
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write("epoch,train_loss,val_accuracy\n")
-            for row in log:
-                fh.write(f"{row.epoch},{row.train_loss!r},{row.val_accuracy!r}\n")
+        rows = ([row.epoch, row.train_loss, row.val_accuracy] for row in log)
+        write_csv(path, ["epoch", "train_loss", "val_accuracy"], rows)
     except OSError as exc:
         raise OSError(f"failed writing training log to {path}: {exc}") from exc

@@ -15,12 +15,12 @@ wholesale, never mixing counts.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import People, RaceSet, renormalize_rows
+from .csvio import read_csv, write_csv
 from .errors import (
     EmptyTableError,
     InsufficientClassError,
@@ -136,7 +136,7 @@ class NameTable:
             path,
             key_header="name",
             races=self.races,
-            rows=((name, self.entries[name], self.provenance.get(name, INTERNAL))
+            rows=([name, *self.entries[name].tolist(), self.provenance.get(name, INTERNAL)]
                   for name in sorted(self.entries)),
             meta={
                 "kind": self.kind,
@@ -151,10 +151,9 @@ class NameTable:
 
     @classmethod
     def load(cls, path) -> "NameTable":
-        meta, names_, counts, sources = _read_table_csv(path, key_header="name", with_source=True)
+        meta, races, names_, counts, sources = _read_table_csv(path, "name", with_source=True)
         if "kind" not in meta:
             raise SchemaError(f"{path}: missing 'kind' metadata line")
-        races = RaceSet(tuple(meta["races"].split(",")))
         source_totals = {
             key.split(" ", 1)[1]: _parse_counts(val, len(races), path)
             for key, val in meta.items()
@@ -191,23 +190,16 @@ class NameTable:
         """
         races = races or RaceSet()
         entries: dict[str, np.ndarray] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            expected = ["name", "total"] + [f"p_{r}" for r in races]
-            if header != expected:
-                raise SchemaError(f"{path}: expected header {expected}, got {header}")
-            for lineno, row in enumerate(reader, start=2):
-                if len(row) != len(expected):
-                    raise SchemaError(f"{path}: line {lineno}: expected {len(expected)} fields")
+        with read_csv(path, ["name", "total"] + [f"p_{r}" for r in races]) as rows:
+            for row in rows:
                 name = table_key(row[0], suffixes)
                 try:
                     total = int(row[1])
                     probs = np.array([float(v) for v in row[2:]], dtype=np.float64)
                 except ValueError as exc:
-                    raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
+                    raise SchemaError(str(exc)) from exc
                 if total < 0 or (probs < 0).any() or (probs > 1).any():
-                    raise SchemaError(f"{path}: line {lineno}: values out of range")
+                    raise SchemaError("values out of range")
                 counts = np.rint(probs * total).astype(np.int64)
                 if name is None or len(name) <= 1:
                     continue
@@ -262,15 +254,14 @@ class GeoTable:
             path,
             key_header="geo",
             races=self.races,
-            rows=((geo, self.entries[geo], None) for geo in sorted(self.entries)),
+            rows=([geo, *self.entries[geo].tolist()] for geo in sorted(self.entries)),
             meta={"race_totals": _fmt_counts(self.race_totals)},
             with_source=False,
         )
 
     @classmethod
     def load(cls, path) -> "GeoTable":
-        meta, geos, counts, _ = _read_table_csv(path, key_header="geo", with_source=False)
-        races = RaceSet(tuple(meta["races"].split(",")))
+        meta, races, geos, counts, _ = _read_table_csv(path, "geo", with_source=False)
         return cls(
             races=races,
             entries=dict(zip(geos, counts)),
@@ -473,25 +464,15 @@ def _parse_counts(text: str, n: int, path) -> np.ndarray:
         raise SchemaError(f"{path}: bad count in {text!r}") from exc
 
 
+def _table_header(key_header, races, with_source) -> list[str]:
+    return [key_header, *(f"count_{r}" for r in races)] + (["source"] if with_source else [])
+
+
 def _write_table_csv(path, key_header, races, rows, meta, with_source):
-    header = [key_header] + [f"count_{r}" for r in races]
-    if with_source:
-        header.append("source")
+    meta = {"races": ",".join(races), **meta}
+    preamble = "".join(f"# {key}: {val}\n" for key, val in meta.items())
     try:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            fh.write(f"# races: {','.join(races)}\n")
-            for key, val in meta.items():
-                fh.write(f"# {key}: {val}\n")
-            writer = csv.writer(fh, lineterminator="\n")
-            # with "\n" as line terminator the writer leaves a lone "\r"
-            # unquoted, and a reader would end the row there
-            quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-            writer.writerow(header)
-            for key, counts, source in rows:
-                row = [key] + [str(int(c)) for c in counts]
-                if with_source:
-                    row.append(source)
-                (quote_all if "\r" in key else writer).writerow(row)
+        write_csv(path, _table_header(key_header, races, with_source), rows, (0,), preamble)
     except OSError as exc:
         raise OSError(f"failed writing table to {path}: {exc}") from exc
 
@@ -499,8 +480,12 @@ def _write_table_csv(path, key_header, races, rows, meta, with_source):
 def _read_table_csv(path, key_header, with_source):
     """Parse a table file: ``# key: value`` metadata lines, then CSV rows.
 
+    Returns the metadata, the :class:`RaceSet` of its ``races`` line, and
+    the keys, count vectors and (``with_source``) sources of the rows.
+
     Raises:
-        SchemaError: a malformed header or row, or a key that appears twice.
+        SchemaError: a missing ``races`` or ``race_totals`` line, a
+            malformed header or row, or a key that appears twice.
     """
     meta: dict[str, str] = {}
     keys: list[str] = []
@@ -508,43 +493,39 @@ def _read_table_csv(path, key_header, with_source):
     sources: list[str] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        header = None
-        header_lineno = 0
-        for header_lineno, line in enumerate(fh, start=1):
-            if not line.startswith("#"):
-                header = next(csv.reader([line]), None)
-                break
+        skipped = 0
+        start = fh.tell()
+        while (line := fh.readline()).startswith("#"):
             key, _, val = line[1:].rstrip("\n").partition(":")
             meta[key.strip()] = val.strip()
-        if "races" not in meta:
-            raise SchemaError(f"{path}: missing 'races' metadata line")
-        races = meta["races"].split(",")
-        expected = [key_header] + [f"count_{r}" for r in races]
-        if with_source:
-            expected.append("source")
-        if header != expected:
-            raise SchemaError(f"{path}: expected header {expected}, got {header}")
+            skipped += 1
+            start = fh.tell()
+        fh.seek(start)
+        for key in ("races", "race_totals"):
+            if key not in meta:
+                raise SchemaError(f"{path}: missing {key!r} metadata line")
+        try:
+            races = RaceSet(tuple(meta["races"].split(",")))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: bad races: {exc}") from exc
         n_counts = len(races)
-        reader = csv.reader(fh)
-        for row in reader:
-            lineno = header_lineno + reader.line_num
-            if len(row) != len(expected):
-                raise SchemaError(f"{path}: line {lineno}: expected {len(expected)} fields")
-            key = row[0]
-            try:
-                vec = np.array([int(v) for v in row[1 : 1 + n_counts]], dtype=np.int64)
-            except ValueError as exc:
-                raise SchemaError(f"{path}: line {lineno}: {exc}") from exc
-            if (vec < 0).any():
-                raise SchemaError(f"{path}: line {lineno}: negative count")
-            if key in seen:
-                raise SchemaError(f"{path}: line {lineno}: duplicate key {key!r}")
-            seen.add(key)
-            keys.append(key)
-            counts.append(vec)
-            if with_source:
-                src = row[-1]
-                if src not in (INTERNAL, EXTERNAL):
-                    raise SchemaError(f"{path}: line {lineno}: unknown source {src!r}")
-                sources.append(src)
-    return meta, keys, counts, sources
+        with read_csv(path, _table_header(key_header, races, with_source), fh, skipped) as rows:
+            for row in rows:
+                key = row[0]
+                try:
+                    vec = np.array([int(v) for v in row[1 : 1 + n_counts]], dtype=np.int64)
+                except ValueError as exc:
+                    raise SchemaError(str(exc)) from exc
+                if (vec < 0).any():
+                    raise SchemaError("negative count")
+                if key in seen:
+                    raise SchemaError(f"duplicate key {key!r}")
+                seen.add(key)
+                keys.append(key)
+                counts.append(vec)
+                if with_source:
+                    src = row[-1]
+                    if src not in (INTERNAL, EXTERNAL):
+                        raise SchemaError(f"unknown source {src!r}")
+                    sources.append(src)
+    return meta, races, keys, counts, sources

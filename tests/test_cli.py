@@ -17,9 +17,10 @@ from nameproxy.cli import (
     read_people_csv,
     read_predictions_csv,
     write_people_csv,
+    write_predictions_csv,
 )
 from nameproxy.config import load_config
-from nameproxy.core import People, RaceSet
+from nameproxy.core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from nameproxy.errors import SchemaError
 from nameproxy.sampling import representative_sample_indices
 from nameproxy.tables import (
@@ -52,6 +53,12 @@ class TestConfig:
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"seed": 1, "surprise": True}))
         with pytest.raises(SchemaError, match="surprise"):
+            load_config(path)
+
+    def test_unframeable_race_label_is_bad_races(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "races": ["a,b", "c"]}))
+        with pytest.raises(SchemaError, match="bad races"):
             load_config(path)
 
     def test_relative_paths_resolve_against_config(self, tmp_path):
@@ -129,6 +136,45 @@ class TestIngestion:
         assert people.last == last
         assert people.geo == [g.strip() for g in geo]
         assert people.race.tolist() == race
+
+
+class TestLineNumbers:
+    """Errors name the file line of the faulty record, after a record whose
+    quoted field spans lines 2 and 3."""
+
+    def test_people(self, tmp_path):
+        path = tmp_path / "people.csv"
+        path.write_text(
+            'first_name,last_name,geo_id,race\n"a\nb",bb,10001,white\n,bb,10001,white\n'
+        )
+        with pytest.raises(SchemaError, match="people.csv: line 4: empty name field"):
+            read_people_csv(path, RACES, require_race=True)
+
+    def test_predictions(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_text(
+            ",".join(prediction_header(RACES)) + "\n"
+            '0,"a\nb",0.25,0.25,0.25,0.25,asian,1\n'
+            "0,m,x,0.25,0.25,0.25,asian,1\n"
+        )
+        with pytest.raises(SchemaError, match="preds.csv: line 4: bad probability"):
+            read_predictions_csv(path, RACES, n_rows=1)
+
+    def test_external_table(self, tmp_path):
+        path = tmp_path / "census.csv"
+        path.write_text(
+            "name,total,p_asian,p_black,p_hispanic,p_white\n"
+            '"gar\ncia",100,0.25,0.25,0.25,0.25\n'
+            "lee,-5,0.25,0.25,0.25,0.25\n"
+        )
+        with pytest.raises(SchemaError, match="census.csv: line 4: values out of range"):
+            NameTable.from_probability_csv(path, SURNAME, RACES)
+
+    def test_field_count(self, tmp_path):
+        path = tmp_path / "people.csv"
+        path.write_text('first_name,last_name,geo_id,race\n"a\nb",bb,10001,white\naa,bb\n')
+        with pytest.raises(SchemaError, match="line 4: expected 4 fields, got 2"):
+            read_people_csv(path, RACES, require_race=True)
 
 
 class TestBuildTables:
@@ -528,6 +574,32 @@ class TestReadPredictions:
         ])
         with pytest.raises(SchemaError, match="line 4"):
             read_predictions_csv(path, RACES, n_rows=2)
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(st.data())
+    def test_write_then_read_round_trip(self, tmp_path, data):
+        n_rows = data.draw(st.integers(1, 6))
+        models = data.draw(st.lists(st.sampled_from(cli.MODEL_CHOICES), min_size=1, unique=True))
+        probability = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+        outputs = {}
+        for model in models:
+            covered = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+            cells = st.lists(probability, min_size=len(RACES), max_size=len(RACES))
+            probs = np.array(data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
+            probs[~covered] = 0.0  # a declined row is all zeros
+            reason = np.where(covered, 0, REASON_CODE[DECLINED]).astype(np.int8)
+            outputs[model] = Scores(probs, reason)
+        path = tmp_path / "preds.csv"
+        write_predictions_csv(outputs, RACES, path)
+        read = read_predictions_csv(path, RACES, n_rows)
+        assert list(read) == models
+        for model, scores in outputs.items():
+            assert read[model].probs.tobytes() == scores.probs.tobytes()
+            assert read[model].covered.tolist() == scores.covered.tolist()
 
     @pytest.mark.parametrize("bad", ["nan", "-5", "inf"])
     def test_negative_or_non_finite_probability_names_line(self, tmp_path, bad):

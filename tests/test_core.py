@@ -28,6 +28,13 @@ class TestRaceSet:
         with pytest.raises(ValueError):
             RaceSet(("white", "white"))
 
+    @pytest.mark.parametrize("label", ["a,b", " a", "a ", "a\rb", "a\nb", ""])
+    def test_rejects_label_a_csv_file_cannot_carry(self, label):
+        # a comma, a padded label or a line break breaks the header of every
+        # saved file; an empty label is the empty (unknown) race cell
+        with pytest.raises(ValueError, match="race label"):
+            RaceSet((label, "c"))
+
     def test_configurable_labels(self):
         six = RaceSet(("aian", "api", "black", "hispanic", "white", "multi"))
         assert len(six) == 6

@@ -390,6 +390,25 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="line 5"):
             NameTable.load(path)
 
+    @pytest.mark.parametrize("table_cls,header", [
+        (GeoTable, "geo,count_asian,count_black,count_hispanic,count_white"),
+        (NameTable, "name,count_asian,count_black,count_hispanic,count_white,source"),
+    ])
+    def test_load_without_race_totals_names_file(self, tmp_path, table_cls, header):
+        path = tmp_path / "no_totals.csv"
+        path.write_text(f"# races: asian,black,hispanic,white\n# kind: surname\n{header}\n")
+        with pytest.raises(SchemaError, match="no_totals.csv: missing 'race_totals'"):
+            table_cls.load(path)
+
+    def test_load_rejects_padded_race_label(self, tmp_path):
+        path = tmp_path / "padded.csv"
+        path.write_text(
+            "# races: asian, black\n# race_totals: 1,1\n"
+            "geo,count_asian,count_ black\n10037,1,1\n"
+        )
+        with pytest.raises(SchemaError, match="padded.csv: bad races"):
+            GeoTable.load(path)
+
     def test_probability_csv_pseudo_counts(self, tmp_path):
         path = tmp_path / "census.csv"
         path.write_text(
