@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -48,22 +48,32 @@ from .tables import GeoTable, NameTable
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
 class Factor:
-    """One table's per-key factor rows: ``matrix[index[key]]``."""
+    """One table's per-key factor rows: ``matrix[i]`` for the ``i``-th key.
 
-    index: dict[str, int]
-    matrix: np.ndarray
+    Raw strings resolve to keys under ``profile``: :data:`names.TABLE`
+    for names, ``None`` for geo ids, which are used as they are.
+    """
 
-    @classmethod
-    def of(cls, entries: dict, matrix: np.ndarray) -> "Factor":
-        return cls({key: i for i, key in enumerate(entries)}, matrix)
+    def __init__(self, keys, matrix: np.ndarray, profile: str | None, suffixes=DEFAULT_SUFFIXES):
+        self.index = {key: i for i, key in enumerate(keys)}
+        self.matrix = matrix
+        self.profile = profile
+        self.suffixes = suffixes
+        self._raws = self._rows = None
 
-    def rows(self, raws, profile: str | None = TABLE, suffixes=DEFAULT_SUFFIXES) -> np.ndarray:
-        """Row of each raw string's key, or -1 when the table lacks it."""
-        keys, codes = column_keys(raws, profile, suffixes)
-        by_key = np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
-        return by_key[codes]
+    def rows(self, raws) -> np.ndarray:
+        """Row of each raw string's key, or -1 when the table lacks it.
+
+        Asked again for the same column, the factor returns the rows it
+        resolved last time.
+        """
+        raws = list(raws)
+        if raws != self._raws:
+            keys, codes = column_keys(raws, self.profile, self.suffixes)
+            by_key = np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
+            self._raws, self._rows = raws, by_key[codes]
+        return self._rows
 
 
 @dataclass
@@ -75,8 +85,8 @@ class BayesContext:
     a context serves models that need only some of the tables.  The
     factor matrices are built from the tables once per context, on first
     use.  A column of raw keys is resolved to factor rows once per context
-    too: BISG, BIFSG and geography augmentation over the same records
-    share the surname and geography rows.
+    too (:meth:`Factor.rows`): BISG, BIFSG and geography augmentation over
+    the same records share the surname and geography rows.
     """
 
     surname_table: NameTable | Callable[[], NameTable]
@@ -84,8 +94,6 @@ class BayesContext:
     firstname_table: NameTable | Callable[[], NameTable] | None = None
     races: RaceSet | None = None
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
-    # factor name -> (the raw column last resolved, its rows)
-    _resolved: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.races is None:
@@ -111,7 +119,7 @@ class BayesContext:
     def surname_prior(self) -> Factor:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
         table = self.table("surname_table")
-        return Factor.of(table.entries, table.prior_rows())
+        return Factor(table.entries, table.prior_rows(), TABLE, self.suffixes)
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
@@ -119,29 +127,13 @@ class BayesContext:
         table = self.table("firstname_table")
         if table is None:
             raise MissingFirstnameTableError("bifsg needs a first-name table")
-        return Factor.of(table.entries, table.likelihood_rows())
+        return Factor(table.entries, table.likelihood_rows(), TABLE, self.suffixes)
 
     @cached_property
     def geo_likelihood(self) -> Factor:
         """``P(geo | race)`` rows."""
         table = self.table("geo_table")
-        return Factor.of(table.entries, table.likelihood_rows())
-
-    def rows(self, factor: str, raws) -> np.ndarray:
-        """Each raw key's row in the named factor (``surname_prior``,
-        ``firstname_likelihood`` or ``geo_likelihood``), -1 when absent.
-
-        Name keys are table-normalized and geography ids used as they are.
-        Asked again for the same column, the context returns the rows it
-        resolved last time.
-        """
-        raws = list(raws)
-        last = self._resolved.get(factor)
-        if last is None or last[0] != raws:
-            profile = None if factor == "geo_likelihood" else TABLE
-            last = (raws, getattr(self, factor).rows(raws, profile, self.suffixes))
-            self._resolved[factor] = last
-        return last[1]
+        return Factor(table.entries, table.likelihood_rows(), profile=None)
 
 
 def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
@@ -158,7 +150,7 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     """
     if firsts is not None:
         first_like = ctx.firstname_likelihood
-    surname = ctx.rows("surname_prior", lasts)
+    surname = ctx.surname_prior.rows(lasts)
     reason = np.where(surname < 0, REASON_CODE[UNKNOWN_SURNAME], 0).astype(np.int8)
     known = surname[surname >= 0]
     unusable = np.isnan(ctx.surname_prior.matrix[known]).any(axis=1)
@@ -167,9 +159,9 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
         table = ctx.table("surname_table")
         table.race_given_name(list(table.entries)[known[unusable][0]])
     if firsts is not None:
-        first = ctx.rows("firstname_likelihood", firsts)
+        first = first_like.rows(firsts)
         reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]
-    geo = ctx.rows("geo_likelihood", geos)
+    geo = ctx.geo_likelihood.rows(geos)
     reason[(reason == 0) & (geo < 0)] = REASON_CODE[UNKNOWN_GEO]
     live = reason == 0
     numerator = ctx.surname_prior.matrix[surname[live]]

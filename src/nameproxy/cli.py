@@ -22,23 +22,13 @@ import numpy as np
 
 from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
-from .core import DECLINED, REASON_CODE, UNENCODABLE_NAME, People, RaceSet, Scores
+from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from .csvio import read_csv, write_csv
 from .ensemble import ensemble_scores
-from .errors import (
-    MissingArtifactError,
-    NameproxyError,
-    SchemaError,
-)
+from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
-from .lstm import (
-    load_params,
-    predict_proba_batch,
-    save_params,
-    train,
-    write_training_log,
-)
-from .names import TABLE, column_keys, encode_columns, is_person_name
+from .lstm import load_params, predict_scores, save_params, train, write_training_log
+from .names import TABLE, column_keys, is_person_name
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -103,28 +93,30 @@ def write_people_csv(people: People, path) -> None:
 
 
 class Artifacts:
-    """Lazily loaded tables and parameters, resolved from config paths."""
+    """Lazily loaded parameters and tables, resolved from config paths."""
 
     def __init__(self, config: RunConfig):
         self.config = config
-        self._cache: dict = {}
 
-    def _load(self, key, loader):
-        if key not in self._cache:
-            path = self.config.path(key)
-            if path is None:
-                raise MissingArtifactError(
-                    f"config paths.{key} is required for the requested model"
-                )
-            self._cache[key] = loader(path)
-        return self._cache[key]
+    def _path(self, key):
+        path = self.config.path(key)
+        if path is None:
+            raise MissingArtifactError(f"config paths.{key} is required for the requested model")
+        return path
 
-    @property
+    @cached_property
     def params(self):
-        return self._load("params", load_params)
+        path = self._path("params")
+        params = load_params(path)
+        if params.n_classes != len(self.config.races):
+            raise SchemaError(
+                f"{path}: parameters have {params.n_classes} classes "
+                f"for {len(self.config.races)} races"
+            )
+        return params
 
-    def _load_surname_table(self, path) -> NameTable:
-        table = NameTable.load(path)
+    def _load_surname_table(self) -> NameTable:
+        table = NameTable.load(self._path("surname_table"))
         table.smoothing_alpha = self.config.smoothing_alpha
         return table
 
@@ -134,25 +126,15 @@ class Artifacts:
         factor matrices and resolved columns, and each table loads when a
         model first needs it."""
         return BayesContext(
-            surname_table=lambda: self._load("surname_table", self._load_surname_table),
-            geo_table=lambda: self._load("geo_table", GeoTable.load),
-            firstname_table=lambda: self._load("firstname_table", NameTable.load),
+            surname_table=self._load_surname_table,
+            geo_table=lambda: GeoTable.load(self._path("geo_table")),
+            firstname_table=lambda: NameTable.load(self._path("firstname_table")),
             races=self.config.races,
             suffixes=self.config.suffixes,
         )
 
 
-def _neural_scores(artifacts: Artifacts, people: People) -> Scores:
-    """Name-model probabilities per person; unencodable names decline."""
-    codes, encodable = encode_columns(people.first, people.last)
-    probs = np.zeros((len(people), len(artifacts.config.races)))
-    if codes.size:
-        probs[encodable] = predict_proba_batch(artifacts.params, codes)
-    reason = np.where(encodable, 0, REASON_CODE[UNENCODABLE_NAME]).astype(np.int8)
-    return Scores(probs, reason)
-
-
-def predict_model(model: str, people: People, artifacts: Artifacts, config: RunConfig, memo=None):
+def predict_model(model: str, people: People, artifacts: Artifacts, memo=None):
     """:class:`Scores` of every person under one model.
 
     ``memo`` maps canonical model ids (after :data:`MEMBER_ALIASES`) to
@@ -167,21 +149,19 @@ def predict_model(model: str, people: People, artifacts: Artifacts, config: RunC
         return memo[model]
     ctx = artifacts.bayes_context
     if model == "first_last":
-        out = _neural_scores(artifacts, people)
+        out = predict_scores(artifacts.params, people.first, people.last)
     elif model == "first_last_zcta":
-        name = predict_model("first_last", people, artifacts, config, memo)
-        out = geo_augment_scores(
-            name, ctx.rows("geo_likelihood", people.geo), ctx.geo_likelihood.matrix
-        )
+        name = predict_model("first_last", people, artifacts, memo)
+        geo = ctx.geo_likelihood
+        out = geo_augment_scores(name, geo.rows(people.geo), geo.matrix)
     elif model == "bisg":
         out = bayes_scores(ctx, people.last, people.geo)
     elif model == "bifsg":
         out = bayes_scores(ctx, people.last, people.geo, firsts=people.first)
     elif model == "ensemble":
-        spec = config.ensemble
+        spec = artifacts.config.ensemble
         out = ensemble_scores(
-            [predict_model(member, people, artifacts, config, memo) for member in spec.members],
-            spec,
+            [predict_model(member, people, artifacts, memo) for member in spec.members], spec
         )
     else:
         raise ValueError(f"unknown model {model!r}")
@@ -279,7 +259,7 @@ def cmd_predict(args, config: RunConfig) -> int:
     artifacts = Artifacts(config)
     memo: dict[str, Scores] = {}
     outputs = {
-        model: predict_model(model, people, artifacts, config, memo) for model in models
+        model: predict_model(model, people, artifacts, memo) for model in models
     }
     for model, scores in outputs.items():
         logger.info("%s over %d records: %s", model, len(people), scores.histogram())
@@ -317,9 +297,10 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
     per model; a declined row's reason is :data:`core.DECLINED`.
 
     Raises:
-        SchemaError: a malformed line, a ``(row_id, model)`` pair that
-            appears twice, a covered row with a negative or non-finite
-            probability, or a model missing some row.
+        SchemaError: a malformed line, a model id with "/" or "\\r" (the
+            id names report files and fills their rows), a ``(row_id,
+            model)`` pair that appears twice, a covered row with a negative
+            or non-finite probability, or a model missing some row.
     """
     width = len(races)
     by_model: dict[str, Scores] = {}
@@ -334,6 +315,8 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
                 raise SchemaError(f"row_id {row_id} outside truth file")
             scores = by_model.get(model)
             if scores is None:
+                if "/" in model or "\r" in model:
+                    raise SchemaError(f"model id {model!r} holds '/' or '\\r'")
                 # reason -1 marks a row not seen yet
                 scores = by_model[model] = Scores(
                     np.zeros((n_rows, width)), np.full(n_rows, -1, dtype=np.int8)

@@ -41,6 +41,10 @@ overwrite the activations.  Probabilities and loss are bit-identical to
 those of the earlier batch-major kernels; gradients differ from them by
 at most about 1e-15 relative to the largest entry, as the weight-gradient
 GEMMs now sum their rows in time order.
+
+Raw names are encoded in one place, :func:`names.encode_columns`: for
+training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
+of which :func:`predict_proba` is the one-row call.
 """
 
 from __future__ import annotations
@@ -54,15 +58,10 @@ import struct
 
 import numpy as np
 
-from .core import People
+from .core import REASON_CODE, UNENCODABLE_NAME, People, Scores
 from .csvio import write_csv
-from .errors import (
-    CorruptFileError,
-    EmptyAfterNormalizationError,
-    InsufficientClassError,
-    ShapeMismatchError,
-)
-from .names import NEURAL, VOCAB_SIZE, encode_columns, encode_name, normalize
+from .errors import CorruptFileError, InsufficientClassError, ShapeMismatchError
+from .names import VOCAB_SIZE, encode_columns
 
 TRAIN = "train"
 EVAL = "eval"
@@ -658,21 +657,28 @@ def train(people: People, cfg: TrainConfig):
 
 
 def _accuracy(params, codes, labels, batch_size):
-    hits = 0
-    for start in range(0, codes.shape[0], batch_size):
-        probs = forward(params, codes[start : start + batch_size], mode=EVAL)
-        hits += int((probs.argmax(axis=1) == labels[start : start + batch_size]).sum())
-    return hits / codes.shape[0] if codes.shape[0] else 0.0
+    predicted = predict_proba_batch(params, codes, batch_size).argmax(axis=1)
+    return int((predicted == labels).sum()) / codes.shape[0] if codes.shape[0] else 0.0
+
+
+def predict_scores(params: NetworkParams, firsts, lasts) -> Scores:
+    """Eval-mode probabilities for columns of raw first and last names.
+
+    Names are encoded by :func:`names.encode_columns`; a row whose first
+    or last name normalizes to nothing declines as unencodable.
+    """
+    codes, encodable = encode_columns(firsts, lasts)
+    probs = np.zeros((encodable.size, params.n_classes))
+    if codes.size:
+        probs[encodable] = predict_proba_batch(params, codes)
+    reason = np.where(encodable, 0, REASON_CODE[UNENCODABLE_NAME]).astype(np.int8)
+    return Scores(probs, reason)
 
 
 def predict_proba(params: NetworkParams, first: str, last: str) -> np.ndarray | None:
-    """Probabilities for one raw name, or None (a decline, as in ``predict``)
-    when the first or last name normalizes to nothing."""
-    try:
-        codes = encode_name(normalize(first, NEURAL), normalize(last, NEURAL))
-    except EmptyAfterNormalizationError:
-        return None
-    return forward(params, codes[None, :], mode=EVAL)[0]
+    """Probabilities for one raw name, or None where :func:`predict_scores`
+    declines it: its one-row call."""
+    return predict_scores(params, [first], [last]).row(0)[0]
 
 
 def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 512) -> np.ndarray:

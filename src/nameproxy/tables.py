@@ -198,7 +198,9 @@ class NameTable:
                     probs = np.array([float(v) for v in row[2:]], dtype=np.float64)
                 except ValueError as exc:
                     raise SchemaError(str(exc)) from exc
-                if total < 0 or (probs < 0).any() or (probs > 1).any():
+                # NaN fails every comparison; above 2**53 a float64 product
+                # no longer holds every integer count
+                if not (0 <= total <= 2**53 and ((0 <= probs) & (probs <= 1)).all()):
                     raise SchemaError("values out of range")
                 counts = np.rint(probs * total).astype(np.int64)
                 if name is None or len(name) <= 1:
@@ -460,7 +462,7 @@ def _parse_counts(text: str, n: int, path) -> np.ndarray:
         raise SchemaError(f"{path}: expected {n} counts, got {text!r}")
     try:
         return np.array([int(p) for p in parts], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad count in {text!r}") from exc
 
 
@@ -514,8 +516,8 @@ def _read_table_csv(path, key_header, with_source):
                 key = row[0]
                 try:
                     vec = np.array([int(v) for v in row[1 : 1 + n_counts]], dtype=np.int64)
-                except ValueError as exc:
-                    raise SchemaError(str(exc)) from exc
+                except (ValueError, OverflowError) as exc:
+                    raise SchemaError(f"bad count: {exc}") from exc
                 if (vec < 0).any():
                     raise SchemaError("negative count")
                 if key in seen:

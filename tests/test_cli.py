@@ -21,7 +21,9 @@ from nameproxy.cli import (
 )
 from nameproxy.config import load_config
 from nameproxy.core import DECLINED, REASON_CODE, People, RaceSet, Scores
+from nameproxy.csvio import write_csv as write_framed_csv
 from nameproxy.errors import SchemaError
+from nameproxy.lstm import init_params, save_params
 from nameproxy.sampling import representative_sample_indices
 from nameproxy.tables import (
     EXTERNAL,
@@ -395,7 +397,7 @@ class TestPredictCommand:
         assert by_model["ensemble"][2:6] == by_model["bisg"][2:6]
 
     def test_each_model_computed_once(self, world, tmp_path, monkeypatch):
-        calls = {"predict_proba_batch": 0, "bayes_scores": 0}
+        calls = {"predict_scores": 0, "bayes_scores": 0}
 
         def counted(name):
             real = getattr(cli, name)
@@ -406,10 +408,10 @@ class TestPredictCommand:
 
             monkeypatch.setattr(cli, name, wrapper)
 
-        counted("predict_proba_batch")
+        counted("predict_scores")
         counted("bayes_scores")
         _, out = predict_to(world, tmp_path, "first_last,first_last_zcta,ensemble")
-        assert calls["predict_proba_batch"] == 1
+        assert calls["predict_scores"] == 1
         # the shared vectors give the same rows as a run of each model alone
         together = {(r[0], r[1]): r for r in read_rows(out)[1:]}
         for model in ("first_last_zcta", "ensemble"):
@@ -544,6 +546,49 @@ class TestPredictCommand:
         )
         assert rc == 1
 
+    def config_with(self, world, tmp_path, **paths):
+        """The world's config with absolute paths, some of them replaced."""
+        config = json.loads(world["config"].read_text())
+        for key in config["paths"]:
+            config["paths"][key] = str(world["root"] / config["paths"][key])
+        config["paths"].update({key: str(path) for key, path in paths.items()})
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        return cfg_path
+
+    def test_params_class_count_must_match_races(self, world, tmp_path, capsys):
+        params = tmp_path / "three.bin"
+        save_params(init_params(embed_dim=4, hidden=3, layers=1, n_classes=3, seed=0), params)
+        input_csv = tmp_path / "input.csv"
+        write_csv(input_csv, DEFAULT_INPUT_ROWS)
+        rc = run(
+            "predict",
+            "--config", self.config_with(world, tmp_path, params=params),
+            "--input", input_csv,
+            "--models", "first_last",
+            "--out", tmp_path / "p.csv",
+        )
+        assert rc == 1
+        assert "three.bin: parameters have 3 classes for 4 races" in capsys.readouterr().err
+
+    def test_count_beyond_int64_names_file_and_line(self, world, tmp_path, capsys):
+        geo = tmp_path / "geo.csv"
+        geo.write_text(
+            "# races: asian,black,hispanic,white\n# race_totals: 1,1,1,1\n"
+            f"geo,count_asian,count_black,count_hispanic,count_white\n10001,{10**23},0,0,0\n"
+        )
+        input_csv = tmp_path / "input.csv"
+        write_csv(input_csv, DEFAULT_INPUT_ROWS)
+        rc = run(
+            "predict",
+            "--config", self.config_with(world, tmp_path, geo_table=geo),
+            "--input", input_csv,
+            "--models", "bisg",
+            "--out", tmp_path / "p.csv",
+        )
+        assert rc == 1
+        assert "geo.csv: line 4: bad count" in capsys.readouterr().err
+
 
 def write_predictions(path, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -600,6 +645,15 @@ class TestReadPredictions:
         for model, scores in outputs.items():
             assert read[model].probs.tobytes() == scores.probs.tobytes()
             assert read[model].covered.tolist() == scores.covered.tolist()
+
+    # the line a record ends on: the quoted "\r" ends a file line
+    @pytest.mark.parametrize("model,line", [("m/x", 3), ("m\rx", 4)])
+    def test_model_id_that_cannot_name_a_report_names_line(self, tmp_path, model, line):
+        path = tmp_path / "preds.csv"
+        rows = [[0, "m", *self.COVERED], [0, model, *self.COVERED]]
+        write_framed_csv(path, prediction_header(RACES), rows, text=(1,))
+        with pytest.raises(SchemaError, match=f"preds.csv: line {line}: model id"):
+            read_predictions_csv(path, RACES, n_rows=1)
 
     @pytest.mark.parametrize("bad", ["nan", "-5", "inf"])
     def test_negative_or_non_finite_probability_names_line(self, tmp_path, bad):

@@ -265,7 +265,7 @@ class TestBayesKernelOracle:
         probs = np.where(declined[:, None], 0.0, raw)
         reason = np.where(declined, REASON_CODE[UNENCODABLE_NAME], 0).astype(np.int8)
         geos = [r[2] for r in records]
-        rows = ctx.geo_likelihood.rows(geos, profile=None)
+        rows = ctx.geo_likelihood.rows(geos)
         scores, error = raises_or_value(
             geo_augment_scores, Scores(probs, reason), rows, ctx.geo_likelihood.matrix
         )
@@ -380,7 +380,7 @@ class TestBayesKernelDenseWorld:
                 assert got[1] == want[1] and same_bits(got[0], want[0]), i
             assert scores.covered.mean() > 0.9
         name = Scores(rng.dirichlet(np.ones(4), n), np.zeros(n, dtype=np.int8))
-        rows = ctx.geo_likelihood.rows(geos, profile=None)
+        rows = ctx.geo_likelihood.rows(geos)
         augmented = geo_augment_scores(name, rows, ctx.geo_likelihood.matrix)
         members = [bayes_scores(ctx, lasts, geos), augmented, name]
         spec = EnsembleSpec(("a", "b", "c"), (0.5, 1.0, 2.0))

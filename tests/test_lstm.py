@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nameproxy.core import RaceSet
+from nameproxy.core import UNENCODABLE_NAME, RaceSet
 from nameproxy.errors import (
     CorruptFileError,
     InsufficientClassError,
@@ -31,6 +31,7 @@ from nameproxy.lstm import (
     load_params,
     loss_and_gradients,
     predict_proba,
+    predict_scores,
     prepare_dataset,
     save_params,
     split_and_balance,
@@ -358,6 +359,28 @@ class TestPredictProba:
     @pytest.mark.parametrize("first,last", [("!!", ".."), ("jane", "123"), ("", "doe")])
     def test_declines_name_that_normalizes_to_nothing(self, first, last):
         assert predict_proba(tiny_params(), first, last) is None
+
+    # raw names, some with nothing left after normalization
+    NAMES = st.one_of(
+        st.sampled_from(["!!", "42", ""]),
+        st.text(alphabet=st.sampled_from(list("abzAZ '-.!9")), max_size=35),
+    )
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(NAMES, NAMES), min_size=1, max_size=8))
+    def test_is_one_row_of_predict_scores(self, pairs):
+        params = tiny_params()
+        scores = predict_scores(params, [f for f, _ in pairs], [l for _, l in pairs])
+        for i, (first, last) in enumerate(pairs):
+            probs, reason = scores.row(i)
+            one = predict_proba(params, first, last)
+            if reason is None:
+                # a BLAS product's last bits depend on how many rows it
+                # multiplies, so a one-row call matches the batch row to
+                # rounding, not bit for bit
+                np.testing.assert_allclose(one, probs, rtol=1e-12, atol=1e-15, err_msg=str(i))
+            else:
+                assert reason == UNENCODABLE_NAME and one is None, i
 
 
 class TestPersistence:

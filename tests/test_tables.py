@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nameproxy.core import RaceSet
+from nameproxy.csvio import write_csv
 from nameproxy.errors import (
     EmptyTableError,
     InsufficientClassError,
@@ -27,6 +28,7 @@ from nameproxy.tables import (
     merge_tables,
     passes_suppression,
 )
+from nameproxy.names import table_key
 
 from conftest import Row, people_of
 
@@ -409,6 +411,30 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="padded.csv: bad races"):
             GeoTable.load(path)
 
+    @pytest.mark.parametrize("table_cls,header", [
+        (GeoTable, "geo,count_asian,count_black,count_hispanic,count_white"),
+        (NameTable, "name,count_asian,count_black,count_hispanic,count_white,source"),
+    ])
+    def test_load_rejects_count_beyond_int64(self, tmp_path, table_cls, header):
+        source = ",internal" if table_cls is NameTable else ""
+        path = tmp_path / "big.csv"
+        path.write_text(
+            "# races: asian,black,hispanic,white\n# kind: surname\n"
+            f"# race_totals: 1,1,1,1\n{header}\n10037,1,0,0,0{source}\n"
+            f"10038,{10**23},0,0,0{source}\n"
+        )
+        with pytest.raises(SchemaError, match="big.csv: line 6: bad count"):
+            table_cls.load(path)
+
+    def test_load_rejects_race_totals_beyond_int64(self, tmp_path):
+        path = tmp_path / "big.csv"
+        path.write_text(
+            f"# races: asian,black,hispanic,white\n# race_totals: 1,{10**23},1,1\n"
+            "geo,count_asian,count_black,count_hispanic,count_white\n10037,1,0,0,0\n"
+        )
+        with pytest.raises(SchemaError, match="big.csv: bad count in"):
+            GeoTable.load(path)
+
     def test_probability_csv_pseudo_counts(self, tmp_path):
         path = tmp_path / "census.csv"
         path.write_text(
@@ -517,3 +543,66 @@ class TestExternalKeysNormalized:
         path.write_text(self.HEADER + "NGUYEN ESQ,100,0.9,0,0,0.1\n")
         table = NameTable.from_probability_csv(path, SURNAME, suffixes=("esq",))
         assert set(table.entries) == {"nguyen"}
+
+
+PROBABILITY_HEADER = ["name", "total", *(f"p_{r}" for r in RACES)]
+# published names: upper case, punctuation, suffixes, line breaks
+PUBLISHED_NAMES = st.text(alphabet=st.sampled_from(list("abAB '-.,!\"jJrR\n\r")), max_size=8)
+PROBABILITY_ROWS = st.lists(
+    st.tuples(
+        PUBLISHED_NAMES,
+        st.integers(0, 2**40),
+        st.lists(
+            st.one_of(st.floats(0.0, 1.0), st.sampled_from([5e-324, 2.0**-1070, 1.0])),
+            min_size=len(RACES),
+            max_size=len(RACES),
+        ),
+    ),
+    max_size=8,
+)
+
+
+class TestProbabilityCsvRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(PROBABILITY_ROWS)
+    def test_matches_per_row_reference(self, rows):
+        expected: dict[str, list[int]] = {}
+        for name, total, probs in rows:
+            key = table_key(name)
+            if key is not None and len(key) > 1:
+                counts = [round(p * total) for p in probs]  # round half to even, as np.rint
+                expected[key] = [a + b for a, b in zip(expected.get(key, [0] * 4), counts)]
+        expected = {key: counts for key, counts in expected.items() if any(counts)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "census.csv"
+            write_csv(path, PROBABILITY_HEADER, [[n, t, *p] for n, t, p in rows], text=(0,))
+            if not expected:
+                with pytest.raises(EmptyTableError):
+                    NameTable.from_probability_csv(path, SURNAME, RACES)
+                return
+            table = NameTable.from_probability_csv(path, SURNAME, RACES)
+        assert list(table.entries) == list(expected)
+        assert {key: c.tolist() for key, c in table.entries.items()} == expected
+        assert table.race_totals.tolist() == np.sum(list(expected.values()), axis=0).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        PROBABILITY_ROWS.filter(lambda rows: not any("\n" in n or "\r" in n for n, _, _ in rows)),
+        st.sampled_from([
+            ["garcia", 100, 0.1, "nan", 0.9, 0],
+            ["garcia", 100, "inf", 0, 0, 0],
+            ["garcia", 100, 0.5, 0, 0.5, "-inf"],
+            ["garcia", 2**53 + 1, 0.5, 0, 0.5, 0],
+            ["garcia", 10**23, 0.5, 0, 0.5, 0],
+        ]),
+        st.data(),
+    )
+    def test_nan_inf_and_oversized_total_name_line(self, rows, bad, data):
+        at = data.draw(st.integers(0, len(rows)))
+        rows = [[n, t, *p] for n, t, p in rows]
+        rows.insert(at, bad)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "census.csv"
+            write_csv(path, PROBABILITY_HEADER, rows, text=(0,))
+            with pytest.raises(SchemaError, match=f"census.csv: line {at + 2}: values out of range"):
+                NameTable.from_probability_csv(path, SURNAME, RACES)
