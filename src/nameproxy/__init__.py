@@ -38,7 +38,7 @@ from .lstm import (
     save_params,
     train,
 )
-from .names import encode_name, is_person_name, is_valid_name, normalize
+from .names import encode_name, is_person_name, normalize
 from .sampling import representative_sample_indices
 from .tables import (
     GeoTable,
@@ -81,7 +81,6 @@ __all__ = [
     "train",
     "encode_name",
     "is_person_name",
-    "is_valid_name",
     "normalize",
     "GeoTable",
     "NameTable",

@@ -27,7 +27,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .core import (
     renormalize_rows,
 )
 from .errors import MissingFirstnameTableError
-from .names import DEFAULT_SUFFIXES, TABLE, column_keys
+from .names import DEFAULT_SUFFIXES, column_keys, table_key
 from .tables import GeoTable, NameTable
 
 logger = logging.getLogger(__name__)
@@ -51,15 +51,14 @@ logger = logging.getLogger(__name__)
 class Factor:
     """One table's per-key factor rows: ``matrix[i]`` for the ``i``-th key.
 
-    Raw strings resolve to keys under ``profile``: :data:`names.TABLE`
-    for names, ``None`` for geo ids, which are used as they are.
+    Raw strings resolve to keys through ``key`` (:func:`names.column_keys`):
+    a name key for names, ``None`` for geo ids, which are used as they are.
     """
 
-    def __init__(self, keys, matrix: np.ndarray, profile: str | None, suffixes=DEFAULT_SUFFIXES):
-        self.index = {key: i for i, key in enumerate(keys)}
+    def __init__(self, keys, matrix: np.ndarray, key=None):
+        self.index = {k: i for i, k in enumerate(keys)}
         self.matrix = matrix
-        self.profile = profile
-        self.suffixes = suffixes
+        self.key = key
         self._raws = self._rows = None
 
     def rows(self, raws) -> np.ndarray:
@@ -70,7 +69,7 @@ class Factor:
         """
         raws = list(raws)
         if raws != self._raws:
-            keys, codes = column_keys(raws, self.profile, self.suffixes)
+            keys, codes = column_keys(raws, self.key)
             by_key = np.array([self.index.get(key, -1) for key in keys], dtype=np.intp)
             self._raws, self._rows = raws, by_key[codes]
         return self._rows
@@ -119,7 +118,7 @@ class BayesContext:
     def surname_prior(self) -> Factor:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
         table = self.table("surname_table")
-        return Factor(table.entries, table.prior_rows(), TABLE, self.suffixes)
+        return Factor(table.entries, table.prior_rows(), partial(table_key, suffixes=self.suffixes))
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
@@ -127,13 +126,14 @@ class BayesContext:
         table = self.table("firstname_table")
         if table is None:
             raise MissingFirstnameTableError("bifsg needs a first-name table")
-        return Factor(table.entries, table.likelihood_rows(), TABLE, self.suffixes)
+        key = partial(table_key, suffixes=self.suffixes)
+        return Factor(table.entries, table.likelihood_rows(), key)
 
     @cached_property
     def geo_likelihood(self) -> Factor:
         """``P(geo | race)`` rows."""
         table = self.table("geo_table")
-        return Factor(table.entries, table.likelihood_rows(), profile=None)
+        return Factor(table.entries, table.likelihood_rows())
 
 
 def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:

@@ -15,7 +15,7 @@ import logging
 import math
 import os
 import sys
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +28,7 @@ from .ensemble import ensemble_scores
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
-from .names import TABLE, column_keys, is_person_name
+from .names import column_keys, is_person_name, table_key
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -187,15 +187,13 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         "target_shares": list(config.target_shares) if config.target_shares else None,
     }
 
-    for kind, external_path, prefer in (
-        (SURNAME, args.external_surname, EXTERNAL),
-        (FIRSTNAME, args.external_firstname, INTERNAL),
+    for kind, column, external_path, prefer in (
+        (SURNAME, people.last, args.external_surname, EXTERNAL),
+        (FIRSTNAME, people.first, args.external_firstname, INTERNAL),
     ):
         # each distinct raw name is normalized once, for the counts and the
         # manifest alike; the sample rows are shared by both kinds
-        keys, codes = column_keys(
-            people.last if kind == SURNAME else people.first, TABLE, config.suffixes
-        )
+        keys, codes = column_keys(column, partial(table_key, suffixes=config.suffixes))
         table = count_name_table(kind, config.races, keys, codes[rows], people.race[rows])
         distinct = sum(1 for key in keys if key is not None and len(key) > 1)
         stats = {
@@ -300,7 +298,7 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
         SchemaError: a malformed line, a model id with "/" or "\\r" (the
             id names report files and fills their rows), a ``(row_id,
             model)`` pair that appears twice, a covered row with a negative
-            or non-finite probability, or a model missing some row.
+            or non-finite probability or no mass, or a model missing some row.
     """
     width = len(races)
     by_model: dict[str, Scores] = {}
@@ -331,8 +329,8 @@ def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]
                     probs = [float(v) for v in row[2:-2]]
                 except ValueError as exc:
                     raise SchemaError("bad probability") from exc
-                if not all(0.0 <= p < math.inf for p in probs):
-                    raise SchemaError("probabilities must be finite and non-negative")
+                if not all(0.0 <= p < math.inf for p in probs) or not sum(probs) > 0.0:
+                    raise SchemaError("probabilities must be finite, non-negative, not all 0")
                 scores.probs[row_id] = probs
                 scores.reason[row_id] = 0
             else:
@@ -396,31 +394,25 @@ def cmd_evaluate(args, config: RunConfig) -> int:
     return 0
 
 
-def _person_rows(values, filter_words) -> np.ndarray:
-    """Whether each value has no filter word, checked once per distinct value."""
-    verdict = {value: is_person_name(value, filter_words) for value in dict.fromkeys(values)}
-    return np.fromiter(map(verdict.__getitem__, values), dtype=bool, count=len(values))
-
-
 def cmd_sample(args, config: RunConfig) -> int:
     people = read_people_csv(args.input, config.races, require_race=True)
     # "first last" has a filter word exactly when one of its parts has one
-    kept = np.flatnonzero(
-        _person_rows(people.first, config.filter_words)
-        & _person_rows(people.last, config.filter_words)
-    )
+    person = partial(is_person_name, filter_words=config.filter_words)
+    kept = np.ones(len(people), dtype=bool)
+    for column in (people.first, people.last):
+        verdicts, codes = column_keys(column, person)
+        kept &= np.array(verdicts, dtype=bool)[codes]
     # the first kept row of each distinct (first, last, geo)
-    columns = (people.first, people.last, people.geo)
-    triples = np.stack([column_keys(column, profile=None)[1] for column in columns], axis=1)
-    _, first_seen = np.unique(triples[kept], axis=0, return_index=True)
-    unique = kept[np.sort(first_seen)]
+    _, triple = column_keys(zip(people.first, people.last, people.geo))
+    _, first_seen = np.unique(triple[kept], return_index=True)
+    unique = np.flatnonzero(kept)[np.sort(first_seen)]
     indices = representative_sample_indices(
         people.race[unique], args.n, _require_sample_shares(config), config.seed, config.races
     )
     write_people_csv(people.take(unique[indices]), args.out)
     logger.info(
         "filtered %d -> %d person rows, %d unique, sampled %d",
-        len(people), len(kept), len(unique), len(indices),
+        len(people), kept.sum(), len(unique), len(indices),
     )
     return 0
 

@@ -9,6 +9,7 @@ seeds in the config is what makes every pipeline stage replayable.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -80,8 +81,27 @@ def load_config(path) -> RunConfig:
     if "seed" not in raw or isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
         raise SchemaError(f"{path}: 'seed' must be present and an integer")
 
+    def check(key, value, ok: bool, what: str):
+        if not ok:
+            raise SchemaError(f"{path}: '{key}' must be {what}, got {value!r}")
+        return value
+
+    def strings(key, value) -> tuple[str, ...]:
+        ok = isinstance(value, list) and all(isinstance(v, str) for v in value)
+        return tuple(check(key, value, ok, "a list of strings"))
+
+    def numbers(key, value) -> tuple[float, ...]:
+        ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
+        return tuple(float(v) for v in check(key, value, ok, "a list of numbers"))
+
+    alpha, strict = raw.get("smoothing_alpha", 0.0), raw.get("strict_metrics", False)
+    ok = type(alpha) in (int, float) and 0 <= alpha < math.inf  # bool is not a number here
+    check("smoothing_alpha", alpha, ok, "a finite number >= 0")
+    check("strict_metrics", strict, isinstance(strict, bool), "true or false")
+    suffixes = strings("suffixes", raw.get("suffixes", list(DEFAULT_SUFFIXES)))
+
     try:
-        races = RaceSet(tuple(raw.get("races", RaceSet().labels)))
+        races = RaceSet(strings("races", raw.get("races", list(RaceSet().labels))))
     except ValueError as exc:
         raise SchemaError(f"{path}: bad races: {exc}") from exc
 
@@ -93,17 +113,20 @@ def load_config(path) -> RunConfig:
         filter_words = load_filter_words(words_path)
 
     ensemble_raw = raw.get("ensemble", {})
+    check("ensemble", ensemble_raw, isinstance(ensemble_raw, dict), "an object")
+    members = ensemble_raw.get("members", list(EnsembleSpec().members))
+    weights = ensemble_raw.get("weights")
     try:
         ensemble = EnsembleSpec(
-            members=tuple(ensemble_raw.get("members", EnsembleSpec().members)),
-            weights=tuple(ensemble_raw["weights"]) if "weights" in ensemble_raw else None,
+            members=strings("ensemble.members", members),
+            weights=numbers("ensemble.weights", weights) if "weights" in ensemble_raw else None,
         )
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: bad ensemble spec: {exc}") from exc
 
     train = None
     if "train" in raw:
-        train_raw = dict(raw["train"])
+        train_raw = dict(check("train", raw["train"], isinstance(raw["train"], dict), "an object"))
         train_raw.setdefault("seed", raw["seed"])
         try:
             train = TrainConfig(**train_raw)
@@ -121,15 +144,9 @@ def load_config(path) -> RunConfig:
     }
 
     def shares_of(key, default):
-        if key not in raw:
-            return default
-        value = raw[key]
-        if value is None:
-            return None
-        try:
-            shares = tuple(float(v) for v in value)
-        except (TypeError, ValueError) as exc:
-            raise SchemaError(f"{path}: bad {key}: {exc}") from exc
+        if key not in raw or raw[key] is None:
+            return raw.get(key, default)
+        shares = numbers(key, raw[key])
         if len(shares) != len(races):
             raise SchemaError(f"{path}: {key} must have one share per race")
         return shares
@@ -137,12 +154,12 @@ def load_config(path) -> RunConfig:
     return RunConfig(
         races=races,
         seed=raw["seed"],
-        suffixes=tuple(s.lower() for s in raw.get("suffixes", DEFAULT_SUFFIXES)),
+        suffixes=tuple(s.lower() for s in suffixes),
         filter_words=filter_words,
         target_shares=shares_of("target_shares", None),
         sample_shares=shares_of("sample_shares", US_POPULATION_SHARES),
-        smoothing_alpha=float(raw.get("smoothing_alpha", 0.0)),
-        strict_metrics=bool(raw.get("strict_metrics", False)),
+        smoothing_alpha=float(alpha),
+        strict_metrics=strict,
         ensemble=ensemble,
         paths=paths,
         train=train,

@@ -49,7 +49,7 @@ of which :func:`predict_proba` is the one-row call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import json
 import math
@@ -544,6 +544,11 @@ class TrainConfig:
     decoupled_decay: bool = False
 
     def __post_init__(self):
+        for f in fields(self):  # a float field takes an int too; a bool is no int here
+            kind = {"int": (int,), "float": (int, float), "bool": (bool,)}[f.type]
+            value = getattr(self, f.name)
+            if type(value) not in kind:
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
         if self.batch_size < 1:
@@ -562,8 +567,8 @@ class EpochStats:
 def prepare_dataset(people: People):
     """Normalize, validate, and encode people into (codes, labels).
 
-    People without a race, or whose names normalize to nothing or fail the
-    length rule (:func:`names.is_valid_name`), are dropped, mirroring the
+    People without a race, or with a first or last name that keeps fewer
+    than two characters after normalization, are dropped, mirroring the
     table-construction filters.
     """
     codes, usable = encode_columns(people.first, people.last, min_length=2)
@@ -759,15 +764,13 @@ def _checked_size(header, path, available: int) -> int:
     return size
 
 
-def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
+def load_params(path) -> NetworkParams:
     """Load a parameter container; bit-exact inverse of :func:`save_params`.
 
     Raises:
         CorruptFileError: bad magic, a malformed header, arrays that are
             not the layout its dimensions imply, truncation, trailing
             bytes, or non-finite values.
-        ShapeMismatchError: ``expect_hidden`` given and different from the
-            file's hidden size.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -787,10 +790,6 @@ def load_params(path, expect_hidden: int | None = None) -> NetworkParams:
             raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
         offset += header_len
         size = _checked_size(header, path, file_size - offset)
-        if expect_hidden is not None and header["hidden"] != expect_hidden:
-            raise ShapeMismatchError(
-                f"{path}: file has hidden={header['hidden']}, expected {expect_hidden}"
-            )
         # the data goes straight into the one vector the parameters keep
         flat = np.empty(size, dtype="<f8")
         if fh.readinto(memoryview(flat).cast("B")) != 8 * size:

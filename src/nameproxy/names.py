@@ -1,13 +1,13 @@
-"""Name normalization, person-name filtering, and character encoding.
+"""Name keys, person-name filtering, and character encoding.
 
-Two normalization profiles exist because the neural model and the
-probability tables want different things:
+Two key functions exist because the neural model and the probability
+tables want different things; each returns ``None`` where nothing survives:
 
-* ``neural``  -- lower-case, keep hyphens, spaces, and apostrophes (they
-  appear legitimately in names), drop digits and all other punctuation.
-* ``table``   -- the convention used when building name frequency tables:
-  additionally strip generational suffixes ("JR", "III", ...) and delete
-  blanks, hyphens, and apostrophes, leaving pure ``[a-z]`` keys.
+* :func:`neural_key` -- lower-case, keep hyphens, spaces, and apostrophes
+  (they appear legitimately in names), drop digits and other punctuation.
+* :func:`table_key` -- the convention used when building name frequency
+  tables: additionally strip generational suffixes ("JR", "III", ...) and
+  delete blanks, hyphens, and apostrophes, leaving pure ``[a-z]`` keys.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ import numpy as np
 
 from .errors import EmptyAfterNormalizationError, UnknownCharacterError
 
-NEURAL = "neural"
-TABLE = "table"
-
-#: Generational suffix tokens stripped from the end of table-profile names.
+#: Generational suffix tokens stripped from the end of table keys.
 DEFAULT_SUFFIXES = ("jr", "sr", "ii", "iii", "iv")
 
 #: Fixed encoding window: shorter names are right padded, longer truncated.
@@ -42,7 +39,7 @@ CHAR_TO_CODE[" "] = SPACE_CODE
 
 CODE_TO_CHAR = {code: ch for ch, code in CHAR_TO_CODE.items()}
 
-_NEURAL_DISALLOWED = re.compile(r"[^a-z' \-]+")
+_DISALLOWED = re.compile(r"[^a-z' \-]+")
 _SPACE_RUNS = re.compile(r" {2,}")
 
 #: Small built-in list of obvious business tokens; real runs supply a much
@@ -66,17 +63,12 @@ DEFAULT_FILTER_WORDS = frozenset(
 )
 
 
-def normalize(name: str, profile: str = NEURAL) -> str:
-    """Normalize a raw name under the given profile.
+def normalize(name: str) -> str:
+    """The neural-key normalization of a raw name.
 
     Raises:
         EmptyAfterNormalizationError: nothing survives the character rules.
-        ValueError: unknown profile id.
     """
-    if profile == TABLE:
-        return normalize_table(name)
-    if profile != NEURAL:
-        raise ValueError(f"unknown normalization profile {profile!r}")
     out = _neural_clean(name)
     if not out:
         raise EmptyAfterNormalizationError(f"nothing left of {name!r} after normalization")
@@ -84,7 +76,7 @@ def normalize(name: str, profile: str = NEURAL) -> str:
 
 
 def normalize_table(name: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str:
-    """Table-profile normalization with a caller-supplied suffix list."""
+    """The table-key normalization, with a caller-supplied suffix list."""
     out = _strip_suffixes(_neural_clean(name), suffixes)
     out = out.replace(" ", "").replace("-", "").replace("'", "")
     if not out:
@@ -92,44 +84,41 @@ def normalize_table(name: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> 
     return out
 
 
-def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
-    """:func:`normalize_table`, or None when nothing survives it."""
-    return _key_or_none(raw, TABLE, suffixes)
-
-
-def column_keys(
-    raws, profile: str | None = TABLE, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
-) -> tuple[list, np.ndarray]:
-    """Normalize a column of raw strings once per distinct string.
-
-    Returns ``(keys, codes)``: the distinct keys in order of first
-    appearance, and each raw string's index into ``keys``.  Raw strings
-    that normalize to one key share its index; ``None`` is the key of a
-    string with nothing left after normalization.  ``profile`` is
-    :data:`TABLE`, :data:`NEURAL`, or ``None`` to use the raw strings
-    themselves as keys.
-    """
-    raws = list(raws)
-    memo = dict.fromkeys(raws)
-    index: dict = {}
-    for raw in memo:
-        key = raw if profile is None else _key_or_none(raw, profile, suffixes)
-        memo[raw] = index.setdefault(key, len(index))
-    codes = np.fromiter(map(memo.__getitem__, raws), dtype=np.intp, count=len(raws))
-    return list(index), codes
-
-
-def _key_or_none(raw: str, profile: str, suffixes) -> str | None:
+def neural_key(raw: str) -> str | None:
+    """:func:`normalize`, or None when nothing survives it."""
     try:
-        if profile == TABLE:
-            return normalize_table(raw, suffixes)
-        return normalize(raw, profile)
+        return normalize(raw)
     except EmptyAfterNormalizationError:
         return None
 
 
+def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
+    """:func:`normalize_table`, or None when nothing survives it."""
+    try:
+        return normalize_table(raw, suffixes)
+    except EmptyAfterNormalizationError:
+        return None
+
+
+def column_keys(values, key=None) -> tuple[list, np.ndarray]:
+    """Key a column once per distinct value: ``(keys, codes)``.
+
+    ``keys`` holds the distinct keys in order of first appearance and
+    ``codes`` each value's index into it.  ``key`` is a function of one
+    value (such as :func:`table_key`); without it each value is its own
+    key.  Values may be any hashable; only the distinct ones are kept.
+    """
+    memo: dict = {}
+    codes = np.fromiter((memo.setdefault(v, len(memo)) for v in values), dtype=np.intp)
+    if key is None:
+        return list(memo), codes
+    index: dict = {}
+    by_value = np.array([index.setdefault(key(v), len(index)) for v in memo], dtype=np.intp)
+    return list(index), by_value[codes]
+
+
 def _neural_clean(name: str) -> str:
-    out = _NEURAL_DISALLOWED.sub("", name.lower())
+    out = _DISALLOWED.sub("", name.lower())
     out = _SPACE_RUNS.sub(" ", out).strip()
     return out
 
@@ -141,14 +130,6 @@ def _strip_suffixes(name: str, suffixes) -> str:
     while len(tokens) > 1 and tokens[-1] in suffixes:
         tokens.pop()
     return " ".join(tokens)
-
-
-def is_valid_name(first: str, last: str) -> bool:
-    """False when either part is one character or shorter.
-
-    Expects inputs already normalized with the neural profile.
-    """
-    return len(first) > 1 and len(last) > 1
 
 
 def is_person_name(full: str, filter_words=DEFAULT_FILTER_WORDS) -> bool:
@@ -195,27 +176,23 @@ def encode_name(first: str, last: str) -> np.ndarray:
 def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Encode columns of raw first and last names for the neural model.
 
-    Each distinct raw name is normalized once (:func:`column_keys` with the
-    neural profile) and each distinct pair of keys encoded once.  Returns
-    ``(codes, usable)``: ``usable`` marks the rows whose first and last
-    name both keep at least ``min_length`` characters, and ``codes`` holds
-    the encodings of those rows, in order.
+    Each distinct raw name is keyed once (:func:`column_keys` with
+    :func:`neural_key`) and each distinct pair of keys encoded once.
+    Returns ``(codes, usable)``: ``usable`` marks the rows whose first and
+    last name both keep at least ``min_length`` characters, and ``codes``
+    holds the encodings of those rows, in order.
     """
-    firsts, first_codes = column_keys(firsts, NEURAL)
-    lasts, last_codes = column_keys(lasts, NEURAL)
+    firsts, first_codes = column_keys(firsts, neural_key)
+    lasts, last_codes = column_keys(lasts, neural_key)
     usable = (
         np.array([k is not None and len(k) >= min_length for k in firsts], dtype=bool)[first_codes]
         & np.array([k is not None and len(k) >= min_length for k in lasts], dtype=bool)[last_codes]
     )
-    pairs, pair_codes = np.unique(
-        np.stack([first_codes[usable], last_codes[usable]], axis=1),
-        axis=0,
-        return_inverse=True,
-    )
-    if not pairs.size:
+    pairs, pair_codes = column_keys(zip(first_codes[usable].tolist(), last_codes[usable].tolist()))
+    if not pairs:
         return np.zeros((0, WINDOW), dtype=np.int64), usable
-    encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs.tolist()])
-    return encoded[pair_codes.ravel()], usable
+    encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs])
+    return encoded[pair_codes], usable
 
 
 def decode_codes(codes) -> str:

@@ -16,6 +16,7 @@ wholesale, never mixing counts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .errors import (
     KindMismatchError,
     SchemaError,
 )
-from .names import DEFAULT_SUFFIXES, TABLE, column_keys, table_key
+from .names import DEFAULT_SUFFIXES, column_keys, table_key
 from .sampling import max_feasible_sample_size, representative_sample_indices
 
 SURNAME = "surname"
@@ -300,7 +301,8 @@ def build_name_table(
     if kind not in (SURNAME, FIRSTNAME):
         raise ValueError(f"unknown table kind {kind!r}")
     rows = training_rows(people, seed, target_shares)
-    keys, codes = column_keys(people.last if kind == SURNAME else people.first, TABLE, suffixes)
+    column = people.last if kind == SURNAME else people.first
+    keys, codes = column_keys(column, partial(table_key, suffixes=suffixes))
     race = people.race[rows]
     return count_name_table(
         kind, people.races, keys, codes[rows], race, suppress, min_total, single_race_band
@@ -378,7 +380,7 @@ def build_geo_table(people: People) -> GeoTable:
     """
     if not all(people.geo):
         raise ValueError("geo table construction needs non-empty geo ids")
-    keys, codes = column_keys(people.geo, profile=None)
+    keys, codes = column_keys(people.geo)
     counts, race_totals, order = _count_pairs(codes, people.race, len(keys), len(people.races))
     if order.size == 0:
         raise EmptyTableError("no records to build a geography table from")

@@ -3,6 +3,7 @@
 import csv
 import json
 import logging
+import re
 
 import numpy as np
 import pytest
@@ -74,6 +75,33 @@ class TestConfig:
         path.write_text("{not json")
         rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
         assert rc == 1
+
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            {"strict_metrics": "false"},
+            {"smoothing_alpha": -5},
+            {"smoothing_alpha": "x"},
+            {"races": "abc"},
+            {"ensemble": {"members": "ibisg"}},
+            {"ensemble": {"members": ["bisg", "bifsg"], "weights": "12"}},
+            {"sample_shares": "1234"},
+            {"suffixes": ["jr", 3]},
+            {"train": {"epochs": "2", "embed_dim": 4, "hidden": 4, "layers": 1}},
+        ],
+        ids=[
+            "strict", "alpha_negative", "alpha_text", "races", "members", "weights", "shares",
+            "suffixes", "train",
+        ],
+    )
+    def test_value_of_wrong_type_names_file(self, tmp_path, capsys, entry):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, **entry}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
+            load_config(path)
+        rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"nameproxy: {path}: ")
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         rc = run(
@@ -655,11 +683,16 @@ class TestReadPredictions:
         with pytest.raises(SchemaError, match=f"preds.csv: line {line}: model id"):
             read_predictions_csv(path, RACES, n_rows=1)
 
-    @pytest.mark.parametrize("bad", ["nan", "-5", "inf"])
+    @pytest.mark.parametrize(
+        "bad",
+        [["nan", 0.25, 0.25, 0.25], ["-5", 0.25, 0.25, 0.25], ["inf", 0.25, 0.25, 0.25],
+         [0, 0, 0, 0]],
+        ids=["nan", "-5", "inf", "no_mass"],
+    )
     def test_negative_or_non_finite_probability_names_line(self, tmp_path, bad):
         path = tmp_path / "preds.csv"
         write_predictions(path, [
-            [0, "m", *self.COVERED], [1, "m", bad, 0.25, 0.25, 0.25, "asian", 1],
+            [0, "m", *self.COVERED], [1, "m", *bad, "asian", 1],
         ])
         with pytest.raises(SchemaError, match="line 3"):
             read_predictions_csv(path, RACES, n_rows=2)

@@ -419,16 +419,60 @@ class TestBayesKernelEdges:
         assert hist == {"covered": 2, UNKNOWN_SURNAME: 2, UNKNOWN_GEO: 1, ZERO_MASS: 1}
 
 
+def ref_column_keys(values, key):
+    """Per-value keying: each value's key, and its index among the keys so far."""
+    keys, codes = [], []
+    for value in values:
+        k = value if key is None else key(value)
+        if k not in keys:
+            keys.append(k)
+        codes.append(keys.index(k))
+    return keys, codes
+
+
+def fold_key(value):
+    """A key with collisions and Nones: lower-cased text, or a tuple's sum."""
+    if isinstance(value, tuple):
+        return sum(value) or None
+    return value.strip().lower() or None
+
+
+column_text = st.text(alphabet="aAbB !-", max_size=4)
+column_tuple = st.tuples(st.integers(0, 2), st.integers(-1, 1))
+column_cases = st.one_of(
+    st.tuples(st.lists(column_text, max_size=30), st.sampled_from([None, fold_key, table_key])),
+    st.tuples(st.lists(column_tuple, max_size=30), st.sampled_from([None, fold_key])),
+    st.tuples(st.lists(st.one_of(column_text, column_tuple), max_size=30),
+              st.sampled_from([None, fold_key])),
+)
+
+
 class TestColumnKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(column_cases)
+    def test_matches_per_value_reference(self, case):
+        values, key = case
+        calls = []
+
+        def counted(value):
+            calls.append(value)
+            return key(value)
+
+        keys, codes = column_keys(iter(values), None if key is None else counted)
+        assert (keys, codes.tolist()) == ref_column_keys(values, key)
+        assert codes.dtype == np.intp
+        if key is not None:
+            assert sorted(map(repr, calls)) == sorted(map(repr, set(values)))
+
     def test_keys_codes_and_none(self):
-        keys, codes = column_keys(["Smith", "SMITH", "!!", "Lee", "smith jr", "!!"])
+        keys, codes = column_keys(["Smith", "SMITH", "!!", "Lee", "smith jr", "!!"], table_key)
         assert keys == ["smith", None, "lee"]
         assert codes.tolist() == [0, 0, 1, 2, 0, 1]
 
     def test_neural_and_raw_profiles(self):
-        keys, codes = column_keys(["O'Neil", "o'neil", "..."], names.NEURAL)
+        keys, codes = column_keys(["O'Neil", "o'neil", "..."], names.neural_key)
         assert keys == ["o'neil", None] and codes.tolist() == [0, 0, 1]
-        keys, codes = column_keys(["b", "a", "b"], profile=None)
+        keys, codes = column_keys(["b", "a", "b"])
         assert keys == ["b", "a"] and codes.tolist() == [0, 1, 0]
 
     def test_normalizes_each_distinct_string_once(self, monkeypatch):
@@ -440,7 +484,7 @@ class TestColumnKeys:
             return real(raw, suffixes)
 
         monkeypatch.setattr(names, "normalize_table", counted)
-        column_keys(["Ann", "Bo", "Ann", "ann", "Bo"] * 100)
+        column_keys(["Ann", "Bo", "Ann", "ann", "Bo"] * 100, table_key)
         assert sorted(calls) == ["Ann", "Bo", "ann"]
 
 

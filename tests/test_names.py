@@ -1,5 +1,6 @@
-"""Normalization profiles, person-name filtering, and character encoding."""
+"""Name keys, person-name filtering, and character encoding."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,31 +15,27 @@ name_text = st.text(
 
 class TestNormalize:
     def test_neural_keeps_hyphen_space_apostrophe(self):
-        assert names.normalize("O'Brien-Smith3.", names.NEURAL) == "o'brien-smith"
+        assert names.normalize("O'Brien-Smith3.") == "o'brien-smith"
 
     def test_table_strips_suffix_and_blanks(self):
-        assert names.normalize("SMITH JR", names.TABLE) == "smith"
+        assert names.normalize_table("SMITH JR") == "smith"
 
     def test_table_deletes_hyphens(self):
-        assert names.normalize("Al-Amin", names.TABLE) == "alamin"
+        assert names.normalize_table("Al-Amin") == "alamin"
 
     def test_table_deletes_apostrophes(self):
-        assert names.normalize("O'Neil", names.TABLE) == "oneil"
+        assert names.normalize_table("O'Neil") == "oneil"
 
     def test_repeated_suffixes_stripped(self):
-        assert names.normalize("Davis Jr III", names.TABLE) == "davis"
+        assert names.normalize_table("Davis Jr III") == "davis"
 
     def test_suffix_alone_is_kept(self):
         # Only trailing tokens are suffixes; a lone token is the whole name.
-        assert names.normalize("JR", names.TABLE) == "jr"
+        assert names.normalize_table("JR") == "jr"
 
     def test_empty_after_normalization(self):
         with pytest.raises(EmptyAfterNormalizationError):
-            names.normalize("123...!", names.NEURAL)
-
-    def test_unknown_profile(self):
-        with pytest.raises(ValueError):
-            names.normalize("smith", "census")
+            names.normalize("123...!")
 
     def test_custom_suffix_list(self):
         assert names.normalize_table("Nguyen Esq", suffixes=("esq",)) == "nguyen"
@@ -47,32 +44,58 @@ class TestNormalize:
     @given(name_text)
     def test_neural_idempotent_and_clean(self, raw):
         try:
-            once = names.normalize(raw, names.NEURAL)
+            once = names.normalize(raw)
         except EmptyAfterNormalizationError:
             return
-        assert names.normalize(once, names.NEURAL) == once
+        assert names.normalize(once) == once
         assert set(once) <= set("abcdefghijklmnopqrstuvwxyz' -")
 
     @settings(max_examples=400, deadline=None)
     @given(name_text)
     def test_table_idempotent_and_alpha(self, raw):
         try:
-            once = names.normalize(raw, names.TABLE)
+            once = names.normalize_table(raw)
         except EmptyAfterNormalizationError:
             return
-        assert names.normalize(once, names.TABLE) == once
+        assert names.normalize_table(once) == once
         assert set(once) <= set("abcdefghijklmnopqrstuvwxyz")
 
 
-class TestIsValidName:
-    def test_single_character_part_fails(self):
-        assert not names.is_valid_name("j", "smith")
+def ref_encode_columns(firsts, lasts, min_length):
+    """Per-row encoding: normalize both names, check their lengths, encode."""
+    rows, usable = [], []
+    for first, last in zip(firsts, lasts):
+        try:
+            first, last = names.normalize(first), names.normalize(last)
+        except EmptyAfterNormalizationError:
+            usable.append(False)
+            continue
+        usable.append(len(first) >= min_length and len(last) >= min_length)
+        if usable[-1]:
+            rows.append(names.encode_name(first, last))
+    return np.array(rows, dtype=np.int64).reshape(-1, names.WINDOW), usable
 
-    def test_two_characters_pass(self):
-        assert names.is_valid_name("jo", "li")
 
-    def test_empty_fails(self):
-        assert not names.is_valid_name("", "smith")
+short_name = st.one_of(
+    st.sampled_from(["", "a", "Al", "O'Neil", "!!", "x-y", "Smith Jr", " b "]),
+    st.text(alphabet="abAB -'.1", max_size=6),
+)
+# a few distinct pairs drawn with repeats
+name_pairs = st.lists(st.tuples(short_name, short_name), min_size=1, max_size=6).flatmap(
+    lambda pool: st.lists(st.sampled_from(pool), max_size=30)
+)
+
+
+class TestEncodeColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(name_pairs, st.sampled_from([1, 2]))
+    def test_matches_per_row_reference(self, pairs, min_length):
+        firsts, lasts = [f for f, _ in pairs], [l for _, l in pairs]
+        codes, usable = names.encode_columns(firsts, lasts, min_length)
+        ref_codes, ref_usable = ref_encode_columns(firsts, lasts, min_length)
+        assert usable.dtype == bool and usable.tolist() == ref_usable
+        assert codes.dtype == np.int64
+        np.testing.assert_array_equal(codes, ref_codes)
 
 
 class TestIsPersonName:
