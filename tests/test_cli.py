@@ -661,9 +661,12 @@ class TestReadPredictions:
         outputs = {}
         for model in models:
             covered = np.array(data.draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
+            # a covered row has some mass; a declined row is all zeros
             cells = st.lists(probability, min_size=len(RACES), max_size=len(RACES))
-            probs = np.array(data.draw(st.lists(cells, min_size=n_rows, max_size=n_rows)))
-            probs[~covered] = 0.0  # a declined row is all zeros
+            massed = cells.filter(lambda row: sum(row) > 0.0)
+            probs = np.array(
+                [data.draw(massed) if c else [0.0] * len(RACES) for c in covered], dtype=float
+            )
             reason = np.where(covered, 0, REASON_CODE[DECLINED]).astype(np.int8)
             outputs[model] = Scores(probs, reason)
         path = tmp_path / "preds.csv"
