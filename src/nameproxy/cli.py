@@ -24,7 +24,7 @@ from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from .csvio import read_csv, write_csv
-from .ensemble import ensemble_scores
+from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
@@ -46,11 +46,7 @@ from .tables import (
 logger = logging.getLogger(__name__)
 
 VOTER_HEADER = ["first_name", "last_name", "geo_id", "race"]
-MODEL_CHOICES = ("first_last", "first_last_zcta", "bisg", "bifsg", "ensemble")
-
-#: Ensemble member ids may name the improved (merged-table) variants; they
-#: run the same machinery, the tables in the config decide the rest.
-MEMBER_ALIASES = {"ibisg": "bisg", "ibifsg": "bifsg"}
+MODEL_CHOICES = (*MEMBER_MODELS, "ensemble")
 
 
 def read_people_csv(path, races: RaceSet, require_race: bool) -> People:
@@ -396,14 +392,17 @@ def cmd_evaluate(args, config: RunConfig) -> int:
 
 def cmd_sample(args, config: RunConfig) -> int:
     people = read_people_csv(args.input, config.races, require_race=True)
-    # "first last" has a filter word exactly when one of its parts has one
     person = partial(is_person_name, filter_words=config.filter_words)
     kept = np.ones(len(people), dtype=bool)
-    for column in (people.first, people.last):
-        verdicts, codes = column_keys(column, person)
-        kept &= np.array(verdicts, dtype=bool)[codes]
+    triple = np.zeros(len(people), dtype=np.intp)
+    for column, filtered in ((people.first, True), (people.last, True), (people.geo, False)):
+        values, codes = column_keys(column)
+        if filtered:  # "first last" has a filter word exactly when one of its parts has one
+            kept &= np.array([person(value) for value in values], dtype=bool)[codes]
+        # one code per distinct (first, last, geo) so far, renumbered densely
+        # so the product stays below len(people) ** 2
+        _, triple = np.unique(triple * len(values) + codes, return_inverse=True)
     # the first kept row of each distinct (first, last, geo)
-    _, triple = column_keys(zip(people.first, people.last, people.geo))
     _, first_seen = np.unique(triple[kept], return_index=True)
     unique = np.flatnonzero(kept)[np.sort(first_seen)]
     indices = representative_sample_indices(

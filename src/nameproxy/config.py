@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import RaceSet
-from .ensemble import EnsembleSpec
+from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, EnsembleSpec
 from .errors import SchemaError
 from .lstm import TrainConfig
 from .names import DEFAULT_FILTER_WORDS, DEFAULT_SUFFIXES, load_filter_words
@@ -121,6 +121,12 @@ def load_config(path) -> RunConfig:
             members=strings("ensemble.members", members),
             weights=numbers("ensemble.weights", weights) if "weights" in ensemble_raw else None,
         )
+        # predict runs each member as a model of its own: the ensemble
+        # itself cannot be one
+        for member in ensemble.members:
+            if MEMBER_ALIASES.get(member, member) not in MEMBER_MODELS:
+                choices = ", ".join([*MEMBER_MODELS, *MEMBER_ALIASES])
+                raise ValueError(f"unknown member {member!r}; choose from {choices}")
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: bad ensemble spec: {exc}") from exc
 

@@ -8,6 +8,14 @@ import numpy as np
 
 from .core import NO_MEMBER, REASON_CODE, Scores, renormalize_rows
 
+#: The predict models an ensemble member may name (every one but the
+#: ensemble itself).
+MEMBER_MODELS = ("first_last", "first_last_zcta", "bisg", "bifsg")
+
+#: Member ids may name the improved (merged-table) variants; they run the
+#: same machinery, the tables in the config decide the rest.
+MEMBER_ALIASES = {"ibisg": "bisg", "ibifsg": "bifsg"}
+
 #: Default member ids: the geography-augmented name model plus the two
 #: Bayes predictors built on merged (internal + external) tables.
 DEFAULT_MEMBERS = ("first_last_zcta", "ibisg", "ibifsg")

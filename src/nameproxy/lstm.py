@@ -29,18 +29,18 @@ file.
 
 Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
-:func:`forward` (inference, and training-mode probabilities) keeps no
-training cache: each direction projects its input :data:`_CHUNK` steps
-at a time into one reused buffer and holds the running ``h``/``c``
-state, so eval memory is a layer's input and output plus that buffer.
-Only :func:`loss_and_gradients` keeps what BPTT reads: per direction the
-whole window's input projection, overwritten step by step with the
-activated gates, and every ``c_t``.  ``h_{t-1}`` is read from the layer
-output and ``tanh(c_t)`` is recomputed; the gate gradients then
-overwrite the activations.  Probabilities and loss are bit-identical to
-those of the earlier batch-major kernels; gradients differ from them by
-at most about 1e-15 relative to the largest entry, as the weight-gradient
-GEMMs now sum their rows in time order.
+Inference and training share one layer pass, :func:`_run_direction`: it
+projects the input :data:`_CHUNK` steps at a time and overwrites each
+step's projection with its activated gates.  :func:`forward` gives it
+one reused chunk buffer and keeps only the running ``h``/``c``, so eval
+memory is a layer's input and output plus that buffer.
+:func:`loss_and_gradients` gives it whole-window buffers and keeps one
+record per layer (input, output, dropout mask, and per direction every
+step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
+``tanh(c_t)`` is recomputed, and the gate gradients overwrite the gates.
+Probabilities and loss are bit-identical to the earlier batch-major
+kernels; gradients differ by at most about 1e-15 relative to the largest
+entry, as the weight-gradient GEMMs sum their rows in time order.
 
 Raw names are encoded in one place, :func:`names.encode_columns`: for
 training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
@@ -229,34 +229,29 @@ def _project(direction: LstmDirection, x, out):
     return out
 
 
-def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: bool):
+def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, c_all=None):
     """One direction's pass over the window, writing each ``h_t`` into ``out``.
 
     ``x`` is the time-major ``(steps, batch, in_dim)`` layer input and
-    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  Without
-    ``keep_cache`` the input is projected :data:`_CHUNK` steps at a time
-    into one reused buffer, and the return value is None.  With it the
-    whole window is projected into ``(steps, batch, 4*hidden)`` ``acts``,
-    which each step overwrites with its activated gates, and every ``c_t``
-    is kept; those two arrays plus ``x`` and ``out`` are what BPTT reads,
-    and they are returned.
+    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  The input is
+    projected :data:`_CHUNK` steps at a time into ``acts``, and each step
+    overwrites its projection with its activated gates.  ``acts`` is either
+    one ``(min(_CHUNK, steps), batch, 4*hidden)`` chunk that every run of
+    steps reuses, or the whole ``(steps, batch, 4*hidden)`` window, where
+    each run lands at its own steps so every step's gates survive.  Each
+    ``c_t`` is written into ``c_all`` when it is given.
     """
     steps, batch, _ = x.shape
     hidden = direction.w_rec.shape[0]
-    if keep_cache:
-        acts = np.empty((steps, batch, 4 * hidden))
-        c_all = np.empty((steps, batch, hidden))
-        spans = [(0, steps)]
-    else:
-        acts = np.empty((min(_CHUNK, steps), batch, 4 * hidden))
-        c = np.empty((batch, hidden))
-        spans = [(t0, min(t0 + _CHUNK, steps)) for t0 in range(0, steps, _CHUNK)]
     rec = np.empty((batch, 4 * hidden))
     tmp = np.empty((batch, hidden))
+    c = np.empty((batch, hidden))
     # the state before the first step: h and c are zero
     h_prev = c_prev = np.zeros((batch, hidden))
-    for t0, t1 in reversed(spans) if reverse else spans:
-        zs = _project(direction, x[t0:t1], acts[: t1 - t0])
+    starts = range(0, steps, _CHUNK)
+    for t0 in reversed(starts) if reverse else starts:
+        t1 = min(t0 + _CHUNK, steps)
+        zs = _project(direction, x[t0:t1], acts[t0:t1] if len(acts) == steps else acts[: t1 - t0])
         for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
             z = zs[t - t0]
             np.matmul(h_prev, direction.w_rec, out=rec)
@@ -267,7 +262,7 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: 
             np.tanh(g, out=g)
             _sigmoid_inplace(o)
             # c = f * c_prev + i * g
-            c_t = c_all[t] if keep_cache else c
+            c_t = c if c_all is None else c_all[t]
             np.multiply(f, c_prev, out=c_t)
             np.multiply(i, g, out=tmp)
             c_t += tmp
@@ -276,23 +271,20 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, keep_cache: 
             h_prev = out[t]
             np.multiply(o, tmp, out=h_prev)
             c_prev = c_t
-    if not keep_cache:
-        return None
-    return {"x": x, "h": out, "acts": acts, "c": c_all, "reverse": reverse}
 
 
-def _backprop_direction(direction: LstmDirection, cache, d_out, grad: LstmDirection):
+def _backprop_direction(direction: LstmDirection, x, h, acts, c, reverse: bool, d_out,
+                        grad: LstmDirection):
     """BPTT through one direction: writes its weight gradients into ``grad``'s
     views and returns the gradient with respect to the direction's input.
 
+    ``x``, ``h`` (the direction's output), ``acts`` and ``c`` are the
+    arrays :func:`_run_direction` read and wrote over the whole window, and
     ``d_out`` is the time-major ``(steps, batch, hidden)`` gradient of the
-    direction's output.  Each step's gate gradients overwrite its gate
-    activations in ``acts``, which then holds every ``dz`` for the weight
-    gradients.  ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from the
-    direction's output.
+    output.  Each step's gate gradients overwrite its gate activations in
+    ``acts``, which then holds every ``dz`` for the weight gradients.
+    ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from ``h``.
     """
-    x, h, acts, c = cache["x"], cache["h"], cache["acts"], cache["c"]
-    reverse = cache["reverse"]
     steps, batch, in_dim = x.shape
     hidden = h.shape[2]
     zero = np.zeros((batch, hidden))
@@ -352,12 +344,18 @@ def _backprop_direction(direction: LstmDirection, cache, d_out, grad: LstmDirect
     return (dz @ direction.w_in.T).reshape(steps, batch, in_dim)
 
 
-def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, keep_cache: bool):
-    """Probabilities, plus the BPTT cache when ``keep_cache`` (else None).
+def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, tape=None):
+    """``(log_probs, feat, codes)``: log-probabilities, the dense head's input
+    and the checked ``(batch, steps)`` codes.
 
-    Activations are time-major, ``(steps, batch, features)``.  Without the
-    cache each layer's output is dropped as soon as the next layer has
-    read it, so memory stays at one layer's activations.
+    Activations are time-major, ``(steps, batch, features)``.  Without a
+    ``tape`` each direction projects into one reused chunk and each layer's
+    output is dropped as soon as the next layer has read it, so memory
+    stays at one layer's activations.  Given a list, it gets one
+    ``(x, out, mask, (acts, c) forward, (acts, c) backward)`` record per
+    layer: the layer's input and output, the dropout mask applied to that
+    output (or None), and per direction the whole window's gates and
+    ``c_t``, which is what BPTT reads.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -375,42 +373,35 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ke
     drop_rng = np.random.default_rng(dropout_seed)
     use_dropout = mode == TRAIN and params.dropout > 0.0
 
+    span = min(_CHUNK, steps) if tape is None else steps
     x = params.embedding[codes.T]  # (T, B, D)
-    layer_caches = []
     for l, (fwd, bwd) in enumerate(params.layers):
         out = np.empty((steps, batch, 2 * hidden))  # forward | backward
-        cache_f = _run_direction(fwd, x, False, out[:, :, :hidden], keep_cache)
-        cache_b = _run_direction(bwd, x, True, out[:, :, hidden:], keep_cache)
+        stores = []
+        for direction, reverse, h in ((fwd, False, out[:, :, :hidden]),
+                                      (bwd, True, out[:, :, hidden:])):
+            acts = np.empty((span, batch, 4 * hidden))
+            c_all = None if tape is None else np.empty((steps, batch, hidden))
+            _run_direction(direction, x, reverse, h, acts, c_all)
+            if tape is not None:
+                stores.append((acts, c_all))
+            del acts  # inference holds one direction's chunk at a time
         mask = None
-        if l < params.n_layers - 1:
-            if use_dropout:
-                # drawn in (batch, steps) order: that order fixes which units
-                # a seed drops, so train-mode probabilities do not depend on
-                # the activation layout
-                keep = 1.0 - params.dropout
-                mask = drop_rng.random((batch, steps, 2 * hidden))
-                np.divide(mask < keep, keep, out=mask)
-                mask = mask.transpose(1, 0, 2)
-                x = out * mask
-            else:
-                x = out
-        if keep_cache:
-            layer_caches.append({"fwd": cache_f, "bwd": cache_b, "mask": mask})
+        if use_dropout and l < params.n_layers - 1:
+            # drawn in (batch, steps) order: that order fixes which units a
+            # seed drops, so train-mode probabilities do not depend on the
+            # activation layout
+            keep = 1.0 - params.dropout
+            mask = drop_rng.random((batch, steps, 2 * hidden))
+            np.divide(mask < keep, keep, out=mask)
+            mask = mask.transpose(1, 0, 2)
+        if tape is not None:
+            tape.append((x, out, mask, *stores))
+        x = out if mask is None else out * mask
 
     feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
     logits = feat @ params.dense_w + params.dense_b
-    log_probs = _log_softmax(logits)
-    probs = np.exp(log_probs)
-    if not keep_cache:
-        return probs, None
-    cache = {
-        "codes": codes,
-        "layers": layer_caches,
-        "feat": feat,
-        "log_probs": log_probs,
-        "probs": probs,
-    }
-    return probs, cache
+    return _log_softmax(logits), feat, codes
 
 
 def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 0) -> np.ndarray:
@@ -423,8 +414,8 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
     probabilities are bit-identical to those :func:`loss_and_gradients`
     computes.
     """
-    probs, _ = _forward_pass(params, codes, mode, dropout_seed, keep_cache=False)
-    return probs
+    log_probs, _, _ = _forward_pass(params, codes, mode, dropout_seed)
+    return np.exp(log_probs)
 
 
 def loss_and_gradients(
@@ -441,43 +432,42 @@ def loss_and_gradients(
     and the embedding rows that the batch touched.
     """
     labels = np.asarray(labels, dtype=np.int64)
-    probs, cache = _forward_pass(params, codes, mode, dropout_seed, keep_cache=True)
-    batch = probs.shape[0]
+    tape = []
+    log_probs, feat, codes = _forward_pass(params, codes, mode, dropout_seed, tape)
+    batch, steps = codes.shape
     if labels.shape != (batch,):
         raise ShapeMismatchError(f"labels must be ({batch},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= params.n_classes:
         raise ShapeMismatchError("label outside class range")
-    loss = float(-cache["log_probs"][np.arange(batch), labels].mean())
+    loss = float(-log_probs[np.arange(batch), labels].mean())
 
     grads = params.like(np.zeros_like(params.flat))
     hidden = params.hidden
 
-    d_logits = cache["probs"].copy()
+    d_logits = np.exp(log_probs)
     d_logits[np.arange(batch), labels] -= 1.0
     d_logits /= batch
-    grads.dense_w[...] = cache["feat"].T @ d_logits
+    grads.dense_w[...] = feat.T @ d_logits
     grads.dense_b[...] = d_logits.sum(axis=0)
     d_feat = d_logits @ params.dense_w.T
 
-    steps = cache["codes"].shape[1]
     d_out = np.zeros((steps, batch, 2 * hidden))
     d_out[-1, :, :hidden] = d_feat[:, :hidden]
     d_out[0, :, hidden:] += d_feat[:, hidden:]
 
-    layer_caches = cache["layers"]
-    for l in range(params.n_layers - 1, -1, -1):
-        # each layer's cache is released once its gradients are out
-        layer_cache = layer_caches.pop()
-        (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
-        d_input = _backprop_direction(fwd, layer_cache["fwd"], d_out[:, :, :hidden], grad_f)
-        d_input += _backprop_direction(bwd, layer_cache["bwd"], d_out[:, :, hidden:], grad_b)
-        del layer_cache
-        if l > 0:
-            mask = layer_caches[-1]["mask"]
-            d_out = d_input if mask is None else d_input * mask
-        else:
-            flat_codes = cache["codes"].T.ravel()
-            np.add.at(grads.embedding, flat_codes, d_input.reshape(-1, params.embed_dim))
+    for (fwd, bwd), (grad_f, grad_b) in zip(params.layers[::-1], grads.layers[::-1]):
+        # each layer's record is released when the next one is popped
+        x, out, mask, fwd_store, bwd_store = tape.pop()
+        if mask is not None:
+            d_out *= mask  # the next layer's input gradient, onto this output
+        d_input = _backprop_direction(
+            fwd, x, out[:, :, :hidden], *fwd_store, False, d_out[:, :, :hidden], grad_f
+        )
+        d_input += _backprop_direction(
+            bwd, x, out[:, :, hidden:], *bwd_store, True, d_out[:, :, hidden:], grad_b
+        )
+        d_out = d_input
+    np.add.at(grads.embedding, codes.T.ravel(), d_out.reshape(-1, params.embed_dim))
     return loss, grads.flat
 
 
@@ -549,12 +539,17 @@ class TrainConfig:
             value = getattr(self, f.name)
             if type(value) not in kind:
                 raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("epochs", "batch_size", "embed_dim", "hidden", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 < self.split < 1.0:
             raise ValueError("split must be in (0, 1)")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -639,8 +634,7 @@ def train(people: People, cfg: TrainConfig):
     )
 
     log: list[EpochStats] = []
-    best_params = params.copy()
-    best_acc = -1.0
+    best_acc = -1.0  # epochs >= 1, so the first epoch sets best_params
     for epoch in range(1, cfg.epochs + 1):
         order = epoch_rng.permutation(x_train.shape[0])
         total_loss = 0.0

@@ -9,6 +9,7 @@ import pytest
 
 from nameproxy.cli import main
 from nameproxy.core import People, RaceSet
+from nameproxy.csvio import write_csv as write_framed_csv
 
 RACE_LABELS = ("asian", "black", "hispanic", "white")
 
@@ -86,10 +87,8 @@ def synthetic_voter_rows(seed=0):
 
 
 def write_csv(path, rows, header=("first_name", "last_name", "geo_id", "race")):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    """A voter-style file, framed as nameproxy frames it (names may hold "\r")."""
+    write_framed_csv(path, list(header), rows, text=(0, 1, 2))
 
 
 @pytest.fixture(scope="session")

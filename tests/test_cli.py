@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import nameproxy.cli as cli
 import nameproxy.names as names
+from nameproxy.bayes import BayesContext, bayes_scores
 from nameproxy.cli import (
     main,
     prediction_header,
@@ -43,6 +44,20 @@ RACES = RaceSet()
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+# train values of the right type that training cannot use
+TRAIN_OUT_OF_RANGE = {
+    "epochs_zero": {"epochs": 0},
+    "embed_dim_zero": {"embed_dim": 0},
+    "hidden_zero": {"hidden": 0},
+    "layers_zero": {"layers": 0},
+    "lr_negative": {"lr": -1},
+    "lr_zero": {"lr": 0.0},
+    "lr_nan": {"lr": float("nan")},
+    "weight_decay_negative": {"weight_decay": -0.5},
+    "weight_decay_inf": {"weight_decay": float("inf")},
+}
 
 
 class TestConfig:
@@ -88,10 +103,16 @@ class TestConfig:
             {"sample_shares": "1234"},
             {"suffixes": ["jr", 3]},
             {"train": {"epochs": "2", "embed_dim": 4, "hidden": 4, "layers": 1}},
+            {"ensemble": {"members": ["ensemble", "bisg"]}},
+            {"ensemble": {"members": ["bogus"]}},
+            *(
+                {"train": {"embed_dim": 4, "hidden": 4, "layers": 1, **bad}}
+                for bad in TRAIN_OUT_OF_RANGE.values()
+            ),
         ],
         ids=[
             "strict", "alpha_negative", "alpha_text", "races", "members", "weights", "shares",
-            "suffixes", "train",
+            "suffixes", "train", "member_ensemble", "member_unknown", *TRAIN_OUT_OF_RANGE,
         ],
     )
     def test_value_of_wrong_type_names_file(self, tmp_path, capsys, entry):
@@ -102,6 +123,31 @@ class TestConfig:
         rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
         assert rc == 1
         assert capsys.readouterr().err.startswith(f"nameproxy: {path}: ")
+
+    @pytest.mark.parametrize(
+        "entry,message",
+        [
+            ({"ensemble": {"members": ["ensemble", "ibisg"]}},
+             "bad ensemble spec: unknown member 'ensemble'; choose from first_last, "
+             "first_last_zcta, bisg, bifsg, ibisg, ibifsg"),
+            ({"ensemble": {"members": ["ibisg", "bogus"]}},
+             "bad ensemble spec: unknown member 'bogus'; choose from "),
+            ({"train": {"epochs": 0}}, "bad train section: epochs must be >= 1"),
+            ({"train": {"lr": -1}}, "bad train section: lr must be finite and > 0"),
+        ],
+        ids=["member_ensemble", "member_unknown", "epochs_zero", "lr_negative"],
+    )
+    def test_unusable_value_names_its_section(self, tmp_path, entry, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, **entry}))
+        with pytest.raises(SchemaError, match=f"^{re.escape(f'{path}: {message}')}"):
+            load_config(path)
+
+    def test_every_member_model_loads(self, tmp_path):
+        members = [*cli.MODEL_CHOICES[:-1], "ibisg", "ibifsg"]
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "ensemble": {"members": members}}))
+        assert load_config(path).ensemble.members == tuple(members)
 
     def test_missing_config_file_is_io_error(self, tmp_path):
         rc = run(
@@ -139,6 +185,14 @@ class TestIngestion:
         write_people_csv(people_of([("a\rb", "c", "10001", "white")]), path)
         people = read_people_csv(path, RACES, require_race=True)
         assert people.first == ["a\rb"]
+
+    def test_helper_writer_quotes_lone_carriage_return(self, tmp_path):
+        path = tmp_path / "people.csv"
+        write_csv(path, [("a\rb", "c\r", "10001\r", "white"), ("d", "e", "20002", "black")])
+        people = read_people_csv(path, RACES, require_race=True)
+        assert (people.first, people.last, people.geo) == (
+            ["a\rb", "d"], ["c\r", "e"], ["10001", "20002"]
+        )
 
     @settings(
         max_examples=200,
@@ -598,6 +652,50 @@ class TestPredictCommand:
         )
         assert rc == 1
         assert "three.bin: parameters have 3 classes for 4 races" in capsys.readouterr().err
+
+    def test_missing_surname_table_names_its_key(self, world, tmp_path, capsys):
+        cfg_path = self.config_with(world, tmp_path)
+        config = json.loads(cfg_path.read_text())
+        del config["paths"]["surname_table"]
+        cfg_path.write_text(json.dumps(config))
+        input_csv = tmp_path / "input.csv"
+        write_csv(input_csv, DEFAULT_INPUT_ROWS)
+        rc = run(
+            "predict",
+            "--config", cfg_path,
+            "--input", input_csv,
+            "--models", "bisg",
+            "--out", tmp_path / "p.csv",
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "nameproxy: config paths.surname_table is required for the requested model\n"
+
+    def test_smoothing_alpha_reaches_bisg(self, world, tmp_path):
+        cfg_path = self.config_with(world, tmp_path)
+        config = json.loads(cfg_path.read_text())
+        config["smoothing_alpha"] = 0.5
+        cfg_path.write_text(json.dumps(config))
+        input_csv = tmp_path / "input.csv"
+        write_csv(input_csv, DEFAULT_INPUT_ROWS)
+        out = tmp_path / "p.csv"
+        rc = run(
+            "predict", "--config", cfg_path, "--input", input_csv, "--models", "bisg", "--out", out
+        )
+        assert rc == 0
+        people = read_people_csv(input_csv, RACES, require_race=False)
+        surname = NameTable.load(world["tables"] / "surname_table.csv")
+        geo = GeoTable.load(world["tables"] / "geo_table.csv")
+
+        def bisg(alpha):
+            surname.smoothing_alpha = alpha
+            return bayes_scores(BayesContext(surname, geo, races=RACES), people.last, people.geo)
+
+        got = read_predictions_csv(out, RACES, len(people))["bisg"]
+        want = bisg(0.5)
+        np.testing.assert_array_equal(got.reason, np.where(want.covered, 0, REASON_CODE[DECLINED]))
+        np.testing.assert_array_equal(got.probs, want.probs)  # bit for bit
+        assert not np.array_equal(bisg(0.0).probs, want.probs)
 
     def test_count_beyond_int64_names_file_and_line(self, world, tmp_path, capsys):
         geo = tmp_path / "geo.csv"
