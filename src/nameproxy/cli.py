@@ -23,7 +23,7 @@ import numpy as np
 from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
-from .csvio import read_csv, write_csv
+from .csvio import framed, read_csv, write_csv
 from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
@@ -265,25 +265,31 @@ def cmd_predict(args, config: RunConfig) -> int:
 def write_predictions_csv(outputs: dict[str, Scores], races: RaceSet, path) -> None:
     """Write each model's :class:`Scores`, one line per row and model;
     :func:`read_predictions_csv` reads the file back."""
-    # per model: row values as Python floats (whose str is repr of the
-    # float64), the argmax label and the covered flag
-    blank = [""] * len(races) + ["", 0]
-    columns = [
-        (
-            model,
-            scores.probs.tolist(),
-            [races.labels[i] for i in scores.probs.argmax(axis=1).tolist()],
-            scores.covered.tolist(),
-        )
-        for model, scores in outputs.items()
-    ]
-    n_rows = len(columns[0][1]) if columns else 0
-    rows = (
-        [i, model, *probs[i], labels[i], 1] if covered[i] else [i, model, *blank]
-        for i in range(n_rows)
-        for model, probs, labels, covered in columns
-    )
-    write_csv(path, prediction_header(races), rows)
+    # per model, each row's line after its row id.  Each distinct row of
+    # probabilities is formatted once, keyed by its bytes so that -0.0 and
+    # 0.0 keep their own text; its values are Python floats, whose str is
+    # the repr of the float64, as the csv writer prints them.
+    labels = [framed([label]) for label in races]
+    declined = "," * (len(races) + 1) + "0"  # empty probabilities and max_race
+    tails = []
+    for model, scores in outputs.items():
+        head = framed([model])
+        probs = np.ascontiguousarray(scores.probs)
+        keys = probs.view(np.dtype((np.void, probs.itemsize * probs.shape[1])))[:, 0]
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        distinct = probs[first]
+        covered_text = [
+            f"{head},{','.join(map(str, row))},{labels[label]},1"
+            for row, label in zip(distinct.tolist(), distinct.argmax(axis=1).tolist())
+        ]
+        declined_text = f"{head},{declined}"
+        tails.append([
+            covered_text[k] if covered else declined_text
+            for k, covered in zip(inverse.tolist(), scores.covered.tolist())
+        ])
+    n_rows = len(tails[0]) if tails else 0
+    lines = (f"{i},{model_tails[i]}\n" for i in range(n_rows) for model_tails in tails)
+    write_csv(path, prediction_header(races), lines=lines)
 
 
 def read_predictions_csv(path, races: RaceSet, n_rows: int) -> dict[str, Scores]:

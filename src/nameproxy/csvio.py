@@ -5,6 +5,7 @@ one header line that must match exactly, then records of its field count.
 from __future__ import annotations
 
 import csv
+import io
 from contextlib import contextmanager, nullcontext
 
 from .errors import SchemaError
@@ -39,8 +40,21 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
             raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
 
 
-def write_csv(path, header: list[str], rows, text: tuple[int, ...] = (), preamble: str = ""):
-    """Write ``preamble`` as it is, then ``header`` and ``rows``.
+def framed(fields) -> str:
+    """``fields`` as :func:`write_csv` frames them within a record, without a
+    line end: text to join with "," to other framed text, or to text that
+    needs no quoting, such as formatted numbers."""
+    buf = io.StringIO()
+    # a trailing empty field: a record of one empty field alone is quoted
+    csv.writer(buf, lineterminator="\n").writerow([*fields, ""])
+    return buf.getvalue()[:-2]
+
+
+def write_csv(path, header: list[str], rows=(), text: tuple[int, ...] = (), preamble: str = "",
+              lines=()):
+    """Write ``preamble`` as it is, then ``header`` and ``rows``, then
+    ``lines``, records already framed (see :func:`framed`) that each end in
+    "\\n".
 
     ``text`` holds the indices of free-text columns (names, geo ids, table
     keys); a row with a "\\r" in one of them is quoted in full, since with
@@ -53,7 +67,8 @@ def write_csv(path, header: list[str], rows, text: tuple[int, ...] = (), preambl
         writer.writerow(header)
         if not text:
             writer.writerows(rows)
-            return
-        quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
-        for row in rows:
-            (quote_all if any("\r" in row[i] for i in text) else writer).writerow(row)
+        else:
+            quote_all = csv.writer(fh, lineterminator="\n", quoting=csv.QUOTE_ALL)
+            for row in rows:
+                (quote_all if any("\r" in row[i] for i in text) else writer).writerow(row)
+        fh.writelines(lines)

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import RaceSet
-from .csvio import write_csv
+from .csvio import framed, write_csv
 from .errors import LengthMismatchError, SingleClassError
 
 __all__ = [
@@ -182,12 +182,15 @@ def emit_report(
             written.append(str(path))
         for model in sorted(rocs or {}):
             path = out_dir / f"roc_{model}.csv"
-            rows = (
-                [model, race, f"{x:.6f}", f"{t:.6f}"]
-                for race, curve in rocs[model].items()
-                for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
-            )
-            write_csv(path, ["model", "race", "fpr", "tpr"], rows)
+            # each curve's model and race framed once, then joined to every point
+            lines = []
+            for race, curve in rocs[model].items():
+                start = framed([model, race])
+                lines.append("".join(
+                    f"{start},{x:.6f},{t:.6f}\n"
+                    for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
+                ))
+            write_csv(path, ["model", "race", "fpr", "tpr"], lines=lines)
             written.append(str(path))
         if reports:
             path = out_dir / "f1_comparison.csv"

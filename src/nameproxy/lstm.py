@@ -35,9 +35,12 @@ step's projection with its activated gates.  :func:`forward` gives it
 one reused chunk buffer and keeps only the running ``h``/``c``, so eval
 memory is a layer's input and output plus that buffer.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
-record per layer (input, output, dropout mask, and per direction every
+record per layer (output, bool dropout mask, and per direction every
 step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
 ``tanh(c_t)`` is recomputed, and the gate gradients overwrite the gates.
+A layer's input is rebuilt in backward, from the previous record's output
+and mask or from the embedding, in the output-gradient buffer backward
+no longer needs; the input gradient is written over that buffer.
 Probabilities and loss are bit-identical to the earlier batch-major
 kernels; gradients differ by at most about 1e-15 relative to the largest
 entry, as the weight-gradient GEMMs sum their rows in time order.
@@ -273,20 +276,21 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, c_all=
             c_prev = c_t
 
 
-def _backprop_direction(direction: LstmDirection, x, h, acts, c, reverse: bool, d_out,
+def _backprop_direction(direction: LstmDirection, h, acts, c, reverse: bool, d_out,
                         grad: LstmDirection):
-    """BPTT through one direction: writes its weight gradients into ``grad``'s
-    views and returns the gradient with respect to the direction's input.
+    """BPTT through one direction: writes the ``w_rec`` and ``bias`` gradients
+    into ``grad``'s views and returns every step's gate gradient ``dz``, a
+    ``(steps * batch, 4*hidden)`` view of ``acts``.
 
-    ``x``, ``h`` (the direction's output), ``acts`` and ``c`` are the
-    arrays :func:`_run_direction` read and wrote over the whole window, and
-    ``d_out`` is the time-major ``(steps, batch, hidden)`` gradient of the
-    output.  Each step's gate gradients overwrite its gate activations in
-    ``acts``, which then holds every ``dz`` for the weight gradients.
-    ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from ``h``.
+    ``h`` (the direction's output), ``acts`` and ``c`` are the arrays
+    :func:`_run_direction` wrote over the whole window, and ``d_out`` is the
+    time-major ``(steps, batch, hidden)`` gradient of the output.  Each
+    step's gate gradients overwrite its gate activations in ``acts``.
+    ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from ``h``.  The
+    ``w_in`` gradient and the input gradient are the caller's, from ``dz``
+    and the layer input.
     """
-    steps, batch, in_dim = x.shape
-    hidden = h.shape[2]
+    steps, batch, hidden = h.shape
     zero = np.zeros((batch, hidden))
     dh_next = np.zeros((batch, hidden))
     dc_next = np.zeros((batch, hidden))
@@ -330,9 +334,7 @@ def _backprop_direction(direction: LstmDirection, x, h, acts, c, reverse: bool, 
         np.subtract(1.0, a, out=a)
         np.multiply(dc, a, out=g)
         np.matmul(z, w_rec_t, out=dh_next)
-    rows = steps * batch
-    dz = acts.reshape(rows, 4 * hidden)
-    np.matmul(x.reshape(rows, in_dim).T, dz, out=grad.w_in)
+    dz = acts.reshape(steps * batch, 4 * hidden)
     # h_{t-1} is zero at the first step: that step adds nothing to w_rec
     if reverse:
         h_prev, dz_rec = h[1:], acts[:-1]
@@ -341,7 +343,27 @@ def _backprop_direction(direction: LstmDirection, x, h, acts, c, reverse: bool, 
     rows = (steps - 1) * batch
     np.matmul(h_prev.reshape(rows, hidden).T, dz_rec.reshape(rows, 4 * hidden), out=grad.w_rec)
     np.sum(dz, axis=0, out=grad.bias)
-    return (dz @ direction.w_in.T).reshape(steps, batch, in_dim)
+    return dz
+
+
+def _dropout(values, mask, keep: float, out=None):
+    """``values`` with the units ``mask`` (bool) drops zeroed and the kept
+    ones scaled by ``1/keep``, written into ``out`` (a new array if None).
+
+    Scaling first and then multiplying by the mask is bit for bit
+    ``values * (mask / keep)``, signed zeros included, without a float mask.
+    """
+    out = np.multiply(values, np.divide(True, keep), out=out)
+    out *= mask
+    return out
+
+
+def _reuse(dead, shape):
+    """An array of ``shape`` in the memory of the contiguous array ``dead``,
+    whose values are no longer needed, or a new one where it is too small."""
+    size = math.prod(shape)
+    flat = dead.reshape(-1)
+    return flat[:size].reshape(shape) if flat.size >= size else np.empty(shape)
 
 
 def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, tape=None):
@@ -352,10 +374,12 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     ``tape`` each direction projects into one reused chunk and each layer's
     output is dropped as soon as the next layer has read it, so memory
     stays at one layer's activations.  Given a list, it gets one
-    ``(x, out, mask, (acts, c) forward, (acts, c) backward)`` record per
-    layer: the layer's input and output, the dropout mask applied to that
-    output (or None), and per direction the whole window's gates and
-    ``c_t``, which is what BPTT reads.
+    ``(out, mask, (acts, c) forward, (acts, c) backward)`` record per
+    layer: the layer's output, the bool dropout mask applied to it (or
+    None), and per direction the whole window's gates and ``c_t``, which is
+    what BPTT reads.  A layer's input is not kept: backward rebuilds it
+    from the previous record's output and mask, or gathers the embedding
+    again for layer 0.
     """
     if mode not in (TRAIN, EVAL):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -372,6 +396,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     hidden = params.hidden
     drop_rng = np.random.default_rng(dropout_seed)
     use_dropout = mode == TRAIN and params.dropout > 0.0
+    keep = 1.0 - params.dropout
 
     span = min(_CHUNK, steps) if tape is None else steps
     x = params.embedding[codes.T]  # (T, B, D)
@@ -391,13 +416,10 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
             # drawn in (batch, steps) order: that order fixes which units a
             # seed drops, so train-mode probabilities do not depend on the
             # activation layout
-            keep = 1.0 - params.dropout
-            mask = drop_rng.random((batch, steps, 2 * hidden))
-            np.divide(mask < keep, keep, out=mask)
-            mask = mask.transpose(1, 0, 2)
+            mask = (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
         if tape is not None:
-            tape.append((x, out, mask, *stores))
-        x = out if mask is None else out * mask
+            tape.append((out, mask, *stores))
+        x = out if mask is None else _dropout(out, mask, keep)
 
     feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
     logits = feat @ params.dense_w + params.dense_b
@@ -455,18 +477,37 @@ def loss_and_gradients(
     d_out[-1, :, :hidden] = d_feat[:, :hidden]
     d_out[0, :, hidden:] += d_feat[:, hidden:]
 
-    for (fwd, bwd), (grad_f, grad_b) in zip(params.layers[::-1], grads.layers[::-1]):
+    keep = 1.0 - params.dropout
+    rows = steps * batch
+    for l in range(params.n_layers - 1, -1, -1):
+        (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
         # each layer's record is released when the next one is popped
-        x, out, mask, fwd_store, bwd_store = tape.pop()
-        if mask is not None:
-            d_out *= mask  # the next layer's input gradient, onto this output
-        d_input = _backprop_direction(
-            fwd, x, out[:, :, :hidden], *fwd_store, False, d_out[:, :, :hidden], grad_f
+        out, mask, fwd_store, bwd_store = tape.pop()
+        if mask is not None:  # the next layer's input gradient, onto this output
+            _dropout(d_out, mask, keep, out=d_out)
+        dz_f = _backprop_direction(
+            fwd, out[:, :, :hidden], *fwd_store, False, d_out[:, :, :hidden], grad_f
         )
-        d_input += _backprop_direction(
-            bwd, x, out[:, :, hidden:], *bwd_store, True, d_out[:, :, hidden:], grad_b
+        dz_b = _backprop_direction(
+            bwd, out[:, :, hidden:], *bwd_store, True, d_out[:, :, hidden:], grad_b
         )
-        d_out = d_input
+        # the layer input, rebuilt in d_out's memory, which is dead now
+        in_dim = params.embed_dim if l == 0 else 2 * hidden
+        buf = _reuse(d_out, (steps, batch, in_dim))
+        if l == 0:
+            # codes are in range; "clip" only keeps take from buffering out
+            x = np.take(params.embedding, codes.T, axis=0, out=buf, mode="clip")
+        else:
+            prev_out, prev_mask = tape[-1][:2]
+            x = prev_out if prev_mask is None else _dropout(prev_out, prev_mask, keep, out=buf)
+        x = x.reshape(rows, in_dim)
+        np.matmul(x.T, dz_f, out=grad_f.w_in)
+        np.matmul(x.T, dz_b, out=grad_b.w_in)
+        # the input gradient: the forward half over x, the backward half over dz_f
+        d_in = np.matmul(dz_f, fwd.w_in.T, out=buf.reshape(rows, in_dim))
+        d_in += np.matmul(dz_b, bwd.w_in.T, out=_reuse(dz_f, (rows, in_dim)))
+        d_out = buf
+        del dz_f, dz_b  # views of this record's gates: freed with it, not a layer later
     np.add.at(grads.embedding, codes.T.ravel(), d_out.reshape(-1, params.embed_dim))
     return loss, grads.flat
 

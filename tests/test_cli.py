@@ -775,6 +775,16 @@ class TestReadPredictions:
             assert read[model].probs.tobytes() == scores.probs.tobytes()
             assert read[model].covered.tolist() == scores.covered.tolist()
 
+    def test_equal_rows_of_other_bits_keep_their_own_text(self, tmp_path):
+        probs = np.array([[-0.0, 1.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], [-0.0, 1.0, 0.0, 0.0]])
+        path = tmp_path / "preds.csv"
+        write_predictions_csv({"m": Scores(probs, np.zeros(3, dtype=np.int8))}, RACES, path)
+        assert path.read_text().splitlines()[1:] == [
+            "0,m,-0.0,1.0,0.0,0.0,black,1",
+            "1,m,0.0,1.0,0.0,0.0,black,1",
+            "2,m,-0.0,1.0,0.0,0.0,black,1",
+        ]
+
     # the line a record ends on: the quoted "\r" ends a file line
     @pytest.mark.parametrize("model,line", [("m/x", 3), ("m\rx", 4)])
     def test_model_id_that_cannot_name_a_report_names_line(self, tmp_path, model, line):

@@ -1,5 +1,7 @@
 """Metrics, ROC/AUC, covered-subset intersection, and report files."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,22 @@ class TestEmitReport:
         lines = (tmp_path / "roc_demo.csv").read_text().splitlines()
         assert lines[0] == "model,race,fpr,tpr"
         assert lines[1].startswith("demo,asian,0.000000,0.000000")
+
+    def test_roc_model_id_that_needs_quoting_reads_back(self, tmp_path):
+        rng = np.random.default_rng(6)
+        truths = idx([RACES.labels[int(rng.integers(0, 4))] for _ in range(30)])
+        scores = rng.dirichlet(np.ones(4), size=30)
+        curves = {race: roc_curve(truths, scores, race) for race in RACES}
+        model = 'm,1\n"x"'
+        emit_report({model: self.make_report()}, {model: curves}, tmp_path)
+        with open(tmp_path / f"roc_{model}.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        points = [
+            [model, race, f"{x:.6f}", f"{t:.6f}"]
+            for race, curve in curves.items()
+            for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
+        ]
+        assert rows == [["model", "race", "fpr", "tpr"], *points]
 
     def test_byte_identical_reruns(self, tmp_path):
         report = self.make_report()
