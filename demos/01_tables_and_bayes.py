@@ -13,6 +13,7 @@ from nameproxy.bayes import BayesContext, bifsg_reason, bisg_reason
 from nameproxy.tables import (
     EXTERNAL,
     FIRSTNAME,
+    SOURCES,
     SURNAME,
     build_geo_table,
     build_name_table,
@@ -64,8 +65,8 @@ firstname_table = build_name_table(people, FIRSTNAME, seed=1)
 geo_table = build_geo_table(people)
 
 print(f"\nsurname table kept {len(surname_table)} of {len(surname_mix)} surnames:")
-for name in sorted(surname_table.entries):
-    print(f"  {name:12s} counts={surname_table.entries[name].tolist()}")
+for name, counts in sorted(zip(surname_table.keys, surname_table.counts.tolist())):
+    print(f"  {name:12s} counts={counts}")
 print('note: "dropme" fails the suppression rule (29 observations, two races);')
 print('      "rareish" passes it (16 observations, one race)')
 
@@ -74,13 +75,14 @@ print('      "rareish" passes it (16 observations, one race)')
 external = NameTable(
     kind=SURNAME,
     races=races,
-    entries={"chen": np.array([850, 20, 30, 100]), "yu": np.array([390, 2, 3, 5])},
+    keys=["chen", "yu"],
+    counts=np.array([[850, 20, 30, 100], [390, 2, 3, 5]]),
     race_totals=np.array([5000, 5000, 5000, 5000]),
-    provenance={"chen": EXTERNAL, "yu": EXTERNAL},
+    sources=np.full(2, SOURCES.index(EXTERNAL)),
 )
 merged = merge_tables(surname_table, external, prefer=EXTERNAL)
 print(f"\nafter merging the external table: {len(merged)} surnames")
-print(f'  "chen" now carries the external counts: {merged.entries["chen"].tolist()}')
+print(f'  "chen" now carries the external counts: {merged.counts[merged.index["chen"]].tolist()}')
 
 # ------------------------------------------------------------ posteriors --
 ctx = BayesContext(merged, geo_table, firstname_table=firstname_table)

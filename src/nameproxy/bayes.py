@@ -49,14 +49,14 @@ logger = logging.getLogger(__name__)
 
 
 class Factor:
-    """One table's per-key factor rows: ``matrix[i]`` for the ``i``-th key.
+    """One table's per-key factor rows: ``matrix[index[k]]`` for key ``k``.
 
     Raw strings resolve to keys through ``key`` (:func:`names.column_keys`):
     a name key for names, ``None`` for geo ids, which are used as they are.
     """
 
-    def __init__(self, keys, matrix: np.ndarray, key=None):
-        self.index = {k: i for i, k in enumerate(keys)}
+    def __init__(self, index: dict[str, int], matrix: np.ndarray, key=None):
+        self.index = index
         self.matrix = matrix
         self.key = key
         self._raws = self._rows = None
@@ -118,7 +118,7 @@ class BayesContext:
     def surname_prior(self) -> Factor:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
         table = self.table("surname_table")
-        return Factor(table.entries, table.prior_rows(), partial(table_key, suffixes=self.suffixes))
+        return Factor(table.index, table.prior_rows(), partial(table_key, suffixes=self.suffixes))
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
@@ -127,13 +127,13 @@ class BayesContext:
         if table is None:
             raise MissingFirstnameTableError("bifsg needs a first-name table")
         key = partial(table_key, suffixes=self.suffixes)
-        return Factor(table.entries, table.likelihood_rows(), key)
+        return Factor(table.index, table.likelihood_rows(), key)
 
     @cached_property
     def geo_likelihood(self) -> Factor:
         """``P(geo | race)`` rows."""
         table = self.table("geo_table")
-        return Factor(table.entries, table.likelihood_rows())
+        return Factor(table.index, table.likelihood_rows())
 
 
 def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
@@ -157,7 +157,7 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     if unusable.any():
         # raise what normalizing that entry raises
         table = ctx.table("surname_table")
-        table.race_given_name(list(table.entries)[known[unusable][0]])
+        table.race_given_name(table.keys[known[unusable][0]])
     if firsts is not None:
         first = first_like.rows(firsts)
         reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]

@@ -1,22 +1,27 @@
 """Name and geography probability tables built from voter-style columns.
 
-A :class:`NameTable` stores per-race counts keyed by a table-normalized
-name.  It answers two questions: the race distribution of a name,
-``P(race | name)``, and the likelihood of a name within each race,
-``P(name | race)``.  A :class:`GeoTable` answers ``P(geo | race)``.
+A table is one column store: ``keys`` (``str``, in row order), a
+``(len(keys), len(races))`` int64 ``counts`` matrix and the per-race
+universe totals; ``index``, the key-to-row dict, is built on first use.
+A :class:`NameTable` is keyed by table-normalized name, and each of its
+rows has a source (an int8 index into :data:`SOURCES`) with universe
+totals per source.  It answers ``P(race | name)`` and the likelihood of
+a name within each race, ``P(name | race)``.  A :class:`GeoTable`
+answers ``P(geo | race)``.
 
 Construction follows the standard small-cell suppression convention:
 a name is kept only when it has at least ``min_total`` observations, or
 falls in the single-race band (by default 15-29 observations all of one
 race).  Tables built from different sources can be merged with an
-explicit preference rule; on collision the preferred side's entry wins
+explicit preference rule; on collision the preferred side's row wins
 wholesale, never mixing counts.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -36,6 +41,8 @@ FIRSTNAME = "firstname"
 
 INTERNAL = "internal"
 EXTERNAL = "external"
+#: A name table row's source is its index in this tuple.
+SOURCES = (INTERNAL, EXTERNAL)
 
 #: Default suppression thresholds: keep when total >= 30, or when the
 #: total lies in [15, 29] and exactly one race accounts for all of it.
@@ -60,38 +67,55 @@ def _passes_suppression_rows(counts, min_total, single_race_band) -> np.ndarray:
     return (total >= min_total) | ((lo <= total) & (total <= hi) & single_race)
 
 
+class _Rows:
+    """What both tables share: ``keys[i]`` labels row ``i`` of ``counts``."""
+
+    def __post_init__(self):
+        counts = np.ascontiguousarray(self.counts, dtype=np.int64)
+        self.counts = counts.reshape(len(self.keys), len(self.races))
+        self.race_totals = np.asarray(self.race_totals, dtype=np.int64)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __contains__(self, key: str) -> bool:
+        return key in self.index
+
+    @cached_property
+    def index(self) -> dict[str, int]:
+        """Each key's row; built on first use, so ``keys`` must not change after it."""
+        return {key: i for i, key in enumerate(self.keys)}
+
+
 @dataclass
-class NameTable:
+class NameTable(_Rows):
     """Counts-per-race keyed by table-normalized name."""
 
     kind: str
     races: RaceSet
-    entries: dict[str, np.ndarray]
+    keys: list[str]
+    counts: np.ndarray
     race_totals: np.ndarray
-    provenance: dict[str, str] = field(default_factory=dict)
+    sources: np.ndarray | None = None  # index into SOURCES per row; None: all internal
     source_totals: dict[str, np.ndarray] = field(default_factory=dict)
     smoothing_alpha: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (SURNAME, FIRSTNAME):
             raise ValueError(f"unknown table kind {self.kind!r}")
-        self.race_totals = np.asarray(self.race_totals, dtype=np.int64)
+        super().__post_init__()
+        sources = np.zeros(len(self.keys)) if self.sources is None else self.sources
+        self.sources = np.asarray(sources, dtype=np.int8).reshape(len(self.keys))
         if not self.source_totals:
-            src = next(iter(self.provenance.values()), INTERNAL)
+            src = SOURCES[self.sources[0]] if self.keys else INTERNAL
             self.source_totals = {src: self.race_totals}
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
 
     def race_given_name(self, name: str) -> np.ndarray | None:
         """``P(race | name)``: the entry's counts renormalized across races."""
-        counts = self.entries.get(name)
-        if counts is None:
+        row = self.index.get(name)
+        if row is None:
             return None
-        return renormalize_rows(self._smoothed(counts[None, :]))[0]
+        return renormalize_rows(self._smoothed(self.counts[row : row + 1]))[0]
 
     def name_likelihood(self, name: str) -> np.ndarray | None:
         """``P(name | race)`` per race: entry count over that race's universe total.
@@ -99,33 +123,28 @@ class NameTable:
         The result is a vector of conditional likelihoods, one per race; it
         does not sum to 1.  Races with a zero universe total get 0.
         """
-        counts = self.entries.get(name)
-        if counts is None:
+        row = self.index.get(name)
+        if row is None:
             return None
-        totals = self.source_totals.get(self.provenance.get(name, INTERNAL), self.race_totals)
-        return _likelihood_rows(counts[None, :], totals)[0]
+        totals = self.source_totals.get(SOURCES[self.sources[row]], self.race_totals)
+        return _likelihood_rows(self.counts[row], totals)
 
     def prior_rows(self) -> np.ndarray:
-        """:meth:`race_given_name` of every entry, one row each in ``entries`` order.
+        """:meth:`race_given_name` of every entry, one row each in ``keys`` order.
 
         An entry that :meth:`race_given_name` cannot normalize (no mass at
         all) gets a row of NaN.
         """
-        x = self._smoothed(_counts_matrix(self.entries, len(self.races)))
+        x = self._smoothed(self.counts)
         out = np.full(x.shape, np.nan)
         usable = np.isfinite(x).all(axis=1) & (x >= 0).all(axis=1) & (x.sum(axis=1) > 0.0)
         out[usable] = renormalize_rows(x[usable])
         return out
 
     def likelihood_rows(self) -> np.ndarray:
-        """:meth:`name_likelihood` of every entry, one row each in ``entries`` order."""
-        totals = np.array(
-            [
-                self.source_totals.get(self.provenance.get(name, INTERNAL), self.race_totals)
-                for name in self.entries
-            ]
-        ).reshape(len(self.entries), len(self.races))
-        return _likelihood_rows(_counts_matrix(self.entries, len(self.races)), totals)
+        """:meth:`name_likelihood` of every entry, one row each in ``keys`` order."""
+        by_source = np.array([self.source_totals.get(src, self.race_totals) for src in SOURCES])
+        return _likelihood_rows(self.counts, by_source[self.sources])
 
     def _smoothed(self, counts: np.ndarray) -> np.ndarray:
         if self.smoothing_alpha > 0.0:
@@ -137,8 +156,9 @@ class NameTable:
             path,
             key_header="name",
             races=self.races,
-            rows=([name, *self.entries[name].tolist(), self.provenance.get(name, INTERNAL)]
-                  for name in sorted(self.entries)),
+            keys=self.keys,
+            counts=self.counts,
+            sources=self.sources,
             meta={
                 "kind": self.kind,
                 "race_totals": _fmt_counts(self.race_totals),
@@ -147,27 +167,24 @@ class NameTable:
                     for src, tot in sorted(self.source_totals.items())
                 },
             },
-            with_source=True,
         )
 
     @classmethod
     def load(cls, path) -> "NameTable":
-        meta, races, names_, counts, sources = _read_table_csv(path, "name", with_source=True)
+        meta, races, keys, counts, sources = _read_table_csv(path, "name", with_source=True)
         if "kind" not in meta:
             raise SchemaError(f"{path}: missing 'kind' metadata line")
-        source_totals = {
-            key.split(" ", 1)[1]: _parse_counts(val, len(races), path)
-            for key, val in meta.items()
-            if key.startswith("source_totals ")
-        }
-        return cls(
-            kind=meta["kind"],
-            races=races,
-            entries=dict(zip(names_, counts)),
-            race_totals=_parse_counts(meta["race_totals"], len(races), path),
-            provenance=dict(zip(names_, sources)),
-            source_totals=source_totals,
-        )
+        if meta["kind"] not in (SURNAME, FIRSTNAME):
+            raise SchemaError(f"{path}: unknown table kind {meta['kind']!r}")
+        source_totals = {}
+        for key, val in meta.items():
+            if key.startswith("source_totals "):
+                src = key.split(" ", 1)[1]
+                if src not in SOURCES:
+                    raise SchemaError(f"{path}: unknown source {src!r} in {key!r}")
+                source_totals[src] = _parse_counts(val, len(races), path)
+        race_totals = _parse_counts(meta["race_totals"], len(races), path)
+        return cls(meta["kind"], races, keys, counts, race_totals, sources, source_totals)
 
     @classmethod
     def from_probability_csv(
@@ -187,89 +204,77 @@ class NameTable:
         published ``GARCIA`` or ``O'BRIEN`` matches the lookup key
         ``garcia`` or ``obrien``.  As in :func:`build_name_table`, a name
         with nothing or one character left is dropped.  Rows whose names
-        normalize to one key add their pseudo-counts together.
+        normalize to one key add their pseudo-counts together; keys keep
+        the order of their first row.
         """
         races = races or RaceSet()
-        entries: dict[str, np.ndarray] = {}
+        raw_names, totals, probs = [], array("q"), array("d")
         with read_csv(path, ["name", "total"] + [f"p_{r}" for r in races]) as rows:
             for row in rows:
-                name = table_key(row[0], suffixes)
                 try:
                     total = int(row[1])
-                    probs = np.array([float(v) for v in row[2:]], dtype=np.float64)
+                    p = [float(v) for v in row[2:]]
                 except ValueError as exc:
                     raise SchemaError(str(exc)) from exc
                 # NaN fails every comparison; above 2**53 a float64 product
                 # no longer holds every integer count
-                if not (0 <= total <= 2**53 and ((0 <= probs) & (probs <= 1)).all()):
+                if not (0 <= total <= 2**53 and all(0 <= v <= 1 for v in p)):
                     raise SchemaError("values out of range")
-                counts = np.rint(probs * total).astype(np.int64)
-                if name is None or len(name) <= 1:
-                    continue
-                if name in entries:
-                    entries[name] = entries[name] + counts
-                else:
-                    entries[name] = counts
-        entries = {name: counts for name, counts in entries.items() if counts.sum() > 0}
-        if not entries:
+                raw_names.append(row[0])
+                totals.append(total)
+                probs.extend(p)
+        keys, codes = column_keys(raw_names, partial(table_key, suffixes=suffixes))
+        # each total is exact in float64, so a row's product is p * total as a float
+        pseudo = np.rint(
+            np.frombuffer(probs).reshape(len(codes), len(races))
+            * np.frombuffer(totals, dtype=np.int64).astype(np.float64)[:, None]
+        ).astype(np.int64)
+        counts = np.zeros((len(keys), len(races)), dtype=np.int64)
+        np.add.at(counts, codes, pseudo)
+        usable = np.array([k is not None and len(k) > 1 for k in keys], dtype=bool)
+        kept = np.flatnonzero(usable & (counts.sum(axis=1) > 0))
+        if kept.size == 0:
             raise EmptyTableError(f"{path}: no usable rows")
-        totals = np.sum(list(entries.values()), axis=0, dtype=np.int64)
-        return cls(
-            kind=kind,
-            races=races,
-            entries=entries,
-            race_totals=totals,
-            provenance={name: EXTERNAL for name in entries},
-            source_totals={EXTERNAL: totals},
-        )
+        counts = counts[kept]
+        keys = [keys[k] for k in kept.tolist()]
+        sources = np.full(kept.size, SOURCES.index(EXTERNAL))  # so source_totals are external
+        return cls(kind, races, keys, counts, counts.sum(axis=0), sources)
 
 
 @dataclass
-class GeoTable:
+class GeoTable(_Rows):
     """Counts-per-race keyed by geography id."""
 
     races: RaceSet
-    entries: dict[str, np.ndarray]
+    keys: list[str]
+    counts: np.ndarray
     race_totals: np.ndarray
-
-    def __post_init__(self):
-        self.race_totals = np.asarray(self.race_totals, dtype=np.int64)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __contains__(self, geo: str) -> bool:
-        return geo in self.entries
 
     def geo_likelihood(self, geo: str) -> np.ndarray | None:
         """``P(geo | race)`` per race: share of each race living in ``geo``."""
-        counts = self.entries.get(geo)
-        if counts is None:
+        row = self.index.get(geo)
+        if row is None:
             return None
-        return _likelihood_rows(counts[None, :], self.race_totals)[0]
+        return _likelihood_rows(self.counts[row], self.race_totals)
 
     def likelihood_rows(self) -> np.ndarray:
-        """:meth:`geo_likelihood` of every entry, one row each in ``entries`` order."""
-        return _likelihood_rows(_counts_matrix(self.entries, len(self.races)), self.race_totals)
+        """:meth:`geo_likelihood` of every entry, one row each in ``keys`` order."""
+        return _likelihood_rows(self.counts, self.race_totals)
 
     def save(self, path) -> None:
         _write_table_csv(
             path,
             key_header="geo",
             races=self.races,
-            rows=([geo, *self.entries[geo].tolist()] for geo in sorted(self.entries)),
+            keys=self.keys,
+            counts=self.counts,
             meta={"race_totals": _fmt_counts(self.race_totals)},
-            with_source=False,
         )
 
     @classmethod
     def load(cls, path) -> "GeoTable":
-        meta, races, geos, counts, _ = _read_table_csv(path, "geo", with_source=False)
-        return cls(
-            races=races,
-            entries=dict(zip(geos, counts)),
-            race_totals=_parse_counts(meta["race_totals"], len(races), path),
-        )
+        meta, races, keys, counts, _ = _read_table_csv(path, "geo", with_source=False)
+        return cls(races, keys, counts, _parse_counts(meta["race_totals"], len(races), path))
 
 
 def build_name_table(
@@ -344,7 +349,7 @@ def count_name_table(
     Record ``i`` has name ``keys[key_codes[i]]`` (as from
     :func:`names.column_keys`) and race index ``race[i]``.  Records with a
     race outside the set, or a name that is None or one character, are
-    not counted.  Entries keep the order of each name's first counted
+    not counted.  Rows keep the order of each name's first counted
     record.
 
     Raises:
@@ -358,15 +363,7 @@ def count_name_table(
         order = order[_passes_suppression_rows(counts[order], min_total, single_race_band)]
     if order.size == 0:
         raise EmptyTableError("no names survived normalization and suppression")
-    entries = {keys[k]: counts[k] for k in order.tolist()}
-    return NameTable(
-        kind=kind,
-        races=races,
-        entries=entries,
-        race_totals=race_totals,
-        provenance=dict.fromkeys(entries, INTERNAL),
-        source_totals={INTERNAL: race_totals},
-    )
+    return NameTable(kind, races, [keys[k] for k in order.tolist()], counts[order], race_totals)
 
 
 def build_geo_table(people: People) -> GeoTable:
@@ -384,11 +381,7 @@ def build_geo_table(people: People) -> GeoTable:
     counts, race_totals, order = _count_pairs(codes, people.race, len(keys), len(people.races))
     if order.size == 0:
         raise EmptyTableError("no records to build a geography table from")
-    return GeoTable(
-        races=people.races,
-        entries={keys[k]: counts[k] for k in order.tolist()},
-        race_totals=race_totals,
-    )
+    return GeoTable(people.races, [keys[k] for k in order.tolist()], counts[order], race_totals)
 
 
 def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameTable:
@@ -406,22 +399,20 @@ def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameT
     if prefer not in (INTERNAL, EXTERNAL):
         raise ValueError(f"prefer must be 'internal' or 'external', got {prefer!r}")
     preferred, other = (internal, external) if prefer == INTERNAL else (external, internal)
-
-    entries = dict(other.entries)
-    provenance = dict(other.provenance)
-    entries.update(preferred.entries)
-    provenance.update(preferred.provenance)
-
-    source_totals: dict[str, np.ndarray] = {}
-    source_totals.update(other.source_totals)
-    source_totals.update(preferred.source_totals)
+    # other's rows in order, each from the preferred side where it has the
+    # key too, then the preferred side's other rows: a dict union's order
+    n = len(other)
+    at = np.array([preferred.index.get(key, -1) for key in other.keys], dtype=np.intp)
+    rest = np.setdiff1d(np.arange(len(preferred)), at)
+    pick = np.concatenate([np.where(at >= 0, n + at, np.arange(n)), n + rest])
     return NameTable(
         kind=internal.kind,
         races=internal.races,
-        entries=entries,
+        keys=other.keys + [preferred.keys[i] for i in rest.tolist()],
+        counts=np.concatenate([other.counts, preferred.counts])[pick],
         race_totals=preferred.race_totals,
-        provenance=provenance,
-        source_totals=source_totals,
+        sources=np.concatenate([other.sources, preferred.sources])[pick],
+        source_totals={**other.source_totals, **preferred.source_totals},
     )
 
 
@@ -442,11 +433,6 @@ def _count_pairs(key_codes, race, n_keys: int, width: int):
     return counts, race_totals, seen[np.argsort(first_seen)]
 
 
-def _counts_matrix(entries: dict, width: int) -> np.ndarray:
-    """The entries' count vectors as one ``(len(entries), width)`` array."""
-    return np.array(list(entries.values())).reshape(len(entries), width)
-
-
 def _likelihood_rows(counts, totals) -> np.ndarray:
     """Rows of ``counts / totals`` per race, 0 where a race's total is 0."""
     totals = np.asarray(totals).astype(np.float64)
@@ -463,20 +449,30 @@ def _parse_counts(text: str, n: int, path) -> np.ndarray:
     if len(parts) != n:
         raise SchemaError(f"{path}: expected {n} counts, got {text!r}")
     try:
-        return np.array([int(p) for p in parts], dtype=np.int64)
+        counts = np.array([int(p) for p in parts], dtype=np.int64)
     except (ValueError, OverflowError) as exc:
         raise SchemaError(f"{path}: bad count in {text!r}") from exc
+    if (counts < 0).any():
+        raise SchemaError(f"{path}: negative count in {text!r}")
+    return counts
 
 
 def _table_header(key_header, races, with_source) -> list[str]:
     return [key_header, *(f"count_{r}" for r in races)] + (["source"] if with_source else [])
 
 
-def _write_table_csv(path, key_header, races, rows, meta, with_source):
+def _write_table_csv(path, key_header, races, keys, counts, meta, sources=None):
+    """Write the ``meta`` lines, then each row's key, counts and (given
+    ``sources``) source, in ``sorted()`` key order."""
     meta = {"races": ",".join(races), **meta}
     preamble = "".join(f"# {key}: {val}\n" for key, val in meta.items())
+    cells = counts.tolist()
+    for row, src in zip(cells, [] if sources is None else sources.tolist()):
+        row.append(SOURCES[src])
+    rows = ([keys[i], *cells[i]] for i in sorted(range(len(keys)), key=keys.__getitem__))
+    header = _table_header(key_header, races, sources is not None)
     try:
-        write_csv(path, _table_header(key_header, races, with_source), rows, (0,), preamble)
+        write_csv(path, header, rows, (0,), preamble)
     except OSError as exc:
         raise OSError(f"failed writing table to {path}: {exc}") from exc
 
@@ -485,7 +481,8 @@ def _read_table_csv(path, key_header, with_source):
     """Parse a table file: ``# key: value`` metadata lines, then CSV rows.
 
     Returns the metadata, the :class:`RaceSet` of its ``races`` line, and
-    the keys, count vectors and (``with_source``) sources of the rows.
+    the rows' keys, their ``(rows, races)`` count matrix and (``with_source``)
+    their source codes, or None.
 
     Raises:
         SchemaError: a missing ``races`` or ``race_totals`` line, a
@@ -493,8 +490,8 @@ def _read_table_csv(path, key_header, with_source):
     """
     meta: dict[str, str] = {}
     keys: list[str] = []
-    counts: list[np.ndarray] = []
-    sources: list[str] = []
+    counts = array("q")
+    sources: list[int] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as fh:
         skipped = 0
@@ -517,19 +514,21 @@ def _read_table_csv(path, key_header, with_source):
             for row in rows:
                 key = row[0]
                 try:
-                    vec = np.array([int(v) for v in row[1 : 1 + n_counts]], dtype=np.int64)
+                    vec = [int(v) for v in row[1 : 1 + n_counts]]
+                    if not 0 <= min(vec) <= max(vec) < 2**63:
+                        np.array(vec, dtype=np.int64)  # raises OverflowError beyond int64
+                        raise SchemaError("negative count")
                 except (ValueError, OverflowError) as exc:
                     raise SchemaError(f"bad count: {exc}") from exc
-                if (vec < 0).any():
-                    raise SchemaError("negative count")
                 if key in seen:
                     raise SchemaError(f"duplicate key {key!r}")
                 seen.add(key)
                 keys.append(key)
-                counts.append(vec)
+                counts.extend(vec)
                 if with_source:
                     src = row[-1]
-                    if src not in (INTERNAL, EXTERNAL):
+                    if src not in SOURCES:
                         raise SchemaError(f"unknown source {src!r}")
-                    sources.append(src)
-    return meta, races, keys, counts, sources
+                    sources.append(SOURCES.index(src))
+    counts = np.frombuffer(counts, dtype=np.int64).reshape(len(keys), n_counts)
+    return meta, races, keys, counts, np.array(sources, dtype=np.int8) if with_source else None

@@ -10,6 +10,7 @@ import pytest
 from nameproxy.cli import main
 from nameproxy.core import People, RaceSet
 from nameproxy.csvio import write_csv as write_framed_csv
+from nameproxy.tables import INTERNAL, SOURCES, GeoTable, NameTable
 
 RACE_LABELS = ("asian", "black", "hispanic", "white")
 
@@ -64,6 +65,35 @@ def people_of(rows, races=None) -> People:
         np.array([index.get(row.race, -1) for row in rows], dtype=np.intp),
         races,
     )
+
+
+def name_table(kind, races, entries, race_totals, provenance=None, **kwargs) -> NameTable:
+    """A name table from ``{key: counts}`` in row order; ``provenance`` maps
+    keys to their source (a key it lacks is internal; without it, every
+    row is)."""
+    keys = list(entries)
+    counts = np.array([entries[k] for k in keys], dtype=np.int64).reshape(len(keys), len(races))
+    sources = None
+    if provenance is not None:
+        sources = np.array([SOURCES.index(provenance.get(k, INTERNAL)) for k in keys], np.int8)
+    return NameTable(kind, races, keys, counts, race_totals, sources, **kwargs)
+
+
+def geo_table(races, entries, race_totals) -> GeoTable:
+    """A geography table from ``{geo: counts}`` in row order."""
+    keys = list(entries)
+    counts = np.array([entries[k] for k in keys], dtype=np.int64).reshape(len(keys), len(races))
+    return GeoTable(races, keys, counts, race_totals)
+
+
+def entries_of(table) -> dict:
+    """A table's ``{key: counts as a list}``, in row order."""
+    return dict(zip(table.keys, table.counts.tolist()))
+
+
+def provenance_of(table) -> dict:
+    """A name table's ``{key: source}``, in row order."""
+    return {key: SOURCES[s] for key, s in zip(table.keys, table.sources.tolist())}
 
 
 def synthetic_voter_rows(seed=0):

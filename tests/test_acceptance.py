@@ -23,12 +23,11 @@ from nameproxy.sampling import largest_remainder_quotas, representative_sample_i
 from nameproxy.tables import (
     FIRSTNAME,
     SURNAME,
-    NameTable,
     build_geo_table,
     build_name_table,
 )
 
-from conftest import Row, people_of, synthetic_voter_rows, write_csv
+from conftest import Row, name_table, people_of, synthetic_voter_rows, write_csv
 from test_lstm import synthetic_records
 
 RACES = RaceSet()
@@ -143,9 +142,9 @@ class TestC02NeutralFactorIdentities:
             for i in range(25)
         }
         totals = np.array([1000, 1000, 1000, 1000])
-        surname = NameTable(SURNAME, RACES, surname_entries, totals)
+        surname = name_table(SURNAME, RACES, surname_entries, totals)
         # every race's likelihood for "neutral" is exactly 50/1000
-        firstname = NameTable(
+        firstname = name_table(
             FIRSTNAME, RACES, {"neutral": np.array([50, 50, 50, 50])}, totals
         )
         geo_records = [
@@ -157,7 +156,7 @@ class TestC02NeutralFactorIdentities:
         ctx = BayesContext(surname, geo, firstname_table=firstname)
         checked = 0
         for s in surname_entries:
-            for g in geo.entries:
+            for g in geo.keys:
                 two_factor, _ = bisg_reason(ctx, s, g)
                 three_factor, _ = bifsg_reason(ctx, "neutral", s, g)
                 if two_factor is None:

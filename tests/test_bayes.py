@@ -18,9 +18,9 @@ from nameproxy.bayes import (
 )
 from nameproxy.core import RaceSet, is_prob_vector
 from nameproxy.errors import MissingFirstnameTableError
-from nameproxy.tables import FIRSTNAME, SURNAME, GeoTable, NameTable
+from nameproxy.tables import FIRSTNAME, SURNAME
 
-from conftest import Row, people_of
+from conftest import Row, geo_table, name_table, people_of
 
 RACES = RaceSet()
 
@@ -32,26 +32,26 @@ def make_ctx(
     firstname_counts=None,
     firstname_totals=(100, 100, 100, 100),
 ):
-    surname_table = NameTable(
+    surname_table = name_table(
         kind=SURNAME,
         races=RACES,
         entries={name: np.array(c, dtype=np.int64) for name, c in surname_counts.items()},
         race_totals=np.array([1000, 1000, 1000, 1000]),
     )
-    geo_table = GeoTable(
+    geo = geo_table(
         races=RACES,
         entries={geo: np.array(c, dtype=np.int64) for geo, c in geo_counts.items()},
         race_totals=np.array(geo_totals, dtype=np.int64),
     )
     firstname_table = None
     if firstname_counts is not None:
-        firstname_table = NameTable(
+        firstname_table = name_table(
             kind=FIRSTNAME,
             races=RACES,
             entries={name: np.array(c, dtype=np.int64) for name, c in firstname_counts.items()},
             race_totals=np.array(firstname_totals, dtype=np.int64),
         )
-    return BayesContext(surname_table, geo_table, firstname_table)
+    return BayesContext(surname_table, geo, firstname_table)
 
 
 class TestBisg:

@@ -37,7 +37,7 @@ from nameproxy.tables import (
     build_name_table,
 )
 
-from conftest import SURNAME_MIX, people_of, write_csv
+from conftest import SURNAME_MIX, entries_of, people_of, provenance_of, write_csv
 
 RACES = RaceSet()
 
@@ -273,10 +273,10 @@ class TestBuildTables:
 
     def test_external_surname_preferred_on_collision(self, world):
         table = NameTable.load(world["tables"] / "surname_table.csv")
-        assert table.provenance["chen"] == EXTERNAL
-        np.testing.assert_array_equal(table.entries["chen"], [810, 20, 20, 150])
-        assert table.provenance["miller"] == INTERNAL
-        assert table.provenance["yoder"] == EXTERNAL
+        assert provenance_of(table)["chen"] == EXTERNAL
+        np.testing.assert_array_equal(entries_of(table)["chen"], [810, 20, 20, 150])
+        assert provenance_of(table)["miller"] == INTERNAL
+        assert provenance_of(table)["yoder"] == EXTERNAL
 
     def test_rerun_is_byte_identical(self, world, tmp_path):
         out1, out2 = tmp_path / "t1", tmp_path / "t2"
@@ -309,8 +309,8 @@ class TestBuildTables:
         )
         assert rc == 0
         table = NameTable.load(out / "firstname_table.csv")
-        assert table.provenance["wei"] == INTERNAL  # internal side wins first names
-        assert table.provenance["zelda"] == EXTERNAL
+        assert provenance_of(table)["wei"] == INTERNAL  # internal side wins first names
+        assert provenance_of(table)["zelda"] == EXTERNAL
 
     def test_target_shares_sample_drawn_once_matches_per_kind_build(self, world, tmp_path):
         """Tables from the shared sample equal the tables each kind's own
@@ -354,8 +354,8 @@ class TestBuildTables:
         )
         assert rc == 0
         table = NameTable.load(out / "surname_table.csv")
-        assert table.provenance["yoder"] == EXTERNAL
-        assert table.provenance["obrien"] == EXTERNAL
+        assert provenance_of(table)["yoder"] == EXTERNAL
+        assert provenance_of(table)["obrien"] == EXTERNAL
         assert "YODER" not in table
 
     def test_missing_voter_file_is_io_error(self, world, tmp_path):

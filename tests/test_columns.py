@@ -39,6 +39,7 @@ from nameproxy.tables import (
     EXTERNAL,
     FIRSTNAME,
     INTERNAL,
+    SOURCES,
     SURNAME,
     GeoTable,
     NameTable,
@@ -48,7 +49,7 @@ from nameproxy.tables import (
     passes_suppression,
 )
 
-from conftest import Row, people_of
+from conftest import Row, entries_of, geo_table, name_table, people_of
 
 EPS = float(np.finfo(np.float64).eps)
 
@@ -73,27 +74,32 @@ def ref_likelihood(counts, totals):
     )
 
 
+def ref_row(table, key):
+    """The row of ``key`` by a search of ``keys``, or None."""
+    return table.keys.index(key) if key in table.keys else None
+
+
 def ref_prior(table: NameTable, key):
-    counts = table.entries.get(key)
-    if counts is None:
+    row = ref_row(table, key)
+    if row is None:
         return None
-    x = counts.astype(np.float64)
+    x = table.counts[row].astype(np.float64)
     if table.smoothing_alpha > 0.0:
         x = x + table.smoothing_alpha
     return ref_renormalize(x)
 
 
 def ref_name_likelihood(table: NameTable, key):
-    counts = table.entries.get(key)
-    if counts is None:
+    row = ref_row(table, key)
+    if row is None:
         return None
-    totals = table.source_totals.get(table.provenance.get(key, INTERNAL), table.race_totals)
-    return ref_likelihood(counts, totals)
+    totals = table.source_totals.get(SOURCES[table.sources[row]], table.race_totals)
+    return ref_likelihood(table.counts[row], totals)
 
 
 def ref_geo_likelihood(table: GeoTable, geo):
-    counts = table.entries.get(geo)
-    return None if counts is None else ref_likelihood(counts, table.race_totals)
+    row = ref_row(table, geo)
+    return None if row is None else ref_likelihood(table.counts[row], table.race_totals)
 
 
 def ref_posterior(numerator):
@@ -169,13 +175,13 @@ def bayes_worlds(draw):
         lambda c: np.array(c, dtype=np.int64)
     )
 
-    def name_table(kind, source):
+    def drawn_table(kind, source):
         keys = draw(st.lists(st.sampled_from(NAME_POOL), min_size=1, unique=True))
         source_totals = draw(totals)
         # an all-zero surname entry makes the whole column raise; that case
         # has its own test below
         entry = counts.filter(lambda c: c.any()) if kind == SURNAME else counts
-        return NameTable(
+        return name_table(
             kind=kind,
             races=races,
             entries={key: draw(entry) for key in keys},
@@ -184,21 +190,21 @@ def bayes_worlds(draw):
             source_totals={source: source_totals},
         )
 
-    surname = name_table(SURNAME, INTERNAL)
+    surname = drawn_table(SURNAME, INTERNAL)
     if draw(st.booleans()):
         surname = merge_tables(
-            surname, name_table(SURNAME, EXTERNAL), draw(st.sampled_from([INTERNAL, EXTERNAL]))
+            surname, drawn_table(SURNAME, EXTERNAL), draw(st.sampled_from([INTERNAL, EXTERNAL]))
         )
     surname.smoothing_alpha = draw(st.sampled_from(ALPHAS))
-    firstname = name_table(FIRSTNAME, INTERNAL)
+    firstname = drawn_table(FIRSTNAME, INTERNAL)
     if draw(st.booleans()):
         firstname = merge_tables(
             firstname,
-            name_table(FIRSTNAME, EXTERNAL),
+            drawn_table(FIRSTNAME, EXTERNAL),
             draw(st.sampled_from([INTERNAL, EXTERNAL])),
         )
     geo_keys = draw(st.lists(st.sampled_from(GEOS), min_size=1, unique=True))
-    geo = GeoTable(races, {g: draw(counts) for g in geo_keys}, draw(totals))
+    geo = geo_table(races, {g: draw(counts) for g in geo_keys}, draw(totals))
     ctx = BayesContext(surname, geo, firstname)
     name = st.one_of(st.sampled_from(NAME_POOL), st.sampled_from(RAW_NAMES))
     geo_id = st.one_of(st.sampled_from(GEOS), st.sampled_from(RAW_GEOS))
@@ -354,19 +360,22 @@ class TestBayesKernelDenseWorld:
 
         def table(kind, source):
             totals = rng.integers(1000, 5000, 4)
-            return NameTable(
+            return name_table(
                 kind, races, {k: rng.integers(1, 300, 4) for k in keys}, totals,
                 provenance=dict.fromkeys(keys, source), source_totals={source: totals},
             )
 
-        surname = merge_tables(table(SURNAME, INTERNAL), table(SURNAME, EXTERNAL), EXTERNAL)
-        del surname.entries[keys[0]]
-        surname.smoothing_alpha = 0.5
+        merged = merge_tables(table(SURNAME, INTERNAL), table(SURNAME, EXTERNAL), EXTERNAL)
+        kept = np.arange(len(merged)) != merged.keys.index(keys[0])
+        surname = NameTable(
+            SURNAME, races, [k for k in merged.keys if k != keys[0]], merged.counts[kept],
+            merged.race_totals, merged.sources[kept], merged.source_totals, smoothing_alpha=0.5,
+        )
         firstname = merge_tables(
             table(FIRSTNAME, INTERNAL), table(FIRSTNAME, EXTERNAL), INTERNAL
         )
-        geo = GeoTable(races, {f"g{i}": rng.integers(1, 900, 4) for i in range(30)},
-                       rng.integers(5000, 9000, 4))
+        geo = geo_table(races, {f"g{i}": rng.integers(1, 900, 4) for i in range(30)},
+                        rng.integers(5000, 9000, 4))
         ctx = BayesContext(surname, geo, firstname)
         n = 3000
         firsts = [keys[i].upper() for i in rng.integers(0, len(keys), n)]
@@ -387,7 +396,7 @@ class TestBayesKernelDenseWorld:
         mixed = ensemble_scores(members, spec)
         for i in range(n):
             want = ref_posterior(name.probs[i] * ref_geo_likelihood(geo, geos[i])) \
-                if geos[i] in geo.entries else (None, UNKNOWN_GEO)
+                if geos[i] in geo.keys else (None, UNKNOWN_GEO)
             got = augmented.row(i)
             assert got[1] == want[1] and same_bits(got[0], want[0]), i
             predictions = [m.row(i)[0] for m in members]
@@ -397,10 +406,10 @@ class TestBayesKernelDenseWorld:
 class TestBayesKernelEdges:
     def test_zero_mass_surname_raises_only_when_used(self):
         races = RaceSet(("a", "b"))
-        surname = NameTable(
+        surname = name_table(
             SURNAME, races, {"aa": np.array([0, 0]), "bb": np.array([3, 1])}, np.array([3, 1])
         )
-        geo = GeoTable(races, {"g1": np.array([1, 1])}, np.array([3, 1]))
+        geo = geo_table(races, {"g1": np.array([1, 1])}, np.array([3, 1]))
         ctx = BayesContext(surname, geo)
         assert bayes_scores(ctx, ["bb", "zz"], ["g1", "g1"]).row(1) == (None, UNKNOWN_SURNAME)
         with pytest.raises(ZeroMassError):
@@ -408,8 +417,8 @@ class TestBayesKernelEdges:
 
     def test_empty_column(self):
         races = RaceSet(("a", "b"))
-        surname = NameTable(SURNAME, races, {"bb": np.array([3, 1])}, np.array([3, 1]))
-        geo = GeoTable(races, {"g1": np.array([1, 1])}, np.array([3, 1]))
+        surname = name_table(SURNAME, races, {"bb": np.array([3, 1])}, np.array([3, 1]))
+        geo = geo_table(races, {"g1": np.array([1, 1])}, np.array([3, 1]))
         scores = bayes_scores(BayesContext(surname, geo), [], [])
         assert scores.probs.shape == (0, 2) and scores.reason.shape == (0,)
 
@@ -527,15 +536,15 @@ class TestTableCountingOracle:
         for kind in (SURNAME, FIRSTNAME):
             table = build_name_table(people, kind, min_total=3, single_race_band=(2, 2))
             entries, totals = ref_build_name_table(records, kind, races)
-            assert list(table.entries) == list(entries)
+            assert table.keys == list(entries)
             for key, counts in entries.items():
-                assert table.entries[key].tolist() == counts.tolist()
+                assert entries_of(table)[key] == counts.tolist()
             assert table.race_totals.tolist() == totals.tolist()
         geo = build_geo_table(people)
         want = {}
         for rec in records:
             if rec.race in races:
                 want.setdefault(rec.geo, np.zeros(3, dtype=np.int64))[races.index(rec.race)] += 1
-        assert list(geo.entries) == list(want)
-        assert all(geo.entries[g].tolist() == c.tolist() for g, c in want.items())
+        assert geo.keys == list(want)
+        assert all(entries_of(geo)[g] == c.tolist() for g, c in want.items())
         assert geo.race_totals.tolist() == np.sum(list(want.values()), axis=0).tolist()

@@ -30,7 +30,7 @@ from nameproxy.tables import (
 )
 from nameproxy.names import table_key
 
-from conftest import Row, people_of
+from conftest import Row, entries_of, geo_table, name_table, people_of, provenance_of
 
 RACES = RaceSet()
 
@@ -85,14 +85,14 @@ class TestBuildNameTable:
         }
         # one record of a missing race would raise; add a white-only filler
         table = build_name_table(records_for(data), SURNAME)
-        assert set(table.entries) == {"keptone", "bigname", "xu"}
-        np.testing.assert_array_equal(table.entries["keptone"], [0, 17, 0, 0])
-        assert table.provenance["xu"] == INTERNAL
+        assert set(table.keys) == {"keptone", "bigname", "xu"}
+        np.testing.assert_array_equal(entries_of(table)["keptone"], [0, 17, 0, 0])
+        assert provenance_of(table)["xu"] == INTERNAL
 
     def test_single_char_names_dropped(self):
         data = {"K": (40, 0, 0, 0), "Li": (0, 31, 35, 33)}
         table = build_name_table(records_for(data), SURNAME)
-        assert set(table.entries) == {"li"}
+        assert set(table.keys) == {"li"}
 
     def test_race_totals_count_prescreen_population(self):
         data = {"Aa": (31, 0, 0, 1), "Bb": (5, 31, 31, 31)}  # "Aa" dropped? no: total 32 kept
@@ -109,7 +109,7 @@ class TestBuildNameTable:
                 data[name] = (1, 1, 1, 1)
         table = build_name_table(records_for(data), SURNAME)
         mass = np.zeros(4)
-        for name in table.entries:
+        for name in table.keys:
             mass += table.name_likelihood(name)
         assert (mass <= 1.0 + 1e-12).all()
 
@@ -139,9 +139,9 @@ class TestBuildNameTable:
         shares = (0.1, 0.2, 0.3, 0.4)
         t1 = build_name_table(recs, SURNAME, seed=77, target_shares=shares)
         t2 = build_name_table(recs, SURNAME, seed=77, target_shares=shares)
-        assert set(t1.entries) == set(t2.entries)
-        for name in t1.entries:
-            np.testing.assert_array_equal(t1.entries[name], t2.entries[name])
+        assert set(t1.keys) == set(t2.keys)
+        for name in t1.keys:
+            np.testing.assert_array_equal(entries_of(t1)[name], entries_of(t2)[name])
         np.testing.assert_array_equal(t1.race_totals, t2.race_totals)
 
     def test_resampling_shifts_totals_toward_shares(self):
@@ -163,7 +163,7 @@ class TestBuildNameTable:
 
 class TestQueryDirections:
     def test_race_given_name_renormalizes(self):
-        table = NameTable(
+        table = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"lee": np.array([5, 5, 0, 0])},
@@ -172,7 +172,7 @@ class TestQueryDirections:
         np.testing.assert_allclose(table.race_given_name("lee"), [0.5, 0.5, 0, 0])
 
     def test_name_given_race_uses_race_totals(self):
-        table = NameTable(
+        table = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"ng": np.array([30, 0, 0, 0])},
@@ -181,12 +181,12 @@ class TestQueryDirections:
         np.testing.assert_allclose(table.name_likelihood("ng"), [0.1, 0, 0, 0])
 
     def test_unknown_key_is_absent(self):
-        table = NameTable(SURNAME, RACES, {}, np.zeros(4, dtype=np.int64))
+        table = name_table(SURNAME, RACES, {}, np.zeros(4, dtype=np.int64))
         assert table.race_given_name("ghost") is None
         assert table.name_likelihood("ghost") is None
 
     def test_smoothing_flag(self):
-        table = NameTable(
+        table = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"lee": np.array([3, 1, 0, 0])},
@@ -239,7 +239,7 @@ class TestGeoTable:
         ]
         table = build_geo_table(people_of(recs))
         np.testing.assert_array_equal(
-            np.sum(list(table.entries.values()), axis=0), table.race_totals
+            table.counts.sum(axis=0), table.race_totals
         )
 
     def test_empty_input(self):
@@ -249,14 +249,14 @@ class TestGeoTable:
 
 class TestMergeTables:
     def surname_tables(self):
-        internal = NameTable(
+        internal = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"shared": np.array([10, 20, 0, 0]), "only-int": np.array([30, 0, 0, 0])},
             race_totals=np.array([100, 100, 100, 100]),
             provenance={"shared": INTERNAL, "only-int": INTERNAL},
         )
-        external = NameTable(
+        external = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"shared": np.array([0, 0, 40, 0]), "only-ext": np.array([0, 50, 0, 0])},
@@ -268,31 +268,31 @@ class TestMergeTables:
     def test_prefer_external_for_surnames(self):
         internal, external = self.surname_tables()
         merged = merge_tables(internal, external, prefer=EXTERNAL)
-        np.testing.assert_array_equal(merged.entries["shared"], [0, 0, 40, 0])
-        assert merged.provenance["shared"] == EXTERNAL
+        np.testing.assert_array_equal(entries_of(merged)["shared"], [0, 0, 40, 0])
+        assert provenance_of(merged)["shared"] == EXTERNAL
 
     def test_prefer_internal_for_firstnames(self):
         internal, external = self.surname_tables()
         internal.kind = external.kind = FIRSTNAME
         merged = merge_tables(internal, external, prefer=INTERNAL)
-        np.testing.assert_array_equal(merged.entries["shared"], [10, 20, 0, 0])
-        assert merged.provenance["shared"] == INTERNAL
+        np.testing.assert_array_equal(entries_of(merged)["shared"], [10, 20, 0, 0])
+        assert provenance_of(merged)["shared"] == INTERNAL
 
     def test_union_keeps_singletons(self):
         internal, external = self.surname_tables()
         merged = merge_tables(internal, external, prefer=EXTERNAL)
-        assert set(merged.entries) == {"shared", "only-int", "only-ext"}
-        assert merged.provenance["only-int"] == INTERNAL
-        assert merged.provenance["only-ext"] == EXTERNAL
+        assert set(merged.keys) == {"shared", "only-int", "only-ext"}
+        assert provenance_of(merged)["only-int"] == INTERNAL
+        assert provenance_of(merged)["only-ext"] == EXTERNAL
 
     def test_merge_idempotent(self):
         internal, external = self.surname_tables()
         once = merge_tables(internal, external, prefer=EXTERNAL)
         twice = merge_tables(once, external, prefer=EXTERNAL)
-        assert set(once.entries) == set(twice.entries)
-        for name in once.entries:
-            np.testing.assert_array_equal(once.entries[name], twice.entries[name])
-            assert once.provenance[name] == twice.provenance[name]
+        assert set(once.keys) == set(twice.keys)
+        for name in once.keys:
+            np.testing.assert_array_equal(entries_of(once)[name], entries_of(twice)[name])
+            assert provenance_of(once)[name] == provenance_of(twice)[name]
 
     def test_likelihood_respects_entry_source(self):
         internal, external = self.surname_tables()
@@ -309,9 +309,52 @@ class TestMergeTables:
             merge_tables(internal, external, prefer=EXTERNAL)
 
 
+MERGE_COUNTS = st.lists(st.integers(0, 50), min_size=4, max_size=4)
+
+
+@st.composite
+def merge_sides(draw):
+    """One side of a merge: keys from a small pool (so two sides overlap),
+    each row's source or none, and universe totals for some sources."""
+    keys = draw(st.lists(st.sampled_from(["aa", "bb", "cc", "dd", "ee", "ff"]), unique=True,
+                         max_size=6))
+    entries = {key: draw(MERGE_COUNTS) for key in keys}
+    provenance = draw(st.one_of(st.none(), st.fixed_dictionaries(
+        {key: st.sampled_from([INTERNAL, EXTERNAL]) for key in keys})))
+    source_totals = draw(st.dictionaries(st.sampled_from([INTERNAL, EXTERNAL]),
+                                         MERGE_COUNTS.map(np.array)))
+    return name_table(SURNAME, RACES, entries, np.array(draw(MERGE_COUNTS)), provenance,
+                      source_totals=source_totals)
+
+
+def ref_merge(internal, external, prefer):
+    """Merging as a dict union: the other side's entries, updated by the
+    preferred side's, with sources and per-source totals alike."""
+    preferred, other = (internal, external) if prefer == INTERNAL else (external, internal)
+    entries, provenance = entries_of(other), provenance_of(other)
+    entries.update(entries_of(preferred))
+    provenance.update(provenance_of(preferred))
+    source_totals = {**other.source_totals, **preferred.source_totals}
+    return entries, provenance, {src: tot.tolist() for src, tot in source_totals.items()}
+
+
+class TestMergeMatchesDictUnion:
+    @settings(max_examples=200, deadline=None)
+    @given(merge_sides(), merge_sides(), st.sampled_from([INTERNAL, EXTERNAL]))
+    def test_rows_sources_order_and_totals(self, internal, external, prefer):
+        merged = merge_tables(internal, external, prefer)
+        entries, provenance, source_totals = ref_merge(internal, external, prefer)
+        assert merged.keys == list(entries)
+        assert entries_of(merged) == entries
+        assert provenance_of(merged) == provenance
+        assert {src: tot.tolist() for src, tot in merged.source_totals.items()} == source_totals
+        preferred = internal if prefer == INTERNAL else external
+        assert merged.race_totals.tolist() == preferred.race_totals.tolist()
+
+
 class TestPersistence:
     def test_name_table_roundtrip(self, tmp_path):
-        internal = NameTable(
+        internal = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"zz": np.array([1, 2, 3, 4]), "aa": np.array([30, 0, 0, 0])},
@@ -326,14 +369,14 @@ class TestPersistence:
         internal.save(path)
         loaded = NameTable.load(path)
         assert loaded.kind == SURNAME
-        assert set(loaded.entries) == {"zz", "aa"}
-        np.testing.assert_array_equal(loaded.entries["zz"], [1, 2, 3, 4])
-        assert loaded.provenance == internal.provenance
+        assert set(loaded.keys) == {"zz", "aa"}
+        np.testing.assert_array_equal(entries_of(loaded)["zz"], [1, 2, 3, 4])
+        assert provenance_of(loaded) == provenance_of(internal)
         np.testing.assert_array_equal(loaded.race_totals, internal.race_totals)
         np.testing.assert_array_equal(loaded.source_totals[EXTERNAL], [30, 0, 0, 0])
 
     def test_save_is_byte_deterministic(self, tmp_path):
-        table = NameTable(
+        table = name_table(
             kind=SURNAME,
             races=RACES,
             entries={"bb": np.array([0, 16, 0, 0]), "aa": np.array([31, 0, 0, 0])},
@@ -345,7 +388,7 @@ class TestPersistence:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_geo_table_roundtrip(self, tmp_path):
-        table = GeoTable(
+        table = geo_table(
             races=RACES,
             entries={"11111": np.array([1, 0, 2, 0])},
             race_totals=np.array([1, 0, 2, 0]),
@@ -353,7 +396,7 @@ class TestPersistence:
         path = tmp_path / "geo.csv"
         table.save(path)
         loaded = GeoTable.load(path)
-        np.testing.assert_array_equal(loaded.entries["11111"], [1, 0, 2, 0])
+        np.testing.assert_array_equal(entries_of(loaded)["11111"], [1, 0, 2, 0])
         np.testing.assert_array_equal(loaded.race_totals, [1, 0, 2, 0])
 
     def test_load_rejects_bad_header(self, tmp_path):
@@ -435,6 +478,40 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="big.csv: bad count in"):
             GeoTable.load(path)
 
+    @pytest.mark.parametrize("table_cls,meta_key", [
+        (NameTable, "race_totals"),
+        (NameTable, "source_totals internal"),
+        (GeoTable, "race_totals"),
+    ])
+    def test_load_rejects_negative_metadata_totals(self, tmp_path, table_cls, meta_key):
+        # a negative universe total zeroes every likelihood of its race
+        meta = {"races": "asian,black,hispanic,white", "kind": "surname",
+                "race_totals": "1,1,1,1", meta_key: "1,-5,1,1"}
+        header, row = "geo,count_asian,count_black,count_hispanic,count_white", "aa,1,0,0,0"
+        if table_cls is NameTable:
+            header, row = header.replace("geo", "name") + ",source", row + ",internal"
+        path = tmp_path / "neg.csv"
+        path.write_text("".join(f"# {k}: {v}\n" for k, v in meta.items()) + f"{header}\n{row}\n")
+        with pytest.raises(SchemaError, match="neg.csv: negative count in '1,-5,1,1'"):
+            table_cls.load(path)
+
+    NAME_ROWS = ("name,count_asian,count_black,count_hispanic,count_white,source\n"
+                 "aa,1,0,0,0,internal\n")
+
+    def test_load_rejects_unknown_kind(self, tmp_path):
+        path = tmp_path / "kind.csv"
+        path.write_text("# races: asian,black,hispanic,white\n# kind: bogus\n"
+                        "# race_totals: 1,1,1,1\n" + self.NAME_ROWS)
+        with pytest.raises(SchemaError, match="kind.csv: unknown table kind 'bogus'"):
+            NameTable.load(path)
+
+    def test_load_rejects_unknown_source_totals_source(self, tmp_path):
+        path = tmp_path / "src.csv"
+        path.write_text("# races: asian,black,hispanic,white\n# kind: surname\n"
+                        "# race_totals: 1,1,1,1\n# source_totals bogus: 1,1,1,1\n" + self.NAME_ROWS)
+        with pytest.raises(SchemaError, match="src.csv: unknown source 'bogus'"):
+            NameTable.load(path)
+
     def test_probability_csv_pseudo_counts(self, tmp_path):
         path = tmp_path / "census.csv"
         path.write_text(
@@ -443,9 +520,9 @@ class TestPersistence:
             "nobody,0,0.5,0.5,0.0,0.0\n"
         )
         table = NameTable.from_probability_csv(path, SURNAME)
-        assert set(table.entries) == {"garcia"}  # zero-total row dropped
-        np.testing.assert_array_equal(table.entries["garcia"], [10, 5, 920, 65])
-        assert table.provenance["garcia"] == EXTERNAL
+        assert set(table.keys) == {"garcia"}  # zero-total row dropped
+        np.testing.assert_array_equal(entries_of(table)["garcia"], [10, 5, 920, 65])
+        assert provenance_of(table)["garcia"] == EXTERNAL
 
 
 # keys with the characters CSV must quote: commas, quotes, spaces and
@@ -465,7 +542,7 @@ class TestRoundTripAnyKey:
         TABLE_COUNTS,
     )
     def test_name_table(self, rows, internal_totals, external_totals):
-        table = NameTable(
+        table = name_table(
             kind=FIRSTNAME,
             races=RACES,
             entries={key: np.array(c, dtype=np.int64) for key, (c, _) in rows.items()},
@@ -483,16 +560,14 @@ class TestRoundTripAnyKey:
             loaded.save(again)
             assert again.read_bytes() == path.read_bytes()
         assert loaded.kind == FIRSTNAME
-        assert loaded.provenance == table.provenance
-        assert {k: v.tolist() for k, v in loaded.entries.items()} == {
-            k: v.tolist() for k, v in table.entries.items()
-        }
+        assert provenance_of(loaded) == provenance_of(table)
+        assert entries_of(loaded) == entries_of(table)
         assert loaded.source_totals[EXTERNAL].tolist() == external_totals
 
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(TABLE_KEYS, TABLE_COUNTS, min_size=1, max_size=8), TABLE_COUNTS)
     def test_geo_table(self, rows, totals):
-        table = GeoTable(
+        table = geo_table(
             races=RACES,
             entries={key: np.array(c, dtype=np.int64) for key, c in rows.items()},
             race_totals=np.array(totals),
@@ -501,13 +576,13 @@ class TestRoundTripAnyKey:
             path = Path(tmp) / "g.csv"
             table.save(path)
             loaded = GeoTable.load(path)
-        assert {k: v.tolist() for k, v in loaded.entries.items()} == rows
+        assert entries_of(loaded) == rows
         assert loaded.race_totals.tolist() == totals
 
     def test_comma_geo_id(self, tmp_path):
-        table = GeoTable(RACES, {"a,b": np.array([1, 2, 3, 4])}, np.array([1, 2, 3, 4]))
+        table = geo_table(RACES, {"a,b": np.array([1, 2, 3, 4])}, np.array([1, 2, 3, 4]))
         table.save(tmp_path / "g.csv")
-        assert GeoTable.load(tmp_path / "g.csv").entries["a,b"].tolist() == [1, 2, 3, 4]
+        assert entries_of(GeoTable.load(tmp_path / "g.csv"))["a,b"] == [1, 2, 3, 4]
 
 
 class TestExternalKeysNormalized:
@@ -518,16 +593,16 @@ class TestExternalKeysNormalized:
         path.write_text(self.HEADER + "GARCIA,1000,0.01,0.005,0.92,0.065\n"
                         "O'BRIEN,200,0,0,0.05,0.95\nSMITH JR,100,0.1,0.2,0.3,0.4\n")
         table = NameTable.from_probability_csv(path, SURNAME)
-        assert set(table.entries) == {"garcia", "obrien", "smith"}
-        assert table.entries["garcia"].tolist() == [10, 5, 920, 65]
-        assert table.provenance["obrien"] == EXTERNAL
+        assert set(table.keys) == {"garcia", "obrien", "smith"}
+        assert entries_of(table)["garcia"] == [10, 5, 920, 65]
+        assert provenance_of(table)["obrien"] == EXTERNAL
 
     def test_keys_with_nothing_or_one_character_left_dropped(self, tmp_path):
         path = tmp_path / "census.csv"
         path.write_text(self.HEADER + "!!,100,0.25,0.25,0.25,0.25\n"
                         "X.,100,0.25,0.25,0.25,0.25\nLI,100,0.9,0,0,0.1\n")
         table = NameTable.from_probability_csv(path, SURNAME)
-        assert set(table.entries) == {"li"}
+        assert set(table.keys) == {"li"}
         assert table.race_totals.tolist() == [90, 0, 0, 10]
 
     def test_colliding_rows_add_pseudo_counts(self, tmp_path):
@@ -535,14 +610,14 @@ class TestExternalKeysNormalized:
         path.write_text(self.HEADER + "GARCIA,1000,0.01,0.005,0.92,0.065\n"
                         "Garcia,100,0.1,0.1,0.7,0.1\n")
         table = NameTable.from_probability_csv(path, SURNAME)
-        assert table.entries["garcia"].tolist() == [20, 15, 990, 75]
+        assert entries_of(table)["garcia"] == [20, 15, 990, 75]
         assert table.race_totals.tolist() == [20, 15, 990, 75]
 
     def test_suffix_list_is_the_callers(self, tmp_path):
         path = tmp_path / "census.csv"
         path.write_text(self.HEADER + "NGUYEN ESQ,100,0.9,0,0,0.1\n")
         table = NameTable.from_probability_csv(path, SURNAME, suffixes=("esq",))
-        assert set(table.entries) == {"nguyen"}
+        assert set(table.keys) == {"nguyen"}
 
 
 PROBABILITY_HEADER = ["name", "total", *(f"p_{r}" for r in RACES)]
@@ -581,8 +656,8 @@ class TestProbabilityCsvRoundTrip:
                     NameTable.from_probability_csv(path, SURNAME, RACES)
                 return
             table = NameTable.from_probability_csv(path, SURNAME, RACES)
-        assert list(table.entries) == list(expected)
-        assert {key: c.tolist() for key, c in table.entries.items()} == expected
+        assert table.keys == list(expected)
+        assert entries_of(table) == expected
         assert table.race_totals.tolist() == np.sum(list(expected.values()), axis=0).tolist()
 
     @settings(max_examples=100, deadline=None)
