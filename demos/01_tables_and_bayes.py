@@ -8,7 +8,7 @@ and BISG / BIFSG posteriors with their decline reasons.
 
 import numpy as np
 
-from nameproxy import People, RaceSet
+from nameproxy.core import People, RaceSet
 from nameproxy.bayes import BayesContext, bifsg_reason, bisg_reason
 from nameproxy.tables import (
     EXTERNAL,

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nameproxy import People, RaceSet
+from nameproxy.core import People, RaceSet
 from nameproxy.lstm import (
     TrainConfig,
     load_params,

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from nameproxy import RaceSet
+from nameproxy.core import RaceSet
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 

@@ -1,7 +1,7 @@
 """Closed-form Bayes predictors over the probability tables.
 
-Three predictors share one pattern: multiply a race prior by per-race
-likelihood factors and renormalize.
+Three predictors share one formula: a race prior times per-race
+likelihood factors, renormalized.
 
 * ``bisg``        -- posterior from surname prior and geography:
   ``P(r | s, g) ∝ P(r | s) * P(g | r)``
@@ -15,11 +15,12 @@ geography, zero posterior mass) produces a declined prediction rather
 than an error; the decline reason is available for diagnostics.
 
 The work is done over whole columns of records (:func:`bayes_scores`,
-:func:`geo_augment_scores`): each distinct raw name is normalized once,
-keys resolve to rows of per-table factor matrices, and a posterior is a
-row-wise product of gathered rows, renormalized.  The one-record
-functions (``bisg``, ``bifsg_reason``, ...) are one-row calls into the
-same code.
+:func:`geo_augment_scores`): keys resolve to rows of per-table factor
+matrices, and both functions hand their factors, in multiplication
+order, to :func:`_posterior`, the one place a posterior is built.  The
+one-record functions (``bisg``, ``bifsg_reason``, ...) are one-row calls
+into the same code.  The surname prior's Laplace smoothing is a
+:class:`BayesContext` setting, not table state.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, partial, reduce
 
 import numpy as np
 
@@ -86,6 +87,7 @@ class BayesContext:
     use.  A column of raw keys is resolved to factor rows once per context
     too (:meth:`Factor.rows`): BISG, BIFSG and geography augmentation over
     the same records share the surname and geography rows.
+    ``smoothing_alpha`` is added to every surname count of the prior.
     """
 
     surname_table: NameTable | Callable[[], NameTable]
@@ -93,6 +95,7 @@ class BayesContext:
     firstname_table: NameTable | Callable[[], NameTable] | None = None
     races: RaceSet | None = None
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
+    smoothing_alpha: float = 0.0
 
     def __post_init__(self):
         if self.races is None:
@@ -118,7 +121,8 @@ class BayesContext:
     def surname_prior(self) -> Factor:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
         table = self.table("surname_table")
-        return Factor(table.index, table.prior_rows(), partial(table_key, suffixes=self.suffixes))
+        prior = table.prior_rows(self.smoothing_alpha)
+        return Factor(table.index, prior, partial(table_key, suffixes=self.suffixes))
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
@@ -150,25 +154,19 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     """
     if firsts is not None:
         first_like = ctx.firstname_likelihood
-    surname = ctx.surname_prior.rows(lasts)
-    reason = np.where(surname < 0, REASON_CODE[UNKNOWN_SURNAME], 0).astype(np.int8)
+    prior = ctx.surname_prior
+    surname = prior.rows(lasts)
     known = surname[surname >= 0]
-    unusable = np.isnan(ctx.surname_prior.matrix[known]).any(axis=1)
-    if unusable.any():
-        # raise what normalizing that entry raises
+    unusable = known[np.isnan(prior.matrix[known]).any(axis=1)]
+    if unusable.size:  # raise what normalizing the first such entry raises
         table = ctx.table("surname_table")
-        table.race_given_name(table.keys[known[unusable][0]])
+        table.race_given_name(table.keys[unusable[0]], ctx.smoothing_alpha)
+    terms = [(surname, prior.matrix, UNKNOWN_SURNAME)]
     if firsts is not None:
-        first = first_like.rows(firsts)
-        reason[(reason == 0) & (first < 0)] = REASON_CODE[UNKNOWN_FIRSTNAME]
-    geo = ctx.geo_likelihood.rows(geos)
-    reason[(reason == 0) & (geo < 0)] = REASON_CODE[UNKNOWN_GEO]
-    live = reason == 0
-    numerator = ctx.surname_prior.matrix[surname[live]]
-    if firsts is not None:
-        numerator = numerator * first_like.matrix[first[live]]
-    numerator = numerator * ctx.geo_likelihood.matrix[geo[live]]
-    return _posterior(numerator, reason, len(ctx.races))
+        terms.append((first_like.rows(firsts), first_like.matrix, UNKNOWN_FIRSTNAME))
+    geo = ctx.geo_likelihood
+    terms.append((geo.rows(geos), geo.matrix, UNKNOWN_GEO))
+    return _posterior(np.zeros(surname.size, dtype=np.int8), terms)
 
 
 def geo_augment_scores(name: Scores, geo_rows: np.ndarray, geo_likelihood: np.ndarray) -> Scores:
@@ -178,11 +176,9 @@ def geo_augment_scores(name: Scores, geo_rows: np.ndarray, geo_likelihood: np.nd
     ``P(geo | race)`` matrix), or -1 for an unknown geography.  Records
     the name model declined keep its reason.
     """
-    reason = name.reason.copy()
-    reason[(reason == 0) & (geo_rows < 0)] = REASON_CODE[UNKNOWN_GEO]
-    live = reason == 0
-    numerator = name.probs[live] * geo_likelihood[geo_rows[live]]
-    return _posterior(numerator, reason, name.probs.shape[1])
+    n = name.probs.shape[0]
+    terms = [(np.arange(n), name.probs, None), (geo_rows, geo_likelihood, UNKNOWN_GEO)]
+    return _posterior(name.reason.copy(), terms)
 
 
 def bisg(ctx: BayesContext, last: str, geo: str) -> np.ndarray | None:
@@ -236,12 +232,21 @@ def geo_augment_reason(name_probs, geo_likelihood, races: RaceSet):
     return geo_augment_scores(name, np.array([0]), g).row(0)
 
 
-def _posterior(numerator: np.ndarray, reason: np.ndarray, width: int) -> Scores:
-    """Renormalize the numerators of the rows where ``reason`` is 0; a row
-    with no mass declines as zero mass."""
+def _posterior(reason: np.ndarray, terms) -> Scores:
+    """Each record's product of its terms' rows, in term order, renormalized.
+
+    A term ``(rows, matrix, why)`` gives record ``i`` the factor
+    ``matrix[rows[i]]``, or declines it for ``why`` when ``rows[i] < 0``.
+    A record not declined yet (``reason`` 0, updated in place) declines
+    for its first missing term, or as zero mass when its product has none.
+    """
+    for rows, _, why in terms:
+        if why is not None:
+            reason[(reason == 0) & (rows < 0)] = REASON_CODE[why]
     live = np.flatnonzero(reason == 0)
+    numerator = reduce(np.multiply, (matrix[rows[live]] for rows, matrix, _ in terms))
     no_mass = numerator.sum(axis=1) <= 0.0
     reason[live[no_mass]] = REASON_CODE[ZERO_MASS]
-    probs = np.zeros((reason.size, width))
+    probs = np.zeros((reason.size, terms[0][1].shape[1]))
     probs[live[~no_mass]] = renormalize_rows(numerator[~no_mass])
     return Scores(probs, reason)

@@ -28,7 +28,7 @@ from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
-from .names import column_keys, is_person_name, table_key
+from .names import column_keys, is_person_name, table_key, usable_keys
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -111,22 +111,18 @@ class Artifacts:
             )
         return params
 
-    def _load_surname_table(self) -> NameTable:
-        table = NameTable.load(self._path("surname_table"))
-        table.smoothing_alpha = self.config.smoothing_alpha
-        return table
-
     @cached_property
     def bayes_context(self) -> BayesContext:
         """The one Bayes context of a predict: every model shares its
         factor matrices and resolved columns, and each table loads when a
         model first needs it."""
         return BayesContext(
-            surname_table=self._load_surname_table,
+            surname_table=lambda: NameTable.load(self._path("surname_table")),
             geo_table=lambda: GeoTable.load(self._path("geo_table")),
             firstname_table=lambda: NameTable.load(self._path("firstname_table")),
             races=self.config.races,
             suffixes=self.config.suffixes,
+            smoothing_alpha=self.config.smoothing_alpha,
         )
 
 
@@ -191,7 +187,7 @@ def cmd_build_tables(args, config: RunConfig) -> int:
         # manifest alike; the sample rows are shared by both kinds
         keys, codes = column_keys(column, partial(table_key, suffixes=config.suffixes))
         table = count_name_table(kind, config.races, keys, codes[rows], people.race[rows])
-        distinct = sum(1 for key in keys if key is not None and len(key) > 1)
+        distinct = int(usable_keys(keys).sum())
         stats = {
             "distinct_names": distinct,
             "kept_internal": len(table),

@@ -100,6 +100,11 @@ def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | N
         return None
 
 
+def usable_keys(keys, min_length: int = 2) -> np.ndarray:
+    """Which keys are not ``None`` and keep ``min_length`` characters (tables: 2)."""
+    return np.array([k is not None and len(k) >= min_length for k in keys], dtype=bool)
+
+
 def column_keys(values, key=None) -> tuple[list, np.ndarray]:
     """Key a column once per distinct value: ``(keys, codes)``.
 
@@ -184,10 +189,8 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     """
     firsts, first_codes = column_keys(firsts, neural_key)
     lasts, last_codes = column_keys(lasts, neural_key)
-    usable = (
-        np.array([k is not None and len(k) >= min_length for k in firsts], dtype=bool)[first_codes]
-        & np.array([k is not None and len(k) >= min_length for k in lasts], dtype=bool)[last_codes]
-    )
+    usable = usable_keys(firsts, min_length)[first_codes]
+    usable &= usable_keys(lasts, min_length)[last_codes]
     pairs, pair_codes = column_keys(zip(first_codes[usable].tolist(), last_codes[usable].tolist()))
     if not pairs:
         return np.zeros((0, WINDOW), dtype=np.int64), usable

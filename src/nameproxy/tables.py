@@ -6,8 +6,10 @@ universe totals; ``index``, the key-to-row dict, is built on first use.
 A :class:`NameTable` is keyed by table-normalized name, and each of its
 rows has a source (an int8 index into :data:`SOURCES`) with universe
 totals per source.  It answers ``P(race | name)`` and the likelihood of
-a name within each race, ``P(name | race)``.  A :class:`GeoTable`
-answers ``P(geo | race)``.
+a name within each race, ``P(name | race)``, over its source's totals
+(a file with a ``source_totals`` line needs one per source its rows use).
+A :class:`GeoTable` answers ``P(geo | race)``.  Tables hold raw counts:
+a caller that smooths ``P(race | name)`` passes its ``smoothing_alpha``.
 
 Construction follows the standard small-cell suppression convention:
 a name is kept only when it has at least ``min_total`` observations, or
@@ -33,7 +35,7 @@ from .errors import (
     KindMismatchError,
     SchemaError,
 )
-from .names import DEFAULT_SUFFIXES, column_keys, table_key
+from .names import DEFAULT_SUFFIXES, column_keys, table_key, usable_keys
 from .sampling import max_feasible_sample_size, representative_sample_indices
 
 SURNAME = "surname"
@@ -98,7 +100,6 @@ class NameTable(_Rows):
     race_totals: np.ndarray
     sources: np.ndarray | None = None  # index into SOURCES per row; None: all internal
     source_totals: dict[str, np.ndarray] = field(default_factory=dict)
-    smoothing_alpha: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (SURNAME, FIRSTNAME):
@@ -110,12 +111,13 @@ class NameTable(_Rows):
             src = SOURCES[self.sources[0]] if self.keys else INTERNAL
             self.source_totals = {src: self.race_totals}
 
-    def race_given_name(self, name: str) -> np.ndarray | None:
-        """``P(race | name)``: the entry's counts renormalized across races."""
+    def race_given_name(self, name: str, smoothing_alpha: float = 0.0) -> np.ndarray | None:
+        """``P(race | name)``: the entry's counts, each plus ``smoothing_alpha``,
+        renormalized across races."""
         row = self.index.get(name)
         if row is None:
             return None
-        return renormalize_rows(self._smoothed(self.counts[row : row + 1]))[0]
+        return renormalize_rows(self.counts[row : row + 1].astype(np.float64) + smoothing_alpha)[0]
 
     def name_likelihood(self, name: str) -> np.ndarray | None:
         """``P(name | race)`` per race: entry count over that race's universe total.
@@ -129,13 +131,13 @@ class NameTable(_Rows):
         totals = self.source_totals.get(SOURCES[self.sources[row]], self.race_totals)
         return _likelihood_rows(self.counts[row], totals)
 
-    def prior_rows(self) -> np.ndarray:
+    def prior_rows(self, smoothing_alpha: float = 0.0) -> np.ndarray:
         """:meth:`race_given_name` of every entry, one row each in ``keys`` order.
 
         An entry that :meth:`race_given_name` cannot normalize (no mass at
         all) gets a row of NaN.
         """
-        x = self._smoothed(self.counts)
+        x = self.counts.astype(np.float64) + smoothing_alpha
         out = np.full(x.shape, np.nan)
         usable = np.isfinite(x).all(axis=1) & (x >= 0).all(axis=1) & (x.sum(axis=1) > 0.0)
         out[usable] = renormalize_rows(x[usable])
@@ -145,11 +147,6 @@ class NameTable(_Rows):
         """:meth:`name_likelihood` of every entry, one row each in ``keys`` order."""
         by_source = np.array([self.source_totals.get(src, self.race_totals) for src in SOURCES])
         return _likelihood_rows(self.counts, by_source[self.sources])
-
-    def _smoothed(self, counts: np.ndarray) -> np.ndarray:
-        if self.smoothing_alpha > 0.0:
-            return counts.astype(np.float64) + self.smoothing_alpha
-        return counts.astype(np.float64)
 
     def save(self, path) -> None:
         _write_table_csv(
@@ -183,6 +180,10 @@ class NameTable(_Rows):
                 if src not in SOURCES:
                     raise SchemaError(f"{path}: unknown source {src!r} in {key!r}")
                 source_totals[src] = _parse_counts(val, len(races), path)
+        missing = {SOURCES[code] for code in np.unique(sources).tolist()} - source_totals.keys()
+        if source_totals and missing:
+            src = min(missing)
+            raise SchemaError(f"{path}: no 'source_totals {src}' line for rows tagged {src}")
         race_totals = _parse_counts(meta["race_totals"], len(races), path)
         return cls(meta["kind"], races, keys, counts, race_totals, sources, source_totals)
 
@@ -231,8 +232,7 @@ class NameTable(_Rows):
         ).astype(np.int64)
         counts = np.zeros((len(keys), len(races)), dtype=np.int64)
         np.add.at(counts, codes, pseudo)
-        usable = np.array([k is not None and len(k) > 1 for k in keys], dtype=bool)
-        kept = np.flatnonzero(usable & (counts.sum(axis=1) > 0))
+        kept = np.flatnonzero(usable_keys(keys) & (counts.sum(axis=1) > 0))
         if kept.size == 0:
             raise EmptyTableError(f"{path}: no usable rows")
         counts = counts[kept]
@@ -355,9 +355,8 @@ def count_name_table(
     Raises:
         EmptyTableError: nothing survives suppression.
     """
-    valid_key = np.array([k is not None and len(k) > 1 for k in keys], dtype=bool)
     key_codes = np.asarray(key_codes, dtype=np.intp)
-    race = np.where(valid_key[key_codes], race, -1)
+    race = np.where(usable_keys(keys)[key_codes], race, -1)
     counts, race_totals, order = _count_pairs(key_codes, race, len(keys), len(races))
     if suppress:
         order = order[_passes_suppression_rows(counts[order], min_total, single_race_band)]

@@ -12,9 +12,24 @@ import time
 import numpy as np
 import pytest
 
-from nameproxy.bayes import BayesContext, bifsg_reason, bisg_reason, geo_augment
+from nameproxy.bayes import (
+    BayesContext,
+    bayes_scores,
+    bifsg_reason,
+    bisg_reason,
+    geo_augment,
+    geo_augment_scores,
+)
 from nameproxy.cli import main
-from nameproxy.core import RaceSet, argmax_race
+from nameproxy.core import (
+    REASON_CODE,
+    UNKNOWN_GEO,
+    UNKNOWN_SURNAME,
+    ZERO_MASS,
+    RaceSet,
+    Scores,
+    argmax_race,
+)
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, roc_curve
 from nameproxy.lstm import TrainConfig, forward, init_params, loss_and_gradients, train
@@ -176,6 +191,43 @@ class TestC02NeutralFactorIdentities:
             out = geo_augment(p, np.full(4, c), RACES)
             np.testing.assert_allclose(out, p, atol=1e-12)
         _pass("geo_augment(uniform geography) == name model (200 draws)")
+
+    def test_bisg_is_geo_augmented_surname_prior(self):
+        """BISG is geography augmentation of the name model ``P(r | s)``,
+        bit for bit, declines included."""
+        rng = np.random.default_rng(8)
+        entries = {}
+        for i in range(40):
+            own_race = np.arange(4) == i % 4
+            counts = rng.integers(0, 40, 4)
+            if i < 10:  # single-race surnames make zero-mass posteriors
+                counts = np.where(own_race, counts, 0)
+            entries[f"sur{_letters(i)}"] = counts + own_race  # never all zero
+        surname = name_table(SURNAME, RACES, entries, np.array([1000, 1000, 1000, 1000]))
+        geo = build_geo_table(people_of([
+            ("aa", "bb", f"{g:05d}", RACES.labels[int(rng.integers(4))])
+            for g in range(12) for _ in range(3)
+        ]))
+        n = 3000
+        lasts = [f"sur{_letters(i)}" for i in rng.integers(0, 45, n)]  # 5 unknown
+        geos = [f"{g:05d}" for g in rng.integers(0, 14, n)]  # 2 unknown
+        for alpha in (0.0, 0.5):
+            ctx = BayesContext(surname, geo, smoothing_alpha=alpha)
+            rows = ctx.surname_prior.rows(lasts)
+            known = rows >= 0
+            name = Scores(
+                np.where(known[:, None], ctx.surname_prior.matrix[rows], 0.0),
+                np.where(known, 0, REASON_CODE[UNKNOWN_SURNAME]).astype(np.int8),
+            )
+            geo_like = ctx.geo_likelihood
+            augmented = geo_augment_scores(name, geo_like.rows(geos), geo_like.matrix)
+            bisg = bayes_scores(ctx, lasts, geos)
+            assert augmented.reason.tobytes() == bisg.reason.tobytes()
+            assert augmented.probs.tobytes() == bisg.probs.tobytes()
+            seen = set(bisg.reason.tolist())
+            assert {0, REASON_CODE[UNKNOWN_SURNAME], REASON_CODE[UNKNOWN_GEO]} <= seen
+            assert (REASON_CODE[ZERO_MASS] in seen) == (alpha == 0.0)
+        _pass(f"bisg == geo_augment(surname prior) bit for bit over {n} records")
 
 
 class TestC03GradientCheck:

@@ -671,7 +671,8 @@ class TestPredictCommand:
         err = capsys.readouterr().err
         assert err == "nameproxy: config paths.surname_table is required for the requested model\n"
 
-    def test_smoothing_alpha_reaches_bisg(self, world, tmp_path):
+    @pytest.mark.parametrize("model", ["bisg", "bifsg"])
+    def test_smoothing_alpha_reaches_bisg(self, world, tmp_path, model):
         cfg_path = self.config_with(world, tmp_path)
         config = json.loads(cfg_path.read_text())
         config["smoothing_alpha"] = 0.5
@@ -680,22 +681,26 @@ class TestPredictCommand:
         write_csv(input_csv, DEFAULT_INPUT_ROWS)
         out = tmp_path / "p.csv"
         rc = run(
-            "predict", "--config", cfg_path, "--input", input_csv, "--models", "bisg", "--out", out
+            "predict", "--config", cfg_path, "--input", input_csv, "--models", model, "--out", out
         )
         assert rc == 0
         people = read_people_csv(input_csv, RACES, require_race=False)
-        surname = NameTable.load(world["tables"] / "surname_table.csv")
-        geo = GeoTable.load(world["tables"] / "geo_table.csv")
+        tables = world["tables"]
+        surname = NameTable.load(tables / "surname_table.csv")
+        firstname = NameTable.load(tables / "firstname_table.csv")
+        geo = GeoTable.load(tables / "geo_table.csv")
+        firsts = people.first if model == "bifsg" else None
 
-        def bisg(alpha):
-            surname.smoothing_alpha = alpha
-            return bayes_scores(BayesContext(surname, geo, races=RACES), people.last, people.geo)
+        def scores(alpha):
+            ctx = BayesContext(surname, geo, firstname, races=RACES, smoothing_alpha=alpha)
+            return bayes_scores(ctx, people.last, people.geo, firsts)
 
-        got = read_predictions_csv(out, RACES, len(people))["bisg"]
-        want = bisg(0.5)
+        got = read_predictions_csv(out, RACES, len(people))[model]
+        want = scores(0.5)
+        assert want.covered.any()
         np.testing.assert_array_equal(got.reason, np.where(want.covered, 0, REASON_CODE[DECLINED]))
         np.testing.assert_array_equal(got.probs, want.probs)  # bit for bit
-        assert not np.array_equal(bisg(0.0).probs, want.probs)
+        assert not np.array_equal(scores(0.0).probs, want.probs)
 
     def test_count_beyond_int64_names_file_and_line(self, world, tmp_path, capsys):
         geo = tmp_path / "geo.csv"

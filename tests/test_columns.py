@@ -79,13 +79,13 @@ def ref_row(table, key):
     return table.keys.index(key) if key in table.keys else None
 
 
-def ref_prior(table: NameTable, key):
+def ref_prior(table: NameTable, key, smoothing_alpha=0.0):
     row = ref_row(table, key)
     if row is None:
         return None
     x = table.counts[row].astype(np.float64)
-    if table.smoothing_alpha > 0.0:
-        x = x + table.smoothing_alpha
+    if smoothing_alpha > 0.0:
+        x = x + smoothing_alpha
     return ref_renormalize(x)
 
 
@@ -111,7 +111,7 @@ def ref_posterior(numerator):
 def ref_bayes(ctx: BayesContext, first, last, geo):
     """BISG when ``first`` is None, BIFSG otherwise, one record at a time."""
     key = table_key(last, ctx.suffixes)
-    prior = None if key is None else ref_prior(ctx.surname_table, key)
+    prior = None if key is None else ref_prior(ctx.surname_table, key, ctx.smoothing_alpha)
     if prior is None:
         return None, UNKNOWN_SURNAME
     if first is not None:
@@ -195,7 +195,7 @@ def bayes_worlds(draw):
         surname = merge_tables(
             surname, drawn_table(SURNAME, EXTERNAL), draw(st.sampled_from([INTERNAL, EXTERNAL]))
         )
-    surname.smoothing_alpha = draw(st.sampled_from(ALPHAS))
+    alpha = draw(st.sampled_from(ALPHAS))
     firstname = drawn_table(FIRSTNAME, INTERNAL)
     if draw(st.booleans()):
         firstname = merge_tables(
@@ -205,7 +205,7 @@ def bayes_worlds(draw):
         )
     geo_keys = draw(st.lists(st.sampled_from(GEOS), min_size=1, unique=True))
     geo = geo_table(races, {g: draw(counts) for g in geo_keys}, draw(totals))
-    ctx = BayesContext(surname, geo, firstname)
+    ctx = BayesContext(surname, geo, firstname, smoothing_alpha=alpha)
     name = st.one_of(st.sampled_from(NAME_POOL), st.sampled_from(RAW_NAMES))
     geo_id = st.one_of(st.sampled_from(GEOS), st.sampled_from(RAW_GEOS))
     records = draw(st.lists(st.tuples(name, name, geo_id), max_size=30))
@@ -369,14 +369,14 @@ class TestBayesKernelDenseWorld:
         kept = np.arange(len(merged)) != merged.keys.index(keys[0])
         surname = NameTable(
             SURNAME, races, [k for k in merged.keys if k != keys[0]], merged.counts[kept],
-            merged.race_totals, merged.sources[kept], merged.source_totals, smoothing_alpha=0.5,
+            merged.race_totals, merged.sources[kept], merged.source_totals,
         )
         firstname = merge_tables(
             table(FIRSTNAME, INTERNAL), table(FIRSTNAME, EXTERNAL), INTERNAL
         )
         geo = geo_table(races, {f"g{i}": rng.integers(1, 900, 4) for i in range(30)},
                         rng.integers(5000, 9000, 4))
-        ctx = BayesContext(surname, geo, firstname)
+        ctx = BayesContext(surname, geo, firstname, smoothing_alpha=0.5)
         n = 3000
         firsts = [keys[i].upper() for i in rng.integers(0, len(keys), n)]
         lasts = [keys[i] for i in rng.integers(0, len(keys), n)]

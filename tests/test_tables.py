@@ -191,9 +191,11 @@ class TestQueryDirections:
             races=RACES,
             entries={"lee": np.array([3, 1, 0, 0])},
             race_totals=np.array([10, 10, 10, 10]),
-            smoothing_alpha=1.0,
         )
-        np.testing.assert_allclose(table.race_given_name("lee"), [0.5, 0.25, 0.125, 0.125])
+        smoothed = [0.5, 0.25, 0.125, 0.125]
+        np.testing.assert_allclose(table.race_given_name("lee", smoothing_alpha=1.0), smoothed)
+        np.testing.assert_allclose(table.prior_rows(smoothing_alpha=1.0), [smoothed])
+        np.testing.assert_allclose(table.race_given_name("lee"), [0.75, 0.25, 0, 0])
 
 
 class TestGeoTable:
@@ -511,6 +513,27 @@ class TestPersistence:
                         "# race_totals: 1,1,1,1\n# source_totals bogus: 1,1,1,1\n" + self.NAME_ROWS)
         with pytest.raises(SchemaError, match="src.csv: unknown source 'bogus'"):
             NameTable.load(path)
+
+    TWO_SOURCE_ROWS = NAME_ROWS + "bb,0,1,0,0,external\n"
+
+    def test_load_rejects_row_source_without_its_totals(self, tmp_path):
+        # scoring the external row over race_totals would mix universes
+        path = tmp_path / "src.csv"
+        path.write_text("# races: asian,black,hispanic,white\n# kind: surname\n"
+                        "# race_totals: 1,2,1,1\n# source_totals internal: 1,1,1,1\n"
+                        + self.TWO_SOURCE_ROWS)
+        with pytest.raises(SchemaError) as info:
+            NameTable.load(path)
+        assert str(info.value) == (
+            f"{path}: no 'source_totals external' line for rows tagged external"
+        )
+
+    def test_load_without_source_totals_scores_over_race_totals(self, tmp_path):
+        path = tmp_path / "src.csv"
+        path.write_text("# races: asian,black,hispanic,white\n# kind: surname\n"
+                        "# race_totals: 1,2,1,1\n" + self.TWO_SOURCE_ROWS)
+        table = NameTable.load(path)
+        np.testing.assert_array_equal(table.likelihood_rows(), [[1, 0, 0, 0], [0, 0.5, 0, 0]])
 
     def test_probability_csv_pseudo_counts(self, tmp_path):
         path = tmp_path / "census.csv"
