@@ -175,8 +175,17 @@ def geo_augment_scores(name: Scores, geo_rows: np.ndarray, geo_likelihood: np.nd
     ``geo_rows[i]`` is record ``i``'s row of ``geo_likelihood`` (the
     ``P(geo | race)`` matrix), or -1 for an unknown geography.  Records
     the name model declined keep its reason.
+
+    Raises:
+        ValueError: the likelihood's rows and the name probabilities differ
+            in width.
     """
-    n = name.probs.shape[0]
+    n, width = name.probs.shape
+    if geo_likelihood.shape[1] != width:
+        raise ValueError(
+            f"geography likelihood has {geo_likelihood.shape[1]} entries per geography "
+            f"for {width} name probabilities"
+        )
     terms = [(np.arange(n), name.probs, None), (geo_rows, geo_likelihood, UNKNOWN_GEO)]
     return _posterior(name.reason.copy(), terms)
 

@@ -31,9 +31,10 @@ Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
 Inference and training share one layer pass, :func:`_run_direction`: it
 projects the input :data:`_CHUNK` steps at a time and overwrites each
-step's projection with its activated gates.  :func:`forward` gives it
-one reused chunk buffer and keeps only the running ``h``/``c``, so eval
-memory is a layer's input and output plus that buffer.
+step's projection with its activated gates.  :func:`forward` gives each
+direction one chunk buffer, reused in every layer, and keeps only the
+running ``h``/``c``, so eval memory is a layer's input and output plus
+those buffers.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
 record per layer (output, bool dropout mask, and per direction every
 step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
@@ -44,6 +45,21 @@ no longer needs; the input gradient is written over that buffer.
 Probabilities and loss are bit-identical to the earlier batch-major
 kernels; gradients differ by at most about 1e-15 relative to the largest
 entry, as the weight-gradient GEMMs sum their rows in time order.
+
+A layer's two directions read the same input and write disjoint memory,
+so they can run at once (Appleyard et al. 2016 do the same on GPUs): the
+forward direction on the calling thread and the backward one on a worker
+thread, joined before the next layer, in the layer pass, in BPTT and in
+the two ``w_in``-gradient GEMMs (:func:`_both`).  They run at once when
+two BLAS calls fit on the usable cores, that is when twice the BLAS
+thread count is at most the cores this process may run on.  The count is
+the first positive integer among ``OPENBLAS_NUM_THREADS``,
+``GOTO_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``, else
+the number of usable cores, as OpenBLAS assumes; so by default the
+directions take turns, and pinning the BLAS to k threads on at least 2k
+cores runs them at once.  Every array a direction writes is allocated on
+the calling thread and the input gradient sums its halves in one order,
+so probabilities, loss and gradients are bit-identical in both schedules.
 
 Raw names are encoded in one place, :func:`names.encode_columns`: for
 training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
@@ -58,6 +74,7 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -72,10 +89,17 @@ EVAL = "eval"
 # gate slices within the stacked 4H dimension: input, forget, candidate, output
 _I, _F, _G, _O = range(4)
 
-# steps of input projection an eval pass holds per direction: at
-# production dims 5 had the lowest median eval time of 1, 3, 5, 10 and the
-# whole window (all within run-to-run noise) at a sixth of its memory
-_CHUNK = 5
+# steps of input projection an eval pass holds per direction.  At
+# production dims 1, 3, 5, 10 and the whole window ran within run-to-run
+# noise of each other; 2 keeps both directions' chunks within 5 steps when
+# they run at once, and scoring 512 names at production dims on a 2-core
+# Xeon took the same wall time as with 5, at 30 MB less peak RSS
+_CHUNK = 2
+
+# the variables a BLAS reads its thread count from, in the order read here
+_BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
+)
 
 MAGIC = b"NPRX"
 FORMAT_VERSION = 1
@@ -222,6 +246,74 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
+def _concurrent_directions(environ, cores: int) -> bool:
+    """Whether a layer's two directions run at once: when two BLAS calls at
+    the BLAS thread count fit on ``cores`` usable cores.
+
+    The count is the first positive integer among :data:`_BLAS_THREAD_VARS`
+    in the ``environ`` mapping, else ``cores``, as OpenBLAS itself assumes.
+    """
+    threads = cores
+    for name in _BLAS_THREAD_VARS:
+        try:
+            value = int(environ.get(name, ""))
+        except ValueError:
+            continue
+        if value > 0:
+            threads = value
+            break
+    return 2 * threads <= cores
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+# fixed when the module loads, as the BLAS fixes its thread count when it loads
+_CONCURRENT = _concurrent_directions(os.environ, _usable_cores())
+
+
+def _both(here, there):
+    """Call ``here()`` and ``there()``: at once, ``there`` on a worker thread,
+    when :data:`_CONCURRENT` holds, else one after the other.
+
+    The worker is joined before this returns or raises, and an exception it
+    raised is raised here.  ``there`` must call no traced public function
+    and should allocate nothing large: every array it writes comes from the
+    calling thread, so its memory stays in the main thread's heap.
+    """
+    if not _CONCURRENT:
+        here()
+        there()
+        return
+    failure = []
+
+    def run():
+        try:
+            there()
+        except BaseException as exc:  # re-raised on the calling thread
+            failure.append(exc)
+
+    worker = threading.Thread(target=run)
+    worker.start()
+    try:
+        here()
+    finally:
+        worker.join()
+    if failure:
+        raise failure[0]
+
+
+def _per_direction(make):
+    """``[make(), make()]``, one buffer per direction of a layer, or one
+    buffer for both when they take turns."""
+    first = make()
+    return [first, make() if _CONCURRENT else first]
+
+
 def _project(direction: LstmDirection, x, out):
     """``x @ w_in + bias`` for a ``(steps, batch, in_dim)`` run of steps,
     written into ``out``, a contiguous ``(steps, batch, 4*hidden)`` array."""
@@ -232,7 +324,14 @@ def _project(direction: LstmDirection, x, out):
     return out
 
 
-def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, c_all=None):
+def _pass_scratch(batch: int, hidden: int):
+    """The step buffers of :func:`_run_direction`: the recurrent product, a
+    temporary, ``c``, and the zero state before the first step."""
+    return (np.empty((batch, 4 * hidden)), np.empty((batch, hidden)),
+            np.empty((batch, hidden)), np.zeros((batch, hidden)))
+
+
+def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, scratch, c_all=None):
     """One direction's pass over the window, writing each ``h_t`` into ``out``.
 
     ``x`` is the time-major ``(steps, batch, in_dim)`` layer input and
@@ -242,15 +341,13 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, c_all=
     one ``(min(_CHUNK, steps), batch, 4*hidden)`` chunk that every run of
     steps reuses, or the whole ``(steps, batch, 4*hidden)`` window, where
     each run lands at its own steps so every step's gates survive.  Each
-    ``c_t`` is written into ``c_all`` when it is given.
+    ``c_t`` is written into ``c_all`` when it is given.  ``scratch`` is
+    :func:`_pass_scratch` of the batch, reusable from one call to the next.
     """
-    steps, batch, _ = x.shape
+    steps = x.shape[0]
     hidden = direction.w_rec.shape[0]
-    rec = np.empty((batch, 4 * hidden))
-    tmp = np.empty((batch, hidden))
-    c = np.empty((batch, hidden))
-    # the state before the first step: h and c are zero
-    h_prev = c_prev = np.zeros((batch, hidden))
+    rec, tmp, c, zero = scratch
+    h_prev = c_prev = zero
     starts = range(0, steps, _CHUNK)
     for t0 in reversed(starts) if reverse else starts:
         t1 = min(t0 + _CHUNK, steps)
@@ -277,24 +374,23 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, c_all=
 
 
 def _backprop_direction(direction: LstmDirection, h, acts, c, reverse: bool, d_out,
-                        grad: LstmDirection):
+                        grad: LstmDirection, scratch):
     """BPTT through one direction: writes the ``w_rec`` and ``bias`` gradients
-    into ``grad``'s views and returns every step's gate gradient ``dz``, a
-    ``(steps * batch, 4*hidden)`` view of ``acts``.
+    into ``grad``'s views and every step's gate gradient ``dz`` over its
+    gate activations in ``acts``.
 
     ``h`` (the direction's output), ``acts`` and ``c`` are the arrays
     :func:`_run_direction` wrote over the whole window, and ``d_out`` is the
-    time-major ``(steps, batch, hidden)`` gradient of the output.  Each
-    step's gate gradients overwrite its gate activations in ``acts``.
+    time-major ``(steps, batch, hidden)`` gradient of the output.
     ``tanh(c_t)`` is recomputed and ``h_{t-1}`` is read from ``h``.  The
     ``w_in`` gradient and the input gradient are the caller's, from ``dz``
-    and the layer input.
+    and the layer input.  ``scratch`` is a ``(6, batch, hidden)`` array the
+    caller owns whose first row is zero, reusable from one call to the next.
     """
     steps, batch, hidden = h.shape
-    zero = np.zeros((batch, hidden))
-    dh_next = np.zeros((batch, hidden))
-    dc_next = np.zeros((batch, hidden))
-    a, dc, d = (np.empty((batch, hidden)) for _ in range(3))
+    zero, dh_next, dc_next, a, dc, d = scratch
+    dh_next.fill(0.0)
+    dc_next.fill(0.0)
     w_rec_t = direction.w_rec.T
     # the reverse of the forward order; the state before each step comes
     # from its predecessor in the forward order
@@ -334,7 +430,6 @@ def _backprop_direction(direction: LstmDirection, h, acts, c, reverse: bool, d_o
         np.subtract(1.0, a, out=a)
         np.multiply(dc, a, out=g)
         np.matmul(z, w_rec_t, out=dh_next)
-    dz = acts.reshape(steps * batch, 4 * hidden)
     # h_{t-1} is zero at the first step: that step adds nothing to w_rec
     if reverse:
         h_prev, dz_rec = h[1:], acts[:-1]
@@ -342,8 +437,7 @@ def _backprop_direction(direction: LstmDirection, h, acts, c, reverse: bool, d_o
         h_prev, dz_rec = h[:-1], acts[1:]
     rows = (steps - 1) * batch
     np.matmul(h_prev.reshape(rows, hidden).T, dz_rec.reshape(rows, 4 * hidden), out=grad.w_rec)
-    np.sum(dz, axis=0, out=grad.bias)
-    return dz
+    np.sum(acts.reshape(steps * batch, 4 * hidden), axis=0, out=grad.bias)
 
 
 def _dropout(values, mask, keep: float, out=None):
@@ -398,19 +492,21 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     use_dropout = mode == TRAIN and params.dropout > 0.0
     keep = 1.0 - params.dropout
 
-    span = min(_CHUNK, steps) if tape is None else steps
+    # every array a direction writes is allocated here, on the calling
+    # thread; inference reuses its chunks in every layer
+    scratch = _per_direction(lambda: _pass_scratch(batch, hidden))
+    if tape is None:
+        acts = _per_direction(lambda: np.empty((min(_CHUNK, steps), batch, 4 * hidden)))
+        c_all = [None, None]
     x = params.embedding[codes.T]  # (T, B, D)
     for l, (fwd, bwd) in enumerate(params.layers):
         out = np.empty((steps, batch, 2 * hidden))  # forward | backward
-        stores = []
-        for direction, reverse, h in ((fwd, False, out[:, :, :hidden]),
-                                      (bwd, True, out[:, :, hidden:])):
-            acts = np.empty((span, batch, 4 * hidden))
-            c_all = None if tape is None else np.empty((steps, batch, hidden))
-            _run_direction(direction, x, reverse, h, acts, c_all)
-            if tape is not None:
-                stores.append((acts, c_all))
-            del acts  # inference holds one direction's chunk at a time
+        if tape is not None:
+            acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
+            c_all = [np.empty((steps, batch, hidden)) for _ in range(2)]
+        h_f, h_b = out[:, :, :hidden], out[:, :, hidden:]
+        _both(lambda: _run_direction(fwd, x, False, h_f, acts[0], scratch[0], c_all[0]),
+              lambda: _run_direction(bwd, x, True, h_b, acts[1], scratch[1], c_all[1]))
         mask = None
         if use_dropout and l < params.n_layers - 1:
             # drawn in (batch, steps) order: that order fixes which units a
@@ -418,7 +514,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
             # activation layout
             mask = (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
         if tape is not None:
-            tape.append((out, mask, *stores))
+            tape.append((out, mask, *zip(acts, c_all)))
         x = out if mask is None else _dropout(out, mask, keep)
 
     feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
@@ -479,18 +575,21 @@ def loss_and_gradients(
 
     keep = 1.0 - params.dropout
     rows = steps * batch
+    scratch = _per_direction(lambda: np.zeros((6, batch, hidden)))
     for l in range(params.n_layers - 1, -1, -1):
         (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
         # each layer's record is released when the next one is popped
-        out, mask, fwd_store, bwd_store = tape.pop()
+        out, mask, (acts_f, c_f), (acts_b, c_b) = tape.pop()
         if mask is not None:  # the next layer's input gradient, onto this output
             _dropout(d_out, mask, keep, out=d_out)
-        dz_f = _backprop_direction(
-            fwd, out[:, :, :hidden], *fwd_store, False, d_out[:, :, :hidden], grad_f
+        _both(
+            lambda: _backprop_direction(fwd, out[:, :, :hidden], acts_f, c_f, False,
+                                        d_out[:, :, :hidden], grad_f, scratch[0]),
+            lambda: _backprop_direction(bwd, out[:, :, hidden:], acts_b, c_b, True,
+                                        d_out[:, :, hidden:], grad_b, scratch[1]),
         )
-        dz_b = _backprop_direction(
-            bwd, out[:, :, hidden:], *bwd_store, True, d_out[:, :, hidden:], grad_b
-        )
+        # the gate gradients, written over the gates
+        dz_f, dz_b = acts_f.reshape(rows, 4 * hidden), acts_b.reshape(rows, 4 * hidden)
         # the layer input, rebuilt in d_out's memory, which is dead now
         in_dim = params.embed_dim if l == 0 else 2 * hidden
         buf = _reuse(d_out, (steps, batch, in_dim))
@@ -501,13 +600,14 @@ def loss_and_gradients(
             prev_out, prev_mask = tape[-1][:2]
             x = prev_out if prev_mask is None else _dropout(prev_out, prev_mask, keep, out=buf)
         x = x.reshape(rows, in_dim)
-        np.matmul(x.T, dz_f, out=grad_f.w_in)
-        np.matmul(x.T, dz_b, out=grad_b.w_in)
+        _both(lambda: np.matmul(x.T, dz_f, out=grad_f.w_in),
+              lambda: np.matmul(x.T, dz_b, out=grad_b.w_in))
         # the input gradient: the forward half over x, the backward half over dz_f
         d_in = np.matmul(dz_f, fwd.w_in.T, out=buf.reshape(rows, in_dim))
         d_in += np.matmul(dz_b, bwd.w_in.T, out=_reuse(dz_f, (rows, in_dim)))
         d_out = buf
-        del dz_f, dz_b  # views of this record's gates: freed with it, not a layer later
+        # views of this record's gates: freed with it, not a layer later
+        del acts_f, acts_b, c_f, c_b, dz_f, dz_b
     np.add.at(grads.embedding, codes.T.ravel(), d_out.reshape(-1, params.embed_dim))
     return loss, grads.flat
 

@@ -15,8 +15,9 @@ from nameproxy.bayes import (
     bisg_reason,
     geo_augment,
     geo_augment_reason,
+    geo_augment_scores,
 )
-from nameproxy.core import RaceSet, is_prob_vector
+from nameproxy.core import RaceSet, Scores, is_prob_vector
 from nameproxy.errors import MissingFirstnameTableError
 from nameproxy.tables import FIRSTNAME, SURNAME
 
@@ -163,6 +164,14 @@ class TestGeoAugment:
     def test_one_hot_preserved(self):
         out = geo_augment([0, 0, 1, 0], [0.1, 0.2, 0.3, 0.4], RACES)
         np.testing.assert_allclose(out, [0, 0, 1, 0])
+
+    @pytest.mark.parametrize("entries", [1, 3])
+    def test_likelihood_of_the_wrong_width_rejected(self, entries):
+        with pytest.raises(ValueError, match=f"has {entries} entries .* for 4 name"):
+            geo_augment([0.25] * 4, np.ones(entries), RACES)
+        name = Scores(np.full((2, 4), 0.25), np.zeros(2, dtype=np.int8))
+        with pytest.raises(ValueError, match=f"has {entries} entries .* for 4 name"):
+            geo_augment_scores(name, np.array([0, -1]), np.ones((1, entries)))
 
     def test_unknown_geo(self):
         probs, reason = geo_augment_reason([0.25, 0.25, 0.25, 0.25], None, RACES)

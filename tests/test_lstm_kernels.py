@@ -5,23 +5,34 @@ the kernels in ``nameproxy.lstm`` replaced: one whole-window input
 projection per direction and every per-step gate, state and ``tanh(c)``
 stored for BPTT.  The time-major kernels must give bit-identical eval and
 train-mode probabilities and the same loss; gradients may differ only in
-the order their GEMMs sum over rows.
+the order their GEMMs sum over rows.  Running a layer's two directions at
+once or one after the other must give the same bits, and the gate that
+picks between them is a pure function of the environment and core count.
 """
 
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from nameproxy import lstm
 from nameproxy.lstm import (
     EVAL,
     TRAIN,
     _CHUNK,
+    TrainConfig,
+    _concurrent_directions,
     forward,
     init_params,
     loss_and_gradients,
+    train,
 )
 from nameproxy.names import WINDOW
+
+from test_lstm import synthetic_records
 
 
 def _ref_sigmoid(x):
@@ -152,22 +163,28 @@ def _ref_loss_and_gradients(params, codes, labels, mode, dropout_seed):
     return loss, grads.flat
 
 
-# (embed_dim, hidden, layers, batch, steps): one step; one name; a window
-# shorter than a projection chunk; windows that are and are not a
-# multiple of it; one and three layers; an embedding wider than the 4*hidden
-# gates, whose input gradient fits in no buffer backward frees
+# (embed_dim, hidden, layers, batch, steps): one step, a window shorter
+# than a projection chunk; one name; windows that are and are not a
+# multiple of the chunk; one and three layers; an embedding wider than the
+# 4*hidden gates, whose input gradient fits in no buffer backward frees
 DIMS = [
     (4, 3, 1, 1, 1),
     (4, 3, 3, 5, 1),
     (5, 4, 1, 1, 9),
-    (6, 5, 3, 3, _CHUNK - 2),
-    (8, 8, 1, 7, 2 * _CHUNK),
-    (8, 8, 3, 4, 2 * _CHUNK + 3),
+    (6, 5, 3, 3, 3),
+    (8, 8, 1, 7, 10),
+    (8, 8, 3, 4, 13),
     (16, 32, 3, 17, WINDOW),
     (32, 64, 1, 64, WINDOW),
     (16, 3, 2, 5, WINDOW),
-    (16, 3, 3, 4, 2 * _CHUNK + 3),
+    (16, 3, 3, 4, 13),
 ]
+
+
+def test_dims_cover_the_chunk_cases():
+    windows = [dims[4] for dims in DIMS]
+    assert min(windows) < _CHUNK
+    assert any(w % _CHUNK == 0 for w in windows) and any(w % _CHUNK for w in windows)
 
 
 @pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
@@ -200,11 +217,146 @@ def test_reused_buffers_carry_nothing_between_calls():
     assert np.array_equal(params.flat, before)
 
 
+def in_schedule(monkeypatch, concurrent: bool, fn):
+    """``fn()`` with a layer's two directions run at once or one after the other."""
+    monkeypatch.setattr(lstm, "_CONCURRENT", concurrent)
+    return fn()
+
+
+@pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
+@pytest.mark.parametrize("mode", [EVAL, TRAIN])
+def test_schedules_give_identical_bits(embed_dim, hidden, layers, batch, steps, mode, monkeypatch):
+    params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=23)
+    rng = np.random.default_rng(24)
+    codes = rng.integers(0, 30, size=(batch, steps))
+    labels = rng.integers(0, 4, size=batch)
+
+    def run():
+        probs = forward(params, codes, mode=mode, dropout_seed=8)
+        loss, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=8)
+        return probs, loss, grads
+
+    one_by_one = in_schedule(monkeypatch, False, run)
+    at_once = in_schedule(monkeypatch, True, run)
+    assert np.array_equal(one_by_one[0], at_once[0])
+    assert one_by_one[1] == at_once[1]
+    assert np.array_equal(one_by_one[2], at_once[2])
+
+
+def test_schedules_agree_under_frequent_thread_switches(monkeypatch):
+    params = init_params(embed_dim=8, hidden=8, layers=3, seed=25)
+    rng = np.random.default_rng(26)
+    codes = rng.integers(0, 30, size=(33, WINDOW))
+    labels = rng.integers(0, 4, size=33)
+
+    def run():
+        return loss_and_gradients(params, codes, labels)
+
+    loss, grads = in_schedule(monkeypatch, False, run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            again = in_schedule(monkeypatch, True, run)
+            assert again[0] == loss and np.array_equal(again[1], grads)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_schedules_train_identically(monkeypatch):
+    records = synthetic_records(300, seed=9)
+    cfg = TrainConfig(seed=14, epochs=2, batch_size=32, embed_dim=8, hidden=8, layers=2)
+    params_a, log_a = in_schedule(monkeypatch, False, lambda: train(records, cfg))
+    params_b, log_b = in_schedule(monkeypatch, True, lambda: train(records, cfg))
+    assert log_a == log_b
+    assert np.array_equal(params_a.flat, params_b.flat)
+
+
+@pytest.mark.parametrize("kernel", ["_run_direction", "_backprop_direction"])
+def test_worker_exception_reaches_the_caller(kernel, monkeypatch):
+    caller = threading.current_thread()
+    original = getattr(lstm, kernel)
+    workers = []
+
+    def fails_off_the_caller(*args):
+        if threading.current_thread() is not caller:
+            workers.append(threading.current_thread())
+            raise RuntimeError("the worker's direction failed")
+        return original(*args)
+
+    monkeypatch.setattr(lstm, kernel, fails_off_the_caller)
+    monkeypatch.setattr(lstm, "_CONCURRENT", True)
+    params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
+    with pytest.raises(RuntimeError, match="worker's direction failed"):
+        loss_and_gradients(params, np.ones((2, 5), dtype=np.int64), [0, 1])
+    assert len(workers) == 1 and not workers[0].is_alive()
+
+
+def test_caller_joins_the_worker_before_raising(monkeypatch):
+    caller = threading.current_thread()
+    finished = threading.Event()
+
+    def slow_worker_failing_caller(*args):
+        if threading.current_thread() is caller:
+            raise RuntimeError("the caller's direction failed")
+        time.sleep(0.2)
+        finished.set()
+
+    monkeypatch.setattr(lstm, "_run_direction", slow_worker_failing_caller)
+    monkeypatch.setattr(lstm, "_CONCURRENT", True)
+    threads = threading.active_count()
+    params = init_params(embed_dim=4, hidden=3, layers=1, seed=1)
+    with pytest.raises(RuntimeError, match="caller's direction failed"):
+        forward(params, np.ones((2, 5), dtype=np.int64))
+    assert finished.is_set()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("environ,cores,concurrent", [
+    ({}, 2, False),  # unset: the BLAS takes every core
+    ({}, 4, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 3, False),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": ""}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, False),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 4, False),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 2, True),
+])
+def test_gate(environ, cores, concurrent):
+    assert _concurrent_directions(environ, cores) is concurrent
+
+
+BLAS_THREAD_VARS = (
+    "OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "MKL_NUM_THREADS", "OMP_NUM_THREADS"
+)
+
+
+@pytest.mark.parametrize("first", range(len(BLAS_THREAD_VARS)))
+def test_gate_reads_the_variables_in_order(first):
+    # the first variable set decides, whatever the later ones say
+    later = {name: "2" for name in BLAS_THREAD_VARS[first + 1 :]}
+    assert _concurrent_directions({BLAS_THREAD_VARS[first]: "1", **later}, 2)
+    later = {name: "1" for name in BLAS_THREAD_VARS[first + 1 :]}
+    assert not _concurrent_directions({BLAS_THREAD_VARS[first]: "2", **later}, 2)
+
+
 class TestMemory:
     """Peak traced memory in units of one ``(batch, steps, hidden)`` float64
-    array, at embed 16, hidden 32, 3 layers, batch 64, the full window."""
+    array, at embed 16, hidden 32, 3 layers, batch 64, the full window,
+    with a layer's directions run one after the other."""
 
     UNIT = 64 * WINDOW * 32 * 8
+    CONCURRENT = False
+
+    @pytest.fixture(autouse=True)
+    def schedule(self, monkeypatch):
+        monkeypatch.setattr(lstm, "_CONCURRENT", self.CONCURRENT)
 
     def peak_units(self, fn):
         fn()
@@ -224,7 +376,8 @@ class TestMemory:
 
     def test_eval_holds_a_chunk_of_projection(self):
         # a layer's input and output (2 units each) plus _CHUNK steps of
-        # 4-unit-wide projection; a whole-window projection adds 4 units
+        # 4-unit-wide projection per direction; a whole-window projection
+        # adds 4 units per direction
         assert self.peak_units(lambda: forward(self.params, self.codes)) < 6.5
 
     def test_training_cache_holds_what_bptt_reads(self):
@@ -239,3 +392,9 @@ class TestMemory:
             )
         )
         assert peak < 42
+
+
+class TestMemoryConcurrent(TestMemory):
+    """The same bounds with a layer's two directions run at once."""
+
+    CONCURRENT = True
