@@ -24,7 +24,7 @@ from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from .csvio import framed, read_csv, write_csv
-from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores
+from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores, resolve_model
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
@@ -129,13 +129,13 @@ class Artifacts:
 def predict_model(model: str, people: People, artifacts: Artifacts, memo=None):
     """:class:`Scores` of every person under one model.
 
-    ``memo`` maps canonical model ids (after :data:`MEMBER_ALIASES`) to
+    ``memo`` maps canonical model ids (after :func:`resolve_model`) to
     outputs already computed for these people.  Sharing one dict across
     a predict call computes each model at most once: ``first_last_zcta``
     reuses ``first_last``'s vectors and ensemble members reuse the
     requested models' outputs.
     """
-    model = MEMBER_ALIASES.get(model, model)
+    model = resolve_model(model, MODEL_CHOICES, kind="model")
     memo = {} if memo is None else memo
     if model in memo:
         return memo[model]
@@ -150,13 +150,11 @@ def predict_model(model: str, people: People, artifacts: Artifacts, memo=None):
         out = bayes_scores(ctx, people.last, people.geo)
     elif model == "bifsg":
         out = bayes_scores(ctx, people.last, people.geo, firsts=people.first)
-    elif model == "ensemble":
+    else:  # the ensemble
         spec = artifacts.config.ensemble
         out = ensemble_scores(
             [predict_model(member, people, artifacts, memo) for member in spec.members], spec
         )
-    else:
-        raise ValueError(f"unknown model {model!r}")
     memo[model] = out
     return out
 
@@ -236,10 +234,7 @@ def _parse_models(spec: str) -> list[str]:
     if not models:
         raise SchemaError("no models requested")
     for model in models:
-        if MEMBER_ALIASES.get(model, model) not in MODEL_CHOICES:
-            raise SchemaError(
-                f"unknown model {model!r}; choose from {', '.join(MODEL_CHOICES)}"
-            )
+        resolve_model(model, MODEL_CHOICES, kind="model")
     return models
 
 
@@ -446,7 +441,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--models",
         default="ensemble",
-        help=f"comma-separated subset of: {', '.join(MODEL_CHOICES)}",
+        help=f"comma-separated subset of: {', '.join([*MODEL_CHOICES, *MEMBER_ALIASES])}",
     )
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_predict)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import RaceSet
-from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, EnsembleSpec
+from .ensemble import EnsembleSpec, resolve_model
 from .errors import SchemaError
 from .lstm import TrainConfig
 from .names import DEFAULT_FILTER_WORDS, DEFAULT_SUFFIXES, load_filter_words
@@ -124,9 +124,7 @@ def load_config(path) -> RunConfig:
         # predict runs each member as a model of its own: the ensemble
         # itself cannot be one
         for member in ensemble.members:
-            if MEMBER_ALIASES.get(member, member) not in MEMBER_MODELS:
-                choices = ", ".join([*MEMBER_MODELS, *MEMBER_ALIASES])
-                raise ValueError(f"unknown member {member!r}; choose from {choices}")
+            resolve_model(member)
     except (ValueError, TypeError) as exc:
         raise SchemaError(f"{path}: bad ensemble spec: {exc}") from exc
 
@@ -153,6 +151,8 @@ def load_config(path) -> RunConfig:
         if key not in raw or raw[key] is None:
             return raw.get(key, default)
         shares = numbers(key, raw[key])
+        ok = all(0 <= s < math.inf for s in shares) and sum(shares) > 0
+        check(key, raw[key], ok, "finite, non-negative and not all zero")
         if len(shares) != len(races):
             raise SchemaError(f"{path}: {key} must have one share per race")
         return shares

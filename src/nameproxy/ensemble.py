@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,24 @@ MEMBER_ALIASES = {"ibisg": "bisg", "ibifsg": "bifsg"}
 DEFAULT_MEMBERS = ("first_last_zcta", "ibisg", "ibifsg")
 
 
+def resolve_model(model_id: str, models=MEMBER_MODELS, kind: str = "member") -> str:
+    """The model of ``models`` that ``model_id`` runs: itself, or the model
+    its :data:`MEMBER_ALIASES` entry names.
+
+    Raises:
+        ValueError: ``model_id`` is neither; the message lists every id
+            accepted, aliases included, and calls the id a ``kind``.
+    """
+    model = MEMBER_ALIASES.get(model_id, model_id)
+    if model not in models:
+        choices = ", ".join([*models, *MEMBER_ALIASES])
+        raise ValueError(f"unknown {kind} {model_id!r}; choose from {choices}")
+    return model
+
+
 @dataclass(frozen=True)
 class EnsembleSpec:
-    """Ordered member model ids and their positive weights."""
+    """Ordered member model ids and their finite, positive weights."""
 
     members: tuple[str, ...] = DEFAULT_MEMBERS
     weights: tuple[float, ...] = field(default=None)
@@ -38,8 +54,8 @@ class EnsembleSpec:
         weights = tuple(float(w) for w in weights)
         if len(weights) != len(members):
             raise ValueError("weights must align with members")
-        if any(w <= 0 for w in weights):
-            raise ValueError("weights must be positive")
+        if not all(0 < w < math.inf for w in weights):
+            raise ValueError("weights must be finite and positive")
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "weights", weights)
 

@@ -29,12 +29,14 @@ file.
 
 Gradients are exact backpropagation through time across both directions
 and all layers; see the finite-difference tests for the verification.
-Inference and training share one layer pass, :func:`_run_direction`: it
-projects the input :data:`_CHUNK` steps at a time and overwrites each
-step's projection with its activated gates.  :func:`forward` gives each
-direction one chunk buffer, reused in every layer, and keeps only the
-running ``h``/``c``, so eval memory is a layer's input and output plus
-those buffers.
+Inference and training share one layer pass, :func:`_run_direction`, one
+loop over the steps: each step projects its input, adds the recurrent
+product and overwrites the sum with its activated gates.  At production
+dims, projecting 1, 3, 5 or 10 steps in one GEMM, or the whole window,
+ran within run-to-run noise, so a step projects only itself.
+:func:`forward` gives each direction one step's gates and ``c_t``, reused
+at every step of every layer, so eval memory is a layer's input and
+output plus those buffers.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
 record per layer (output, bool dropout mask, and per direction every
 step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
@@ -44,7 +46,10 @@ and mask or from the embedding, in the output-gradient buffer backward
 no longer needs; the input gradient is written over that buffer.
 Probabilities and loss are bit-identical to the earlier batch-major
 kernels; gradients differ by at most about 1e-15 relative to the largest
-entry, as the weight-gradient GEMMs sum their rows in time order.
+entry, as the weight-gradient GEMMs sum their rows in time order.  A batch
+of one name is the exception: numpy projects its one-row steps with a
+matrix-vector product, whose last bits can differ from the same row in a
+larger GEMM (at desk dims by at most about 6e-17 in a probability).
 
 A layer's two directions read the same input and write disjoint memory,
 so they can run at once (Appleyard et al. 2016 do the same on GPUs): the
@@ -88,13 +93,6 @@ EVAL = "eval"
 
 # gate slices within the stacked 4H dimension: input, forget, candidate, output
 _I, _F, _G, _O = range(4)
-
-# steps of input projection an eval pass holds per direction.  At
-# production dims 1, 3, 5, 10 and the whole window ran within run-to-run
-# noise of each other; 2 keeps both directions' chunks within 5 steps when
-# they run at once, and scoring 512 names at production dims on a 2-core
-# Xeon took the same wall time as with 5, at 30 MB less peak RSS
-_CHUNK = 2
 
 # the variables a BLAS reads its thread count from, in the order read here
 _BLAS_THREAD_VARS = (
@@ -314,63 +312,49 @@ def _per_direction(make):
     return [first, make() if _CONCURRENT else first]
 
 
-def _project(direction: LstmDirection, x, out):
-    """``x @ w_in + bias`` for a ``(steps, batch, in_dim)`` run of steps,
-    written into ``out``, a contiguous ``(steps, batch, 4*hidden)`` array."""
-    steps, batch, in_dim = x.shape
-    np.matmul(x.reshape(steps * batch, in_dim), direction.w_in,
-              out=out.reshape(steps * batch, -1))
-    out += direction.bias
-    return out
-
-
 def _pass_scratch(batch: int, hidden: int):
     """The step buffers of :func:`_run_direction`: the recurrent product, a
-    temporary, ``c``, and the zero state before the first step."""
-    return (np.empty((batch, 4 * hidden)), np.empty((batch, hidden)),
-            np.empty((batch, hidden)), np.zeros((batch, hidden)))
+    temporary, and the zero state before the first step."""
+    return np.empty((batch, 4 * hidden)), np.empty((batch, hidden)), np.zeros((batch, hidden))
 
 
-def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, scratch, c_all=None):
+def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, cells, scratch):
     """One direction's pass over the window, writing each ``h_t`` into ``out``.
 
     ``x`` is the time-major ``(steps, batch, in_dim)`` layer input and
-    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  The input is
-    projected :data:`_CHUNK` steps at a time into ``acts``, and each step
-    overwrites its projection with its activated gates.  ``acts`` is either
-    one ``(min(_CHUNK, steps), batch, 4*hidden)`` chunk that every run of
-    steps reuses, or the whole ``(steps, batch, 4*hidden)`` window, where
-    each run lands at its own steps so every step's gates survive.  Each
-    ``c_t`` is written into ``c_all`` when it is given.  ``scratch`` is
-    :func:`_pass_scratch` of the batch, reusable from one call to the next.
+    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  Step ``t``
+    writes its gates into slot ``t % len(acts)`` of ``acts``, a
+    ``(slots, batch, 4*hidden)`` array, first its input projection and then,
+    over it, the activated gates; its ``c_t`` goes to the same slot of
+    ``cells``, ``(slots, batch, hidden)``.  With one slot every step reuses
+    it; with the whole window every step's gates and ``c_t`` survive.
+    ``scratch`` is :func:`_pass_scratch` of the batch, reusable from one
+    call to the next.
     """
     steps = x.shape[0]
     hidden = direction.w_rec.shape[0]
-    rec, tmp, c, zero = scratch
+    rec, tmp, zero = scratch
     h_prev = c_prev = zero
-    starts = range(0, steps, _CHUNK)
-    for t0 in reversed(starts) if reverse else starts:
-        t1 = min(t0 + _CHUNK, steps)
-        zs = _project(direction, x[t0:t1], acts[t0:t1] if len(acts) == steps else acts[: t1 - t0])
-        for t in range(t1 - 1, t0 - 1, -1) if reverse else range(t0, t1):
-            z = zs[t - t0]
-            np.matmul(h_prev, direction.w_rec, out=rec)
-            z += rec
-            i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
-            g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
-            _sigmoid_inplace(z[:, : 2 * hidden])  # i and f in one call
-            np.tanh(g, out=g)
-            _sigmoid_inplace(o)
-            # c = f * c_prev + i * g
-            c_t = c if c_all is None else c_all[t]
-            np.multiply(f, c_prev, out=c_t)
-            np.multiply(i, g, out=tmp)
-            c_t += tmp
-            # h = o * tanh(c)
-            np.tanh(c_t, out=tmp)
-            h_prev = out[t]
-            np.multiply(o, tmp, out=h_prev)
-            c_prev = c_t
+    for t in range(steps - 1, -1, -1) if reverse else range(steps):
+        z, c_t = acts[t % len(acts)], cells[t % len(cells)]
+        np.matmul(x[t], direction.w_in, out=z)
+        z += direction.bias
+        np.matmul(h_prev, direction.w_rec, out=rec)
+        z += rec
+        i, f = z[:, :hidden], z[:, hidden : 2 * hidden]
+        g, o = z[:, 2 * hidden : 3 * hidden], z[:, 3 * hidden :]
+        _sigmoid_inplace(z[:, : 2 * hidden])  # i and f in one call
+        np.tanh(g, out=g)
+        _sigmoid_inplace(o)
+        # c = f * c_prev + i * g
+        np.multiply(f, c_prev, out=c_t)
+        np.multiply(i, g, out=tmp)
+        c_t += tmp
+        # h = o * tanh(c)
+        np.tanh(c_t, out=tmp)
+        h_prev = out[t]
+        np.multiply(o, tmp, out=h_prev)
+        c_prev = c_t
 
 
 def _backprop_direction(direction: LstmDirection, h, acts, c, reverse: bool, d_out,
@@ -465,9 +449,9 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     and the checked ``(batch, steps)`` codes.
 
     Activations are time-major, ``(steps, batch, features)``.  Without a
-    ``tape`` each direction projects into one reused chunk and each layer's
-    output is dropped as soon as the next layer has read it, so memory
-    stays at one layer's activations.  Given a list, it gets one
+    ``tape`` each direction reuses one step's gates and ``c_t`` and each
+    layer's output is dropped as soon as the next layer has read it, so
+    memory stays at one layer's activations.  Given a list, it gets one
     ``(out, mask, (acts, c) forward, (acts, c) backward)`` record per
     layer: the layer's output, the bool dropout mask applied to it (or
     None), and per direction the whole window's gates and ``c_t``, which is
@@ -493,20 +477,20 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     keep = 1.0 - params.dropout
 
     # every array a direction writes is allocated here, on the calling
-    # thread; inference reuses its chunks in every layer
+    # thread; inference reuses one step's gates and c_t in every layer
     scratch = _per_direction(lambda: _pass_scratch(batch, hidden))
     if tape is None:
-        acts = _per_direction(lambda: np.empty((min(_CHUNK, steps), batch, 4 * hidden)))
-        c_all = [None, None]
+        acts = _per_direction(lambda: np.empty((1, batch, 4 * hidden)))
+        cells = _per_direction(lambda: np.empty((1, batch, hidden)))
     x = params.embedding[codes.T]  # (T, B, D)
     for l, (fwd, bwd) in enumerate(params.layers):
         out = np.empty((steps, batch, 2 * hidden))  # forward | backward
         if tape is not None:
             acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
-            c_all = [np.empty((steps, batch, hidden)) for _ in range(2)]
+            cells = [np.empty((steps, batch, hidden)) for _ in range(2)]
         h_f, h_b = out[:, :, :hidden], out[:, :, hidden:]
-        _both(lambda: _run_direction(fwd, x, False, h_f, acts[0], scratch[0], c_all[0]),
-              lambda: _run_direction(bwd, x, True, h_b, acts[1], scratch[1], c_all[1]))
+        _both(lambda: _run_direction(fwd, x, False, h_f, acts[0], cells[0], scratch[0]),
+              lambda: _run_direction(bwd, x, True, h_b, acts[1], cells[1], scratch[1]))
         mask = None
         if use_dropout and l < params.n_layers - 1:
             # drawn in (batch, steps) order: that order fixes which units a
@@ -514,7 +498,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
             # activation layout
             mask = (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
         if tape is not None:
-            tape.append((out, mask, *zip(acts, c_all)))
+            tape.append((out, mask, *zip(acts, cells)))
         x = out if mask is None else _dropout(out, mask, keep)
 
     feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
@@ -527,8 +511,8 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
 
     Eval mode is a pure function of (params, codes); train mode applies
     seeded inter-layer dropout.  Either way no training cache is kept: each
-    direction holds a few steps of input projection and its running
-    ``h``/``c``, so memory is that of one layer's input and output.  The
+    direction holds one step's gates and its running ``h``/``c``, so memory
+    is that of one layer's input and output.  The
     probabilities are bit-identical to those :func:`loss_and_gradients`
     computes.
     """

@@ -15,7 +15,13 @@ def largest_remainder_quotas(n: int, shares) -> np.ndarray:
     leftover units go to the largest fractional remainders (ties broken
     toward the lowest index).  Each quota differs from ``n * share`` by
     less than 1.
+
+    Raises:
+        ValueError: ``n`` is negative, or the shares are not a non-empty
+            vector of finite, non-negative numbers with positive mass.
     """
+    if n < 0:
+        raise ValueError(f"sample size must be >= 0, got {n}")
     shares = np.asarray(shares, dtype=np.float64)
     if shares.ndim != 1 or shares.size == 0:
         raise ValueError("shares must be a non-empty 1-d vector")

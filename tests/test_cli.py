@@ -105,6 +105,13 @@ class TestConfig:
             {"train": {"epochs": "2", "embed_dim": 4, "hidden": 4, "layers": 1}},
             {"ensemble": {"members": ["ensemble", "bisg"]}},
             {"ensemble": {"members": ["bogus"]}},
+            {"ensemble": {"members": ["bisg", "bifsg"], "weights": [float("nan"), 1]}},
+            {"ensemble": {"members": ["bisg", "bifsg"], "weights": [float("inf"), 1]}},
+            {"sample_shares": [float("nan"), 1, 1, 1]},
+            {"sample_shares": [-0.1, 1, 1, 1]},
+            {"sample_shares": [0, 0, 0, 0]},
+            {"target_shares": [float("inf"), 1, 1, 1]},
+            {"target_shares": [0.5, 0.5, -1, 1]},
             *(
                 {"train": {"embed_dim": 4, "hidden": 4, "layers": 1, **bad}}
                 for bad in TRAIN_OUT_OF_RANGE.values()
@@ -112,7 +119,9 @@ class TestConfig:
         ],
         ids=[
             "strict", "alpha_negative", "alpha_text", "races", "members", "weights", "shares",
-            "suffixes", "train", "member_ensemble", "member_unknown", *TRAIN_OUT_OF_RANGE,
+            "suffixes", "train", "member_ensemble", "member_unknown", "weights_nan",
+            "weights_inf", "shares_nan", "shares_negative", "shares_zero", "target_inf",
+            "target_negative", *TRAIN_OUT_OF_RANGE,
         ],
     )
     def test_value_of_wrong_type_names_file(self, tmp_path, capsys, entry):
@@ -600,7 +609,7 @@ class TestPredictCommand:
         _, out2 = predict_to(world, tmp_path, "ensemble", name="p2.csv")
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_unknown_model_fails_validation(self, world, tmp_path):
+    def test_unknown_model_fails_validation(self, world, tmp_path, capsys):
         input_csv = tmp_path / "input.csv"
         write_csv(input_csv, DEFAULT_INPUT_ROWS)
         rc = run(
@@ -611,6 +620,14 @@ class TestPredictCommand:
             "--out", tmp_path / "p.csv",
         )
         assert rc == 1
+        # the error and the help list every accepted id, aliases included
+        choices = "first_last, first_last_zcta, bisg, bifsg, ensemble, ibisg, ibifsg"
+        assert capsys.readouterr().err == (
+            f"nameproxy: unknown model 'oracle9000'; choose from {choices}\n"
+        )
+        with pytest.raises(SystemExit):
+            run("predict", "--help")
+        assert choices in " ".join(capsys.readouterr().out.split())
 
     def test_missing_artifact_fails_validation(self, world, tmp_path):
         config = json.loads(world["config"].read_text())
@@ -872,6 +889,20 @@ class TestEvaluateCommand:
         )
         assert rc == 1
 
+    def test_negative_sample_fails_validation(self, world, tmp_path, capsys):
+        input_csv, preds = predict_to(world, tmp_path, "bisg")
+        rc = run(
+            "evaluate",
+            "--config", world["config"],
+            "--truth", input_csv,
+            "--predictions", preds,
+            "--out-dir", tmp_path / "r",
+            "--sample", -7,
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == "nameproxy: sample size must be >= 0, got -7\n"
+        assert not (tmp_path / "r").exists()
+
     def test_rerun_is_byte_identical(self, world, tmp_path):
         input_csv, preds = predict_to(world, tmp_path, "ensemble")
         d1, d2 = tmp_path / "r1", tmp_path / "r2"
@@ -960,6 +991,14 @@ class TestSampleCommand:
             "--input", pool, "--n", 100000, "--out", tmp_path / "s.csv",
         )
         assert rc == 1
+
+    def test_negative_n_fails_validation(self, world, tmp_path, capsys):
+        pool = self.make_pool(tmp_path)
+        out = tmp_path / "s.csv"
+        rc = run("sample", "--config", world["config"], "--input", pool, "--n", -5, "--out", out)
+        assert rc == 1
+        assert capsys.readouterr().err == "nameproxy: sample size must be >= 0, got -5\n"
+        assert not out.exists()
 
     def test_rerun_is_byte_identical(self, world, tmp_path):
         pool = self.make_pool(tmp_path)

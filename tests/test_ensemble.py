@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from nameproxy.core import is_prob_vector
-from nameproxy.ensemble import DEFAULT_MEMBERS, EnsembleSpec, ensemble_predict
+from nameproxy.ensemble import (
+    DEFAULT_MEMBERS,
+    MEMBER_MODELS,
+    EnsembleSpec,
+    ensemble_predict,
+    resolve_model,
+)
 
 SPEC2 = EnsembleSpec(members=("a", "b"))
 SPEC3 = EnsembleSpec(members=("a", "b", "c"))
@@ -23,6 +29,14 @@ class TestEnsembleSpec:
             EnsembleSpec(members=("a",), weights=(0.0,))
         with pytest.raises(ValueError):
             EnsembleSpec(members=("a", "b"), weights=(1.0,))
+        for weight in (float("nan"), float("inf"), -1.0):
+            with pytest.raises(ValueError, match="weights must be finite and positive"):
+                EnsembleSpec(members=("a", "b"), weights=(weight, 1.0))
+
+
+def test_resolve_model_maps_aliases_and_keeps_models():
+    assert [resolve_model(m) for m in MEMBER_MODELS] == list(MEMBER_MODELS)
+    assert resolve_model("ibisg") == "bisg" and resolve_model("ibifsg") == "bifsg"
 
 
 class TestEnsemblePredict:

@@ -49,6 +49,9 @@ class TestLargestRemainderQuotas:
             largest_remainder_quotas(10, (0.5, -0.1))
         with pytest.raises(ValueError):
             largest_remainder_quotas(10, (0.0, 0.0))
+        with pytest.raises(ValueError, match="sample size must be >= 0, got -1"):
+            largest_remainder_quotas(-1, (0.5, 0.5))
+        np.testing.assert_array_equal(largest_remainder_quotas(0, (0.5, 0.5)), [0, 0])
 
 
 def make_pool(counts):
