@@ -106,8 +106,11 @@ def load_config(path) -> RunConfig:
         raise SchemaError(f"{path}: bad races: {exc}") from exc
 
     filter_words = DEFAULT_FILTER_WORDS
-    if raw.get("filter_words_file"):
-        words_path = Path(raw["filter_words_file"])
+    words_file = raw.get("filter_words_file")
+    check("filter_words_file", words_file, words_file is None or isinstance(words_file, str),
+          "a string")
+    if words_file:
+        words_path = Path(words_file)
         if not words_path.is_absolute():
             words_path = base / words_path
         filter_words = load_filter_words(words_path)

@@ -35,8 +35,14 @@ product and overwrites the sum with its activated gates.  At production
 dims, projecting 1, 3, 5 or 10 steps in one GEMM, or the whole window,
 ran within run-to-run noise, so a step projects only itself.
 :func:`forward` gives each direction one step's gates and ``c_t``, reused
-at every step of every layer, so eval memory is a layer's input and
-output plus those buffers.
+at every step of every layer, and the last layer a two-step output ring,
+as the head reads two of its steps.  When the directions take turns, each
+layer after the first writes its output over its input: the forward
+direction fills a half-width buffer, the backward one writes ``h_t`` over
+the second half of ``x[t]`` once it has projected ``x[t]``, and the
+buffer is then copied over the first half.  So eval memory is one
+layer's activations and half of another plus those buffers, and
+:func:`predict_proba_batch` runs 256 rows at a time.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
 record per layer (output, bool dropout mask, and per direction every
 step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
@@ -322,7 +328,10 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, cells,
     """One direction's pass over the window, writing each ``h_t`` into ``out``.
 
     ``x`` is the time-major ``(steps, batch, in_dim)`` layer input and
-    ``out`` a ``(steps, batch, hidden)`` view the caller owns.  Step ``t``
+    ``out`` a ``(slots, batch, hidden)`` view the caller owns; ``h_t`` goes
+    to slot ``t % len(out)``.  Two slots hold all the recurrence reads, and
+    ``out`` may be a view into ``x``: step ``t`` writes ``h_t`` only after
+    projecting ``x[t]``, and no later step reads ``x[t]``.  Step ``t``
     writes its gates into slot ``t % len(acts)`` of ``acts``, a
     ``(slots, batch, 4*hidden)`` array, first its input projection and then,
     over it, the activated gates; its ``c_t`` goes to the same slot of
@@ -352,7 +361,7 @@ def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, cells,
         c_t += tmp
         # h = o * tanh(c)
         np.tanh(c_t, out=tmp)
-        h_prev = out[t]
+        h_prev = out[t % len(out)]
         np.multiply(o, tmp, out=h_prev)
         c_prev = c_t
 
@@ -449,10 +458,16 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     and the checked ``(batch, steps)`` codes.
 
     Activations are time-major, ``(steps, batch, features)``.  Without a
-    ``tape`` each direction reuses one step's gates and ``c_t`` and each
-    layer's output is dropped as soon as the next layer has read it, so
-    memory stays at one layer's activations.  Given a list, it gets one
-    ``(out, mask, (acts, c) forward, (acts, c) backward)`` record per
+    ``tape`` each direction reuses one step's gates and ``c_t``, and the
+    last layer writes into a two-step ring, since the head reads only the
+    forward state at the last step and the backward state at step zero.
+    When the directions take turns, every layer after the first also
+    writes its output over its input: the forward direction fills a
+    ``(steps, batch, hidden)`` buffer, the backward one writes ``h_t`` over
+    the second half of ``x[t]`` once step ``t`` has projected it, and the
+    forward half is then copied over the first half.  So memory stays at
+    one layer's activations and half of another.  Given a list, it gets
+    one ``(out, mask, (acts, c) forward, (acts, c) backward)`` record per
     layer: the layer's output, the bool dropout mask applied to it (or
     None), and per direction the whole window's gates and ``c_t``, which is
     what BPTT reads.  A layer's input is not kept: backward rebuilds it
@@ -468,7 +483,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     # any sequence length (handy for small test configurations)
     if codes.ndim != 2 or codes.shape[1] < 1:
         raise ShapeMismatchError(f"codes must be (batch, steps), got {codes.shape}")
-    if codes.min() < 0 or codes.max() >= VOCAB_SIZE:
+    if codes.size and (codes.min() < 0 or codes.max() >= VOCAB_SIZE):
         raise ShapeMismatchError("codes out of vocabulary range")
     batch, steps = codes.shape
     hidden = params.hidden
@@ -482,17 +497,29 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     if tape is None:
         acts = _per_direction(lambda: np.empty((1, batch, 4 * hidden)))
         cells = _per_direction(lambda: np.empty((1, batch, hidden)))
+    # a layer's output written over its input needs its directions in turn
+    in_place = tape is None and not _CONCURRENT
     x = params.embedding[codes.T]  # (T, B, D)
     for l, (fwd, bwd) in enumerate(params.layers):
-        out = np.empty((steps, batch, 2 * hidden))  # forward | backward
         if tape is not None:
             acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
             cells = [np.empty((steps, batch, hidden)) for _ in range(2)]
-        h_f, h_b = out[:, :, :hidden], out[:, :, hidden:]
+        last = l == params.n_layers - 1
+        slots = 2 if tape is None and last else steps
+        if in_place and l > 0 and not last:
+            out = x  # forward | backward, over the input
+            h_f, h_b = np.empty((steps, batch, hidden)), x[:, :, hidden:]
+        else:
+            out = np.empty((slots, batch, 2 * hidden))  # forward | backward
+            h_f, h_b = out[:, :, :hidden], out[:, :, hidden:]
+        # taking turns, the forward direction runs first, while x is whole
         _both(lambda: _run_direction(fwd, x, False, h_f, acts[0], cells[0], scratch[0]),
               lambda: _run_direction(bwd, x, True, h_b, acts[1], cells[1], scratch[1]))
+        if out is x:
+            out[:, :, :hidden] = h_f
+        del h_f  # freed before the next layer allocates its own
         mask = None
-        if use_dropout and l < params.n_layers - 1:
+        if use_dropout and not last:
             # drawn in (batch, steps) order: that order fixes which units a
             # seed drops, so train-mode probabilities do not depend on the
             # activation layout
@@ -501,7 +528,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
             tape.append((out, mask, *zip(acts, cells)))
         x = out if mask is None else _dropout(out, mask, keep)
 
-    feat = np.concatenate([out[-1, :, :hidden], out[0, :, hidden:]], axis=1)
+    feat = np.concatenate([out[(steps - 1) % len(out), :, :hidden], out[0, :, hidden:]], axis=1)
     logits = feat @ params.dense_w + params.dense_b
     return _log_softmax(logits), feat, codes
 
@@ -511,10 +538,12 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
 
     Eval mode is a pure function of (params, codes); train mode applies
     seeded inter-layer dropout.  Either way no training cache is kept: each
-    direction holds one step's gates and its running ``h``/``c``, so memory
-    is that of one layer's input and output.  The
-    probabilities are bit-identical to those :func:`loss_and_gradients`
-    computes.
+    direction holds one step's gates and its running ``h``/``c``, and when
+    the directions take turns a layer's output is written over its input,
+    so memory is that of one layer's activations and half of another (two
+    layers' when they run at once).  The probabilities are bit-identical
+    to those :func:`loss_and_gradients` computes, in either schedule.  A
+    ``(0, steps)`` batch gives ``(0, n_classes)``.
     """
     log_probs, _, _ = _forward_pass(params, codes, mode, dropout_seed)
     return np.exp(log_probs)
@@ -805,8 +834,21 @@ def predict_proba(params: NetworkParams, first: str, last: str) -> np.ndarray | 
     return predict_scores(params, [first], [last]).row(0)[0]
 
 
-def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 512) -> np.ndarray:
-    """Eval-mode probabilities for pre-encoded names, in input order."""
+def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> np.ndarray:
+    """Eval-mode probabilities for pre-encoded names, in input order, run
+    through :func:`forward` ``batch_size`` rows at a time.
+
+    At production dims and 2 BLAS threads a step's GEMMs ran as fast on
+    256 rows as on 512, on half the activation memory.  There a row's bits
+    do not depend on the block size from 245 rows up; below that OpenBLAS
+    0.3.31 sends the dense head's product (rows * 1024 * 4 <= 10**6) down
+    its small-matrix path, whose last bits differ.
+
+    Raises:
+        ValueError: ``batch_size`` is below 1.
+    """
+    if batch_size < 1:
+        raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     codes = np.asarray(codes, dtype=np.int64)
     outputs = [
         forward(params, codes[start : start + batch_size], mode=EVAL)

@@ -112,6 +112,8 @@ class TestConfig:
             {"sample_shares": [0, 0, 0, 0]},
             {"target_shares": [float("inf"), 1, 1, 1]},
             {"target_shares": [0.5, 0.5, -1, 1]},
+            {"filter_words_file": 5},
+            {"filter_words_file": ["a"]},
             *(
                 {"train": {"embed_dim": 4, "hidden": 4, "layers": 1, **bad}}
                 for bad in TRAIN_OUT_OF_RANGE.values()
@@ -121,7 +123,7 @@ class TestConfig:
             "strict", "alpha_negative", "alpha_text", "races", "members", "weights", "shares",
             "suffixes", "train", "member_ensemble", "member_unknown", "weights_nan",
             "weights_inf", "shares_nan", "shares_negative", "shares_zero", "target_inf",
-            "target_negative", *TRAIN_OUT_OF_RANGE,
+            "target_negative", "words_number", "words_list", *TRAIN_OUT_OF_RANGE,
         ],
     )
     def test_value_of_wrong_type_names_file(self, tmp_path, capsys, entry):

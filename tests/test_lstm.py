@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nameproxy import lstm
 from nameproxy.core import UNENCODABLE_NAME, RaceSet
 from nameproxy.errors import (
     CorruptFileError,
@@ -31,6 +32,7 @@ from nameproxy.lstm import (
     load_params,
     loss_and_gradients,
     predict_proba,
+    predict_proba_batch,
     predict_scores,
     prepare_dataset,
     save_params,
@@ -39,7 +41,7 @@ from nameproxy.lstm import (
     _forward_pass,
     _layout,
 )
-from nameproxy.names import WINDOW
+from nameproxy.names import WINDOW, encode_columns
 
 from conftest import people_of
 
@@ -381,6 +383,37 @@ class TestPredictProba:
                 np.testing.assert_allclose(one, probs, rtol=1e-12, atol=1e-15, err_msg=str(i))
             else:
                 assert reason == UNENCODABLE_NAME and one is None, i
+
+
+class TestPredictProbaBatch:
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_rejects_batch_size_below_one(self, batch_size):
+        codes = random_batch(np.random.default_rng(6), 3)
+        with pytest.raises(ValueError, match="batch_size must be >= 1"):
+            predict_proba_batch(tiny_params(), codes, batch_size)
+
+    def test_scores_run_in_256_row_blocks_in_input_order(self, monkeypatch):
+        params = init_params(embed_dim=8, hidden=8, layers=3, seed=13)
+        rng = np.random.default_rng(14)
+        letters = np.array(list("abcdefghijklmnopqrstuvwxyz"))
+        firsts = ["".join(rng.choice(letters, size=rng.integers(2, 12))) for _ in range(600)]
+        lasts = ["".join(rng.choice(letters, size=rng.integers(2, 16))) for _ in range(600)]
+        for i in (0, 300, 599):  # unencodable rows leave the blocks
+            lasts[i] = "!!"
+        codes, encodable = encode_columns(firsts, lasts)
+        blocks = [codes[start : start + 256] for start in range(0, codes.shape[0], 256)]
+        expected = np.concatenate([forward(params, block) for block in blocks])
+        rows = []
+
+        def counting(params, codes, **kwargs):
+            rows.append(codes.shape[0])
+            return forward(params, codes, **kwargs)
+
+        monkeypatch.setattr(lstm, "forward", counting)
+        probs = predict_scores(params, firsts, lasts).probs
+        assert rows == [256, 256, 85]
+        assert np.array_equal(probs[encodable], expected)
+        assert not probs[~encodable].any()
 
 
 class TestPersistence:
