@@ -55,26 +55,30 @@ def read_people_csv(path, races: RaceSet, require_race: bool) -> People:
     Geography ids are stripped of surrounding whitespace, so ``" 10037 "``
     matches the table key ``10037``.  Race labels become indices into
     ``races`` (-1 for an empty label); each distinct label is checked once.
+    The name and geography columns hold one string object per distinct
+    value, so they grow by a pointer per row, not a string.
     """
     first: list[str] = []
     last: list[str] = []
     geo: list[str] = []
     race: list[int] = []
     codes = {label: i for i, label in enumerate(races)}
+    one = {}.setdefault  # a value's first string object
     with read_csv(path, VOTER_HEADER) as rows:
-        for row in rows:
-            if not row[0] or not row[1]:
+        for f, l, g, label in rows:
+            if not f or not l:
                 raise SchemaError("empty name field")
-            code = codes.get(row[3])
+            code = codes.get(label)
             if code is None:
-                if row[3] != "":
-                    raise SchemaError(f"unknown race {row[3]!r}")
+                if label != "":
+                    raise SchemaError(f"unknown race {label!r}")
                 if require_race:
                     raise SchemaError("missing race")
                 code = codes[""] = -1
-            first.append(row[0])
-            last.append(row[1])
-            geo.append(row[2].strip())
+            g = g.strip()
+            first.append(one(f, f))
+            last.append(one(l, l))
+            geo.append(one(g, g))
             race.append(code)
     if not first:
         raise SchemaError(f"{path}: no data rows")

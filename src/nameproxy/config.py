@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .core import RaceSet
+from .csvio import not_utf8
 from .ensemble import EnsembleSpec, resolve_model
 from .errors import SchemaError
 from .lstm import TrainConfig
@@ -52,7 +53,8 @@ def load_config(path) -> RunConfig:
 
     Raises:
         SchemaError: structurally invalid configuration (including a
-            missing or non-integer seed: seeds must be explicit).
+            missing or non-integer seed: seeds must be explicit), or a
+            file that is not UTF-8 text.
     """
     base = Path(path).parent
     try:
@@ -60,6 +62,8 @@ def load_config(path) -> RunConfig:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
     known = {

@@ -1,5 +1,6 @@
 """The CSV framing every nameproxy file shares (RFC 4180, "\\n" line ends):
-one header line that must match exactly, then records of its field count.
+one header line that must match exactly, then records of its field count;
+and the error for a text file that is not UTF-8.
 """
 
 from __future__ import annotations
@@ -17,27 +18,52 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
 
     A :class:`SchemaError` raised in the ``with`` block, by the iterator
     (a wrong field count) or by the caller, is raised again with the path
-    and the file line the current record ends on.  ``fh`` is the file
-    already open with ``skipped`` lines read; by default ``path`` is opened.
+    and the file line the current record ends on; bytes that are not UTF-8
+    raise :func:`not_utf8`'s error.  ``fh`` is the file already open with
+    ``skipped`` lines read; by default ``path`` is opened.
     """
-    with open(path, newline="", encoding="utf-8") if fh is None else nullcontext(fh) as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got != header:
-            raise SchemaError(f"{path}: expected header {header}, got {got}")
-        width = len(header)
+    try:
+        with open(path, newline="", encoding="utf-8") if fh is None else nullcontext(fh) as fh:
+            reader = csv.reader(fh)
+            got = next(reader, None)
+            if got != header:
+                raise SchemaError(f"{path}: expected header {header}, got {got}")
+            width = len(header)
 
-        def records():
-            for row in reader:
-                if len(row) != width:
-                    raise SchemaError(f"expected {width} fields, got {len(row)}")
-                yield row
+            def records():
+                for row in reader:
+                    if len(row) != width:
+                        raise SchemaError(f"expected {width} fields, got {len(row)}")
+                    yield row
 
-        try:
-            yield records()
-        except SchemaError as exc:
-            line = skipped + reader.line_num
-            raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
+            try:
+                yield records()
+            except SchemaError as exc:
+                line = skipped + reader.line_num
+                raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
+
+
+def not_utf8(path) -> SchemaError:
+    """The error for ``path``, a text file that does not decode as UTF-8:
+    it names the line of the first bad byte and that byte.
+
+    Text is decoded a block at a time, so the line a reader had reached
+    when decoding failed can lie before the bad byte; the file is read
+    again, a line at a time, to find it.  No UTF-8 sequence holds a
+    newline byte, so a file decodes exactly when each of its lines does.
+    """
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return SchemaError(
+                    f"{path}: line {number}: not UTF-8 text "
+                    f"(byte 0x{raw[exc.start]:02x}: {exc.reason})"
+                )
+    return SchemaError(f"{path}: not UTF-8 text")
 
 
 def framed(fields) -> str:

@@ -718,7 +718,9 @@ def prepare_dataset(people: People):
 
     People without a race, or with a first or last name that keeps fewer
     than two characters after normalization, are dropped, mirroring the
-    table-construction filters.
+    table-construction filters.  ``codes`` is ``(rows, WINDOW)`` uint8, one
+    byte per character (:func:`names.encode_columns`), so the training
+    split's copies cost 30 bytes a row.
     """
     codes, usable = encode_columns(people.first, people.last, min_length=2)
     labeled = people.race[usable] >= 0
@@ -838,6 +840,10 @@ def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> 
     """Eval-mode probabilities for pre-encoded names, in input order, run
     through :func:`forward` ``batch_size`` rows at a time.
 
+    ``codes`` keeps its dtype (uint8 from :func:`names.encode_columns`):
+    each :func:`forward` call widens its own block, so the probabilities
+    are the same for any integer dtype.
+
     At production dims and 2 BLAS threads a step's GEMMs ran as fast on
     256 rows as on 512, on half the activation memory.  There a row's bits
     do not depend on the block size from 245 rows up; below that OpenBLAS
@@ -849,7 +855,7 @@ def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> 
     """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    codes = np.asarray(codes, dtype=np.int64)
+    codes = np.asarray(codes)
     outputs = [
         forward(params, codes[start : start + batch_size], mode=EVAL)
         for start in range(0, codes.shape[0], batch_size)

@@ -16,6 +16,7 @@ import re
 
 import numpy as np
 
+from .csvio import not_utf8
 from .errors import EmptyAfterNormalizationError, UnknownCharacterError
 
 #: Generational suffix tokens stripped from the end of table keys.
@@ -148,18 +149,25 @@ def is_person_name(full: str, filter_words=DEFAULT_FILTER_WORDS) -> bool:
 
 
 def load_filter_words(path) -> frozenset[str]:
-    """Read a filter-word file: one lower-case token per line, ``#`` comments."""
+    """Read a filter-word file: one lower-case token per line, ``#`` comments.
+
+    Raises:
+        SchemaError: the file is not UTF-8 text.
+    """
     words = set()
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            token = line.split("#", 1)[0].strip()
-            if token:
-                words.add(token.lower())
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                token = line.split("#", 1)[0].strip()
+                if token:
+                    words.add(token.lower())
+    except UnicodeDecodeError as exc:
+        raise not_utf8(path) from exc
     return frozenset(words)
 
 
 def encode_name(first: str, last: str) -> np.ndarray:
-    """Encode ``first + ' ' + last`` as a fixed-length vector of codes.
+    """Encode ``first + ' ' + last`` as a fixed-length uint8 vector of codes.
 
     Codes: a=1 ... z=26, hyphen=27, apostrophe=28, space=29; 0 is padding.
     The result always has length :data:`WINDOW`.
@@ -168,13 +176,27 @@ def encode_name(first: str, last: str) -> np.ndarray:
         UnknownCharacterError: a character outside the vocabulary made it
             through normalization (which indicates a normalization bug).
     """
-    full = f"{first} {last}"
-    codes = np.zeros(WINDOW, dtype=np.int64)
-    for i, ch in enumerate(full[:WINDOW]):
-        code = CHAR_TO_CODE.get(ch)
-        if code is None:
-            raise UnknownCharacterError(f"character {ch!r} in {full!r} is outside the vocabulary")
-        codes[i] = code
+    return _encode_windows([f"{first} {last}"])[0]
+
+
+#: ``bytes.translate`` table from an ASCII character to its code; every
+#: other byte maps to ``VOCAB_SIZE``, outside the vocabulary.
+_CODE_BYTES = bytes(CHAR_TO_CODE.get(chr(b), VOCAB_SIZE) for b in range(256))
+
+
+def _encode_windows(texts: list[str]) -> np.ndarray:
+    """``(len(texts), WINDOW)`` uint8 codes, each text truncated or right
+    padded to the window, one byte per character."""
+    # "replace" turns each non-ASCII character into one "?", outside the vocabulary
+    data = bytearray().join(
+        text[:WINDOW].encode("ascii", "replace").translate(_CODE_BYTES).ljust(WINDOW, b"\0")
+        for text in texts
+    )
+    codes = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), WINDOW)
+    if codes.size and codes.max() >= VOCAB_SIZE:
+        row, col = np.argwhere(codes >= VOCAB_SIZE)[0]
+        text = texts[row]
+        raise UnknownCharacterError(f"character {text[col]!r} in {text!r} is outside the vocabulary")
     return codes
 
 
@@ -185,16 +207,16 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     :func:`neural_key`) and each distinct pair of keys encoded once.
     Returns ``(codes, usable)``: ``usable`` marks the rows whose first and
     last name both keep at least ``min_length`` characters, and ``codes``
-    holds the encodings of those rows, in order.
+    holds the encodings of those rows, in order, as a ``(rows, WINDOW)``
+    uint8 array: one byte per character, which :func:`lstm.forward`
+    widens a block at a time.
     """
     firsts, first_codes = column_keys(firsts, neural_key)
     lasts, last_codes = column_keys(lasts, neural_key)
     usable = usable_keys(firsts, min_length)[first_codes]
     usable &= usable_keys(lasts, min_length)[last_codes]
     pairs, pair_codes = column_keys(zip(first_codes[usable].tolist(), last_codes[usable].tolist()))
-    if not pairs:
-        return np.zeros((0, WINDOW), dtype=np.int64), usable
-    encoded = np.stack([encode_name(firsts[f], lasts[l]) for f, l in pairs])
+    encoded = _encode_windows([f"{firsts[f]} {lasts[l]}" for f, l in pairs])
     return encoded[pair_codes], usable
 
 

@@ -28,7 +28,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .core import People, RaceSet, renormalize_rows
-from .csvio import read_csv, write_csv
+from .csvio import not_utf8, read_csv, write_csv
 from .errors import (
     EmptyTableError,
     InsufficientClassError,
@@ -485,7 +485,8 @@ def _read_table_csv(path, key_header, with_source):
 
     Raises:
         SchemaError: a missing ``races`` or ``race_totals`` line, a
-            malformed header or row, or a key that appears twice.
+            malformed header or row, a key that appears twice, or a file
+            that is not UTF-8 text.
     """
     meta: dict[str, str] = {}
     keys: list[str] = []
@@ -495,11 +496,14 @@ def _read_table_csv(path, key_header, with_source):
     with open(path, newline="", encoding="utf-8") as fh:
         skipped = 0
         start = fh.tell()
-        while (line := fh.readline()).startswith("#"):
-            key, _, val = line[1:].rstrip("\n").partition(":")
-            meta[key.strip()] = val.strip()
-            skipped += 1
-            start = fh.tell()
+        try:
+            while (line := fh.readline()).startswith("#"):
+                key, _, val = line[1:].rstrip("\n").partition(":")
+                meta[key.strip()] = val.strip()
+                skipped += 1
+                start = fh.tell()
+        except UnicodeDecodeError as exc:
+            raise not_utf8(path) from exc
         fh.seek(start)
         for key in ("races", "race_totals"):
             if key not in meta:

@@ -4,6 +4,7 @@ import csv
 import json
 import logging
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,16 @@ class TestConfig:
         path.write_text(json.dumps({"seed": 1, "ensemble": {"members": members}}))
         assert load_config(path).ensemble.members == tuple(members)
 
+    def test_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"seed": 1,\n "suffixes": ["jr", "h\xedjo"]}')  # Latin-1
+        message = f"{path}: line 2: not UTF-8 text (byte 0xed: invalid continuation byte)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"nameproxy: {message}")
+
     def test_missing_config_file_is_io_error(self, tmp_path):
         rc = run(
             "sample",
@@ -204,6 +215,39 @@ class TestIngestion:
         assert (people.first, people.last, people.geo) == (
             ["a\rb", "d"], ["c\r", "e"], ["10001", "20002"]
         )
+
+    def test_one_string_object_per_distinct_value(self, tmp_path):
+        # 4 names and 3 geo ids (one padded) over 40 rows
+        rows = [(f"ann{i % 2}", f"lee{i % 3}", (" 10001 ", "10001", "10002")[i % 3], "white")
+                for i in range(40)]
+        path = tmp_path / "people.csv"
+        write_csv(path, rows)
+        people = read_people_csv(path, RACES, require_race=True)
+        taken = people.take(np.arange(39, -1, -3))
+        for column in (people.first, people.last, people.geo, taken.first, taken.last, taken.geo):
+            assert len({id(value) for value in column}) == len(set(column))
+        assert len(set(people.geo)) == 2
+
+    def test_column_memory_does_not_grow_with_repeats(self, tmp_path):
+        # 20,000 rows drawn from 50 names and 50 geo ids: each row costs a
+        # pointer per column, a race index and list slack, 43 bytes at
+        # peak; a string object per row and column (54-56 bytes each) read
+        # 209
+        rng = np.random.default_rng(3)
+        pool = [f"name{i:02d}x" for i in range(50)]
+        n = 20_000
+        drawn = rng.integers(0, 50, size=(n, 4)).tolist()
+        rows = [(pool[a], pool[b], f"1{c:04d}", RACES.labels[d % 4]) for a, b, c, d in drawn]
+        path = tmp_path / "people.csv"
+        write_csv(path, rows)
+        read_people_csv(path, RACES, require_race=True)
+        tracemalloc.start()
+        try:
+            read_people_csv(path, RACES, require_race=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / n < 56
 
     @settings(
         max_examples=200,
@@ -270,6 +314,31 @@ class TestLineNumbers:
         path.write_text('first_name,last_name,geo_id,race\n"a\nb",bb,10001,white\naa,bb\n')
         with pytest.raises(SchemaError, match="line 4: expected 4 fields, got 2"):
             read_people_csv(path, RACES, require_race=True)
+
+    @pytest.mark.parametrize("good_rows", [0, 2000])
+    def test_not_utf8(self, world, tmp_path, capsys, good_rows):
+        # text decodes a block at a time; with 2000 rows (about 40 kB)
+        # before it, the bad byte lies blocks past the first
+        path = tmp_path / "people.csv"
+        path.write_bytes(
+            b'first_name,last_name,geo_id,race\n"a\nb",bb,10001,white\n'
+            + b"aa,bb,10001,white\n" * good_rows
+            + b"jose,gar\xeda,10001,white\n"  # Latin-1
+        )
+        line = 4 + good_rows
+        message = f"{path}: line {line}: not UTF-8 text (byte 0xed: invalid continuation byte)"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            read_people_csv(path, RACES, require_race=True)
+        rc = run("sample", "--config", world["config"], "--input", path,
+                 "--n", 1, "--out", tmp_path / "out.csv")
+        assert rc == 1
+        assert capsys.readouterr().err.startswith(f"nameproxy: {message}")
+
+    def test_not_utf8_header(self, tmp_path):
+        path = tmp_path / "preds.csv"
+        path.write_bytes(b"r\xe9cord,model\n")
+        with pytest.raises(SchemaError, match=r"preds.csv: line 1: not UTF-8 text \(byte 0xe9"):
+            read_predictions_csv(path, RACES, n_rows=1)
 
 
 class TestBuildTables:

@@ -392,6 +392,26 @@ class TestPredictProbaBatch:
         with pytest.raises(ValueError, match="batch_size must be >= 1"):
             predict_proba_batch(tiny_params(), codes, batch_size)
 
+    @pytest.mark.parametrize("concurrent", [False, True])
+    def test_uint8_codes_score_as_int64_without_a_wide_copy(self, monkeypatch, concurrent):
+        monkeypatch.setattr(lstm, "_CONCURRENT", concurrent)
+        params = init_params(embed_dim=8, hidden=8, layers=3, seed=15)
+        wide = random_batch(np.random.default_rng(16), 300)
+        narrow = wide.astype(np.uint8)
+        expected = predict_proba_batch(params, wide)
+        blocks = []
+
+        def recording(params, codes, **kwargs):
+            blocks.append(codes)
+            return forward(params, codes, **kwargs)
+
+        monkeypatch.setattr(lstm, "forward", recording)
+        probs = predict_proba_batch(params, narrow)
+        assert np.array_equal(probs, expected)
+        # each block is a view of the caller's codes: forward widens it alone
+        assert [block.shape[0] for block in blocks] == [256, 44]
+        assert all(np.shares_memory(block, narrow) for block in blocks)
+
     def test_scores_run_in_256_row_blocks_in_input_order(self, monkeypatch):
         params = init_params(embed_dim=8, hidden=8, layers=3, seed=13)
         rng = np.random.default_rng(14)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nameproxy import names
-from nameproxy.errors import EmptyAfterNormalizationError, UnknownCharacterError
+from nameproxy.errors import EmptyAfterNormalizationError, SchemaError, UnknownCharacterError
 
 name_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=40
@@ -62,7 +62,8 @@ class TestNormalize:
 
 
 def ref_encode_columns(firsts, lasts, min_length):
-    """Per-row encoding: normalize both names, check their lengths, encode."""
+    """Per-row encoding: normalize both names, check their lengths, encode
+    character by character."""
     rows, usable = [], []
     for first, last in zip(firsts, lasts):
         try:
@@ -72,7 +73,8 @@ def ref_encode_columns(firsts, lasts, min_length):
             continue
         usable.append(len(first) >= min_length and len(last) >= min_length)
         if usable[-1]:
-            rows.append(names.encode_name(first, last))
+            codes = [names.CHAR_TO_CODE[ch] for ch in f"{first} {last}"[: names.WINDOW]]
+            rows.append(codes + [names.PAD_CODE] * (names.WINDOW - len(codes)))
     return np.array(rows, dtype=np.int64).reshape(-1, names.WINDOW), usable
 
 
@@ -94,7 +96,7 @@ class TestEncodeColumns:
         codes, usable = names.encode_columns(firsts, lasts, min_length)
         ref_codes, ref_usable = ref_encode_columns(firsts, lasts, min_length)
         assert usable.dtype == bool and usable.tolist() == ref_usable
-        assert codes.dtype == np.int64
+        assert codes.dtype == np.uint8
         np.testing.assert_array_equal(codes, ref_codes)
 
 
@@ -117,6 +119,12 @@ class TestIsPersonName:
         words = names.load_filter_words(path)
         assert words == {"llc", "installation", "holdings"}
 
+    def test_filter_words_not_utf8_names_file_and_line(self, tmp_path):
+        path = tmp_path / "words.txt"
+        path.write_bytes(b"llc\n# comment\ngar\xeda\n")  # Latin-1
+        with pytest.raises(SchemaError, match=r"words.txt: line 3: not UTF-8 text \(byte 0xed"):
+            names.load_filter_words(path)
+
 
 class TestEncodeName:
     def test_worked_example_prefix(self):
@@ -137,6 +145,10 @@ class TestEncodeName:
     def test_unknown_character(self):
         with pytest.raises(UnknownCharacterError):
             names.encode_name("sm1th", "lee")
+
+    def test_non_ascii_character_is_unknown(self):
+        with pytest.raises(UnknownCharacterError, match="character 'é' in 'josé lee'"):
+            names.encode_name("josé", "lee")
 
     def test_hyphen_apostrophe_codes(self):
         codes = names.encode_name("o'b", "x-y")

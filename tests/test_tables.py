@@ -447,6 +447,19 @@ class TestPersistence:
         with pytest.raises(SchemaError, match="no_totals.csv: missing 'race_totals'"):
             table_cls.load(path)
 
+    @pytest.mark.parametrize("table_cls,header", [
+        (GeoTable, "geo,count_asian,count_black,count_hispanic,count_white"),
+        (NameTable, "name,count_asian,count_black,count_hispanic,count_white,source"),
+    ])
+    def test_load_rejects_metadata_not_utf8(self, tmp_path, table_cls, header):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(
+            b"# races: asian,black,hispanic,white\n# kind: surname\n# note: Bogot\xe1\n"
+            b"# race_totals: 1,1,1,1\n" + header.encode() + b"\n"
+        )
+        with pytest.raises(SchemaError, match=r"latin1.csv: line 3: not UTF-8 text \(byte 0xe1"):
+            table_cls.load(path)
+
     def test_load_rejects_padded_race_label(self, tmp_path):
         path = tmp_path / "padded.csv"
         path.write_text(
