@@ -159,8 +159,8 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     known = surname[surname >= 0]
     unusable = known[np.isnan(prior.matrix[known]).any(axis=1)]
     if unusable.size:  # raise what normalizing the first such entry raises
-        table = ctx.table("surname_table")
-        table.race_given_name(table.keys[unusable[0]], ctx.smoothing_alpha)
+        counts = ctx.table("surname_table").counts[unusable[:1]]
+        renormalize_rows(counts.astype(np.float64) + ctx.smoothing_alpha)
     terms = [(surname, prior.matrix, UNKNOWN_SURNAME)]
     if firsts is not None:
         terms.append((first_like.rows(firsts), first_like.matrix, UNKNOWN_FIRSTNAME))

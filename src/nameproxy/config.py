@@ -58,7 +58,7 @@ def load_config(path) -> RunConfig:
     """
     base = Path(path).parent
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             raw = json.load(fh)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: invalid JSON: {exc}") from exc

@@ -17,8 +17,6 @@ from .errors import ZeroMassError
 #: Canonical four-category race set, in fixed index order.
 DEFAULT_RACES = ("asian", "black", "hispanic", "white")
 
-PROB_SUM_TOL = 1e-9
-
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -146,29 +144,12 @@ class Scores(NamedTuple):
         }
 
 
-def renormalize(raw) -> np.ndarray:
-    """Scale a vector of non-negative reals so it sums to 1.
-
-    Exactly idempotent: an input whose sum already sits within the
-    floating-point error band of 1.0 is returned unchanged, and a single
-    division always lands inside that band.  One row of
-    :func:`renormalize_rows`.
-
-    Raises:
-        ZeroMassError: all entries are zero.
-        ValueError: any entry is negative or non-finite.
-    """
-    x = np.asarray(raw, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d vector, got shape {x.shape}")
-    return renormalize_rows(x[None, :])[0]
-
-
 def renormalize_rows(raw) -> np.ndarray:
-    """:func:`renormalize` applied to every row of a 2-d array.
+    """Scale each row of a 2-d array of non-negative reals so it sums to 1.
 
-    Each row gets the same float operations as a lone vector: its sum,
-    the error-band test, and a division by the sum outside the band.
+    Exactly idempotent: a row whose sum already sits within the
+    floating-point error band of 1.0 is returned unchanged, and a single
+    division always lands inside that band.
 
     Raises:
         ZeroMassError: some row is all zeros.
@@ -186,24 +167,3 @@ def renormalize_rows(raw) -> np.ndarray:
         raise ZeroMassError("cannot normalize a vector of zeros")
     in_band = np.abs(s - 1.0) <= 64.0 * x.shape[1] * _EPS
     return np.where(in_band[:, None], x, x / s[:, None])
-
-
-def is_prob_vector(p, n_races: int | None = None) -> bool:
-    """True when ``p`` is a valid probability vector (non-negative, sums to 1)."""
-    v = np.asarray(p, dtype=np.float64)
-    if v.ndim != 1 or (n_races is not None and v.size != n_races):
-        return False
-    return bool(
-        np.isfinite(v).all() and (v >= 0).all() and abs(v.sum() - 1.0) <= PROB_SUM_TOL
-    )
-
-
-def argmax_race(p, races: RaceSet) -> str:
-    """Decision rule: the label with the highest probability.
-
-    Ties break toward the lowest index, so the result is deterministic.
-    """
-    v = np.asarray(p, dtype=np.float64)
-    if v.size != len(races):
-        raise ValueError(f"vector has {v.size} entries for {len(races)} races")
-    return races.labels[int(np.argmax(v))]

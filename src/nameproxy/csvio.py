@@ -18,12 +18,14 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
 
     A :class:`SchemaError` raised in the ``with`` block, by the iterator
     (a wrong field count) or by the caller, is raised again with the path
-    and the file line the current record ends on; bytes that are not UTF-8
-    raise :func:`not_utf8`'s error.  ``fh`` is the file already open with
-    ``skipped`` lines read; by default ``path`` is opened.
+    and the file line the current record ends on; a record the csv module
+    cannot parse raises :func:`_bad_record`'s error, and bytes that are not
+    UTF-8 raise :func:`not_utf8`'s.  A UTF-8 byte order mark is skipped.
+    ``fh`` is the file already open with ``skipped`` lines read; by
+    default ``path`` is opened.
     """
     try:
-        with open(path, newline="", encoding="utf-8") if fh is None else nullcontext(fh) as fh:
+        with open(path, newline="", encoding="utf-8-sig") if fh is None else nullcontext(fh) as fh:
             reader = csv.reader(fh)
             got = next(reader, None)
             if got != header:
@@ -43,6 +45,32 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
                 raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
+    except csv.Error as exc:
+        raise _bad_record(path, skipped, exc) from exc
+
+
+def _bad_record(path, skipped: int, exc: csv.Error) -> SchemaError:
+    """The error for a record of ``path`` that the csv module gave up on,
+    ``skipped`` lines into the file: it names the line the record starts on.
+
+    A quote left open runs its field on over the following lines until
+    the field size limit, so the reader stops far below that line; the
+    file is read again, a record at a time, to find it.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        for _ in range(skipped):
+            fh.readline()
+        reader = csv.reader(fh)
+        ended = 0  # the line the last whole record ends on
+        try:
+            for _ in reader:
+                ended = reader.line_num
+        except csv.Error:
+            pass
+    return SchemaError(
+        f"{path}: line {skipped + ended + 1}: cannot parse the record that starts here "
+        f"(an unclosed quote?): {exc}"
+    )
 
 
 def not_utf8(path) -> SchemaError:

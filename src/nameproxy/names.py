@@ -29,16 +29,8 @@ WINDOW = 30
 VOCAB_SIZE = 30
 
 PAD_CODE = 0
-HYPHEN_CODE = 27
-APOSTROPHE_CODE = 28
-SPACE_CODE = 29
 
-CHAR_TO_CODE = {chr(ord("a") + i): i + 1 for i in range(26)}
-CHAR_TO_CODE["-"] = HYPHEN_CODE
-CHAR_TO_CODE["'"] = APOSTROPHE_CODE
-CHAR_TO_CODE[" "] = SPACE_CODE
-
-CODE_TO_CHAR = {code: ch for ch, code in CHAR_TO_CODE.items()}
+CHAR_TO_CODE = {ch: code for code, ch in enumerate("abcdefghijklmnopqrstuvwxyz-' ", 1)}
 
 _DISALLOWED = re.compile(r"[^a-z' \-]+")
 _SPACE_RUNS = re.compile(r" {2,}")
@@ -156,7 +148,7 @@ def load_filter_words(path) -> frozenset[str]:
     """
     words = set()
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             for line in fh:
                 token = line.split("#", 1)[0].strip()
                 if token:
@@ -218,13 +210,3 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     pairs, pair_codes = column_keys(zip(first_codes[usable].tolist(), last_codes[usable].tolist()))
     encoded = _encode_windows([f"{firsts[f]} {lasts[l]}" for f, l in pairs])
     return encoded[pair_codes], usable
-
-
-def decode_codes(codes) -> str:
-    """Inverse of :func:`encode_name` on the nonzero prefix (test/debug aid)."""
-    out = []
-    for code in np.asarray(codes).ravel():
-        if code == PAD_CODE:
-            break
-        out.append(CODE_TO_CHAR[int(code)])
-    return "".join(out)

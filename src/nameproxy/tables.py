@@ -53,20 +53,18 @@ SINGLE_RACE_BAND = (15, 29)
 
 
 def passes_suppression(
-    counts: np.ndarray,
+    counts,
     min_total: int = MIN_TOTAL,
     single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
-) -> bool:
-    """Apply the small-cell suppression rule to one entry's counts."""
-    row = np.asarray(counts)[None, :]
-    return bool(_passes_suppression_rows(row, min_total, single_race_band)[0])
-
-
-def _passes_suppression_rows(counts, min_total, single_race_band) -> np.ndarray:
-    total = counts.sum(axis=1)
+) -> bool | np.ndarray:
+    """Apply the small-cell suppression rule to one entry's counts (a
+    ``bool``) or to each row of a ``(rows, races)`` matrix (a bool array)."""
+    counts = np.asarray(counts)
+    total = counts.sum(axis=-1)
     lo, hi = single_race_band
-    single_race = np.count_nonzero(counts, axis=1) == 1
-    return (total >= min_total) | ((lo <= total) & (total <= hi) & single_race)
+    single_race = np.count_nonzero(counts, axis=-1) == 1
+    kept = (total >= min_total) | ((lo <= total) & (total <= hi) & single_race)
+    return bool(kept) if counts.ndim == 1 else kept
 
 
 class _Rows:
@@ -359,7 +357,7 @@ def count_name_table(
     race = np.where(usable_keys(keys)[key_codes], race, -1)
     counts, race_totals, order = _count_pairs(key_codes, race, len(keys), len(races))
     if suppress:
-        order = order[_passes_suppression_rows(counts[order], min_total, single_race_band)]
+        order = order[passes_suppression(counts[order], min_total, single_race_band)]
     if order.size == 0:
         raise EmptyTableError("no names survived normalization and suppression")
     return NameTable(kind, races, [keys[k] for k in order.tolist()], counts[order], race_totals)
@@ -493,7 +491,7 @@ def _read_table_csv(path, key_header, with_source):
     counts = array("q")
     sources: list[int] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         skipped = 0
         start = fh.tell()
         try:

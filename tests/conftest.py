@@ -86,6 +86,15 @@ def geo_table(races, entries, race_totals) -> GeoTable:
     return GeoTable(races, keys, counts, race_totals)
 
 
+def is_prob_vector(p, n_races: int) -> bool:
+    """True when ``p`` is a finite, non-negative vector of ``n_races``
+    entries that sums to 1 within 1e-9."""
+    v = np.asarray(p, dtype=np.float64)
+    if v.ndim != 1 or v.size != n_races:
+        return False
+    return bool(np.isfinite(v).all() and (v >= 0).all() and abs(v.sum() - 1.0) <= 1e-9)
+
+
 def entries_of(table) -> dict:
     """A table's ``{key: counts as a list}``, in row order."""
     return dict(zip(table.keys, table.counts.tolist()))

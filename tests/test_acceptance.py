@@ -28,7 +28,6 @@ from nameproxy.core import (
     ZERO_MASS,
     RaceSet,
     Scores,
-    argmax_race,
 )
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, roc_curve
@@ -52,6 +51,11 @@ US_SHARES = (0.059, 0.126, 0.189, 0.593)
 
 def _pass(name):
     print(f"[acceptance] {name}: PASS")
+
+
+def max_label(p):
+    """The Max rule: the label of the highest probability, the first on a tie."""
+    return RACES.labels[int(np.argmax(p))]
 
 
 def race_indices(labels):
@@ -463,7 +467,7 @@ class TestC09EnsembleCoverageDominance:
             assert sum(union) >= member_covered
 
         # ensemble F1 must match a direct recomputation from its own labels
-        labels = [argmax_race(c, RACES) if c is not None else None for c in combined]
+        labels = [max_label(c) if c is not None else None for c in combined]
         report = class_metrics(race_indices(truths), race_indices(labels))
         for race in RACES:
             tp = fp = fn = 0
@@ -489,10 +493,10 @@ class TestC09EnsembleCoverageDominance:
             ensemble_predict([m[i] for m in unanimous], spec) for i in range(n)
         ]
         agreed_labels = [
-            argmax_race(p, RACES) if p is not None else None for p in agreed
+            max_label(p) if p is not None else None for p in agreed
         ]
         member_labels = [
-            argmax_race(p, RACES) if p is not None else None for p in members[0]
+            max_label(p) if p is not None else None for p in members[0]
         ]
         assert agreed_labels == member_labels
         assert class_metrics(race_indices(truths), race_indices(agreed_labels)) == class_metrics(

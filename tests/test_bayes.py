@@ -17,11 +17,11 @@ from nameproxy.bayes import (
     geo_augment_reason,
     geo_augment_scores,
 )
-from nameproxy.core import RaceSet, Scores, is_prob_vector
+from nameproxy.core import RaceSet, Scores
 from nameproxy.errors import MissingFirstnameTableError
 from nameproxy.tables import FIRSTNAME, SURNAME
 
-from conftest import Row, geo_table, name_table, people_of
+from conftest import Row, geo_table, is_prob_vector, name_table, people_of
 
 RACES = RaceSet()
 

@@ -1,18 +1,17 @@
 """Core type contracts: probability vectors, normalization, the Max rule."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nameproxy.core import (
-    DEFAULT_RACES,
-    RaceSet,
-    argmax_race,
-    is_prob_vector,
-    renormalize,
-)
+from nameproxy.cli import write_predictions_csv
+from nameproxy.core import DEFAULT_RACES, RaceSet, Scores, renormalize_rows
 from nameproxy.errors import ZeroMassError
+
+from conftest import is_prob_vector
 
 RACES = RaceSet()
 
@@ -41,52 +40,65 @@ class TestRaceSet:
         assert "api" in six
 
 
+def one_row(raw) -> np.ndarray:
+    """:func:`renormalize_rows` of a single row."""
+    return renormalize_rows(np.asarray(raw, dtype=np.float64)[None, :])[0]
+
+
+def max_race(rows, path) -> list[str]:
+    """The ``max_race`` column a predictions file holds for covered ``rows``."""
+    probs = np.array(rows, dtype=np.float64)
+    write_predictions_csv({"m": Scores(probs, np.zeros(len(probs), dtype=np.int8))}, RACES, path)
+    with open(path, newline="", encoding="utf-8") as fh:
+        return [row["max_race"] for row in csv.DictReader(fh)]
+
+
 class TestArgmaxRace:
-    def test_unique_maximum(self):
-        assert argmax_race([0.1, 0.5, 0.2, 0.2], RACES) == "black"
+    """The Max rule, as the ``max_race`` column of a predictions file:
+    ties break toward the lowest index."""
 
-    def test_four_way_tie_takes_first_index(self):
-        assert argmax_race([0.25, 0.25, 0.25, 0.25], RACES) == "asian"
+    def test_unique_maximum(self, tmp_path):
+        assert max_race([[0.1, 0.5, 0.2, 0.2]], tmp_path / "p.csv") == ["black"]
 
-    def test_one_hot(self):
-        assert argmax_race([0.0, 0.0, 0.0, 1.0], RACES) == "white"
+    def test_four_way_tie_takes_first_index(self, tmp_path):
+        assert max_race([[0.25, 0.25, 0.25, 0.25]], tmp_path / "p.csv") == ["asian"]
 
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            argmax_race([0.5, 0.5], RACES)
+    def test_one_hot(self, tmp_path):
+        assert max_race([[0.0, 0.0, 0.0, 1.0]], tmp_path / "p.csv") == ["white"]
 
-    def test_scale_invariance(self):
+    def test_scale_invariance(self, tmp_path):
         """Multiplying by any positive constant then renormalizing keeps the argmax."""
         rng = np.random.default_rng(7)
+        plain, scaled = [], []
         for _ in range(500):
             raw = rng.random(4)
             scale = float(rng.choice([1e-9, 0.5, 3.0, 1e9]))
-            assert argmax_race(renormalize(raw), RACES) == argmax_race(
-                renormalize(raw * scale), RACES
-            )
+            plain.append(one_row(raw))
+            scaled.append(one_row(raw * scale))
+        assert max_race(plain, tmp_path / "a.csv") == max_race(scaled, tmp_path / "b.csv")
 
 
 class TestRenormalize:
     def test_hand_arithmetic(self):
         # sum = 0.18; each entry divided by it
-        out = renormalize([0.05, 0.05, 0.06, 0.02])
+        out = one_row([0.05, 0.05, 0.06, 0.02])
         np.testing.assert_allclose(out, [0.2778, 0.2778, 0.3333, 0.1111], atol=1e-3)
 
     def test_one_hot_already_normalized(self):
-        np.testing.assert_array_equal(renormalize([1.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(one_row([1.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
 
     def test_zero_mass(self):
         with pytest.raises(ZeroMassError):
-            renormalize([0.0, 0.0, 0.0, 0.0])
+            one_row([0.0, 0.0, 0.0, 0.0])
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
-            renormalize([0.5, -0.1, 0.6])
+            one_row([0.5, -0.1, 0.6])
 
     def test_output_is_prob_vector(self):
         rng = np.random.default_rng(11)
         for _ in range(200):
-            out = renormalize(rng.random(4) * 1e6)
+            out = one_row(rng.random(4) * 1e6)
             assert is_prob_vector(out, 4)
 
     @settings(max_examples=300, deadline=None)
@@ -98,19 +110,9 @@ class TestRenormalize:
         ).filter(lambda xs: sum(xs) > 0)
     )
     def test_idempotence_is_exact(self, raw):
-        once = renormalize(raw)
-        twice = renormalize(once)
+        once = one_row(raw)
+        twice = one_row(once)
         assert np.array_equal(once, twice)
-
-
-class TestIsProbVector:
-    def test_accepts_valid(self):
-        assert is_prob_vector([0.25, 0.25, 0.25, 0.25])
-
-    def test_rejects_bad_sum_and_negatives(self):
-        assert not is_prob_vector([0.5, 0.6])
-        assert not is_prob_vector([1.5, -0.5])
-        assert not is_prob_vector([0.5, 0.5], n_races=4)
 
 
 def test_default_race_constant_matches_race_set():

@@ -1,4 +1,6 @@
-"""Every demo script runs to completion against the package in ``src``."""
+"""Every demo script runs to completion against the package in ``src``,
+under the warning rule the tests run under: a numpy overflow or
+invalid-value warning is an error."""
 
 import os
 import subprocess
@@ -15,7 +17,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 def test_demo_exits_cleanly(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,

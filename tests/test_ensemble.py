@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from nameproxy.core import is_prob_vector
 from nameproxy.ensemble import (
     DEFAULT_MEMBERS,
     MEMBER_MODELS,
@@ -11,6 +10,8 @@ from nameproxy.ensemble import (
     ensemble_predict,
     resolve_model,
 )
+
+from conftest import is_prob_vector
 
 SPEC2 = EnsembleSpec(members=("a", "b"))
 SPEC3 = EnsembleSpec(members=("a", "b", "c"))

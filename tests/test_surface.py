@@ -1,0 +1,95 @@
+"""The package's public surface, pinned: adding or removing a public
+module-level name is a change to this list, made on purpose.
+
+A public name is a module-level function, class or assigned name (a
+plain name or one in a tuple target) that does not start with ``_``.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "nameproxy"
+
+SURFACE = {
+    "__init__": [],
+    "bayes": [
+        "BayesContext", "Factor", "bayes_scores", "bifsg", "bifsg_reason", "bisg",
+        "bisg_reason", "geo_augment", "geo_augment_reason", "geo_augment_scores", "logger",
+    ],
+    "cli": [
+        "Artifacts", "MODEL_CHOICES", "VOTER_HEADER", "build_parser", "cmd_build_tables",
+        "cmd_evaluate", "cmd_predict", "cmd_sample", "cmd_train", "logger", "main",
+        "predict_model", "prediction_header", "read_people_csv", "read_predictions_csv",
+        "write_people_csv", "write_predictions_csv",
+    ],
+    "config": ["RunConfig", "US_POPULATION_SHARES", "load_config"],
+    "core": [
+        "DECLINED", "DECLINE_REASONS", "DEFAULT_RACES", "NO_MEMBER", "People", "REASON_CODE",
+        "RaceSet", "Scores", "UNENCODABLE_NAME", "UNKNOWN_FIRSTNAME", "UNKNOWN_GEO",
+        "UNKNOWN_SURNAME", "ZERO_MASS", "renormalize_rows",
+    ],
+    "csvio": ["framed", "not_utf8", "read_csv", "write_csv"],
+    "ensemble": [
+        "DEFAULT_MEMBERS", "EnsembleSpec", "MEMBER_ALIASES", "MEMBER_MODELS",
+        "ensemble_predict", "ensemble_scores", "resolve_model",
+    ],
+    "errors": [
+        "CorruptFileError", "EmptyAfterNormalizationError", "EmptyTableError",
+        "InsufficientClassError", "KindMismatchError", "LengthMismatchError",
+        "MissingArtifactError", "MissingFirstnameTableError", "NameproxyError", "SchemaError",
+        "ShapeMismatchError", "SingleClassError", "UnknownCharacterError", "ZeroMassError",
+    ],
+    "evaluation": [
+        "ClassReport", "MetricRow", "RocCurve", "class_metrics", "emit_report",
+        "intersect_covered", "roc_curve",
+    ],
+    "lstm": [
+        "AdamState", "EVAL", "EpochStats", "FORMAT_VERSION", "LstmDirection", "MAGIC",
+        "NetworkParams", "TRAIN", "TrainConfig", "adam_step", "forward", "init_params",
+        "load_params", "loss_and_gradients", "predict_proba", "predict_proba_batch",
+        "predict_scores", "prepare_dataset", "save_params", "split_and_balance", "train",
+        "write_training_log",
+    ],
+    "names": [
+        "CHAR_TO_CODE", "DEFAULT_FILTER_WORDS", "DEFAULT_SUFFIXES", "PAD_CODE", "VOCAB_SIZE",
+        "WINDOW", "column_keys", "encode_columns", "encode_name", "is_person_name",
+        "load_filter_words", "neural_key", "normalize", "normalize_table", "table_key",
+        "usable_keys",
+    ],
+    "sampling": [
+        "largest_remainder_quotas", "max_feasible_sample_size", "representative_sample_indices",
+    ],
+    "tables": [
+        "EXTERNAL", "FIRSTNAME", "GeoTable", "INTERNAL", "MIN_TOTAL", "NameTable",
+        "SINGLE_RACE_BAND", "SOURCES", "SURNAME", "build_geo_table", "build_name_table",
+        "count_name_table", "merge_tables", "passes_suppression", "training_rows",
+    ],
+}
+
+
+def public_names(source: str) -> list[str]:
+    """The public module-level names of a module's source, sorted."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in target.elts if isinstance(target, ast.Tuple) else [target]:
+                    if isinstance(name, ast.Name):
+                        names.add(name.id)
+    return sorted(name for name in names if not name.startswith("_"))
+
+
+def test_public_names_match_the_pinned_list():
+    found = {path.stem: public_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert found == {module: sorted(names) for module, names in SURFACE.items()}
+
+
+def test_counter_sees_each_kind_of_definition():
+    source = (
+        "import os\nfrom x import y\n"
+        "def f(): pass\nclass C: pass\nA = 1\nB: int = 2\nc, _d = 3, 4\nE[0] = 5\n"
+        "def _g(): pass\n_H = 6\nif True:\n    I = 7\n"
+    )
+    assert public_names(source) == ["A", "B", "C", "c", "f"]

@@ -74,6 +74,15 @@ class TestSuppressionRule:
             assert passes_suppression(one) is expected_one, total
             assert passes_suppression(two) is expected_two, total
 
+    def test_matrix_gives_each_row_its_entry_result(self):
+        counts = np.array([[10, 19, 0, 0], [0, 17, 0, 0], [10, 10, 5, 5], [14, 0, 0, 0]])
+        kept = passes_suppression(counts)
+        assert kept.dtype == bool
+        assert kept.tolist() == [passes_suppression(row) for row in counts] == [
+            False, True, True, False
+        ]
+        assert passes_suppression(counts[:0]).shape == (0,)
+
 
 class TestBuildNameTable:
     def test_applies_suppression_and_normalization(self):
