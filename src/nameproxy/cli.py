@@ -222,7 +222,7 @@ def cmd_build_tables(args, config: RunConfig) -> int:
 
 def cmd_train(args, config: RunConfig) -> int:
     people = read_people_csv(args.voter, config.races, require_race=True)
-    params, log = train(people, config.train_config())
+    params, log = train(people, config.train)
     save_params(params, args.out_params)
     write_training_log(log, args.out_log)
     logger.info(

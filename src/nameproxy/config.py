@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from .core import RaceSet
@@ -28,28 +28,39 @@ US_POPULATION_SHARES = (0.059, 0.126, 0.189, 0.593)
 
 @dataclass
 class RunConfig:
-    races: RaceSet = field(default_factory=RaceSet)
+    """The settings of a run, one field per config key (``filter_words`` is
+    read from ``filter_words_file``).  A key a config omits keeps its
+    default, and ``train`` has the run's ``seed`` unless it gives its own."""
+
     seed: int = 0
+    races: RaceSet = field(default_factory=RaceSet)
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES
     filter_words: frozenset[str] = DEFAULT_FILTER_WORDS
     target_shares: tuple[float, ...] | None = None
-    sample_shares: tuple[float, ...] = US_POPULATION_SHARES
+    sample_shares: tuple[float, ...] | None = US_POPULATION_SHARES
     smoothing_alpha: float = 0.0
     strict_metrics: bool = False
     ensemble: EnsembleSpec = field(default_factory=EnsembleSpec)
     paths: dict[str, str] = field(default_factory=dict)
-    train: TrainConfig | None = None
+    train: TrainConfig | None = None  # None becomes TrainConfig(seed=seed)
 
-    def train_config(self) -> TrainConfig:
-        return self.train if self.train is not None else TrainConfig(seed=self.seed)
+    def __post_init__(self):
+        if self.train is None:
+            self.train = TrainConfig(seed=self.seed)
 
     def path(self, key: str) -> Path | None:
         value = self.paths.get(key)
         return Path(value) if value else None
 
 
+#: the :class:`RunConfig` fields filled from a config key of another name
+_FILE_KEYS = {"filter_words": "filter_words_file"}
+_KEYS = frozenset(_FILE_KEYS.get(f.name, f.name) for f in fields(RunConfig))
+
+
 def load_config(path) -> RunConfig:
-    """Parse and validate a JSON run configuration.
+    """Parse and validate a JSON run configuration: each key the file holds
+    is checked and converted, and :class:`RunConfig` supplies the rest.
 
     Raises:
         SchemaError: structurally invalid configuration (including a
@@ -66,20 +77,7 @@ def load_config(path) -> RunConfig:
         raise not_utf8(path) from exc
     if not isinstance(raw, dict):
         raise SchemaError(f"{path}: config must be a JSON object")
-    known = {
-        "races",
-        "seed",
-        "suffixes",
-        "filter_words_file",
-        "target_shares",
-        "sample_shares",
-        "smoothing_alpha",
-        "strict_metrics",
-        "ensemble",
-        "paths",
-        "train",
-    }
-    unknown = set(raw) - known
+    unknown = set(raw) - _KEYS
     if unknown:
         raise SchemaError(f"{path}: unknown config keys: {sorted(unknown)}")
     if "seed" not in raw or isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
@@ -98,82 +96,70 @@ def load_config(path) -> RunConfig:
         ok = isinstance(value, list) and all(type(v) in (int, float) for v in value)
         return tuple(float(v) for v in check(key, value, ok, "a list of numbers"))
 
-    alpha, strict = raw.get("smoothing_alpha", 0.0), raw.get("strict_metrics", False)
-    ok = type(alpha) in (int, float) and 0 <= alpha < math.inf  # bool is not a number here
-    check("smoothing_alpha", alpha, ok, "a finite number >= 0")
-    check("strict_metrics", strict, isinstance(strict, bool), "true or false")
-    suffixes = strings("suffixes", raw.get("suffixes", list(DEFAULT_SUFFIXES)))
+    def section(key) -> dict:
+        return check(key, raw[key], isinstance(raw[key], dict), "an object")
 
-    try:
-        races = RaceSet(strings("races", raw.get("races", list(RaceSet().labels))))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: bad races: {exc}") from exc
+    def shares(key, value) -> tuple[float, ...]:
+        shares = numbers(key, value)
+        ok = all(0 <= s < math.inf for s in shares) and sum(shares) > 0
+        check(key, value, ok, "finite, non-negative and not all zero")
+        if len(shares) != len(config.races):
+            raise SchemaError(f"{path}: {key} must have one share per race")
+        return shares
 
-    filter_words = DEFAULT_FILTER_WORDS
+    config = RunConfig(seed=raw["seed"])
+    if "smoothing_alpha" in raw:
+        alpha = raw["smoothing_alpha"]
+        ok = type(alpha) in (int, float) and 0 <= alpha < math.inf  # bool is not a number here
+        config.smoothing_alpha = float(check("smoothing_alpha", alpha, ok, "a finite number >= 0"))
+    if "strict_metrics" in raw:
+        strict = raw["strict_metrics"]
+        config.strict_metrics = check("strict_metrics", strict, isinstance(strict, bool),
+                                      "true or false")
+    if "suffixes" in raw:
+        config.suffixes = tuple(s.lower() for s in strings("suffixes", raw["suffixes"]))
+    if "races" in raw:
+        try:
+            config.races = RaceSet(strings("races", raw["races"]))
+        except ValueError as exc:
+            raise SchemaError(f"{path}: bad races: {exc}") from exc
+
     words_file = raw.get("filter_words_file")
     check("filter_words_file", words_file, words_file is None or isinstance(words_file, str),
           "a string")
     if words_file:
-        words_path = Path(words_file)
-        if not words_path.is_absolute():
-            words_path = base / words_path
-        filter_words = load_filter_words(words_path)
+        config.filter_words = load_filter_words(base / words_file)
 
-    ensemble_raw = raw.get("ensemble", {})
-    check("ensemble", ensemble_raw, isinstance(ensemble_raw, dict), "an object")
-    members = ensemble_raw.get("members", list(EnsembleSpec().members))
-    weights = ensemble_raw.get("weights")
-    try:
-        ensemble = EnsembleSpec(
-            members=strings("ensemble.members", members),
-            weights=numbers("ensemble.weights", weights) if "weights" in ensemble_raw else None,
-        )
-        # predict runs each member as a model of its own: the ensemble
-        # itself cannot be one
-        for member in ensemble.members:
-            resolve_model(member)
-    except (ValueError, TypeError) as exc:
-        raise SchemaError(f"{path}: bad ensemble spec: {exc}") from exc
-
-    train = None
-    if "train" in raw:
-        train_raw = dict(check("train", raw["train"], isinstance(raw["train"], dict), "an object"))
-        train_raw.setdefault("seed", raw["seed"])
+    if "ensemble" in raw:
+        given = section("ensemble")
         try:
-            train = TrainConfig(**train_raw)
+            config.ensemble = EnsembleSpec(**{
+                key: convert(f"ensemble.{key}", given[key])
+                for key, convert in (("members", strings), ("weights", numbers))
+                if key in given
+            })
+            # predict runs each member as a model of its own: the ensemble
+            # itself cannot be one
+            for member in config.ensemble.members:
+                resolve_model(member)
+        except (ValueError, TypeError) as exc:
+            raise SchemaError(f"{path}: bad ensemble spec: {exc}") from exc
+
+    if "train" in raw:
+        try:
+            config.train = replace(config.train, **section("train"))
         except (TypeError, ValueError) as exc:
             raise SchemaError(f"{path}: bad train section: {exc}") from exc
 
-    paths = raw.get("paths", {})
-    if not isinstance(paths, dict) or not all(
-        isinstance(k, str) and isinstance(v, str) for k, v in paths.items()
-    ):
-        raise SchemaError(f"{path}: 'paths' must map names to strings")
-    paths = {
-        key: str(value if Path(value).is_absolute() else base / value)
-        for key, value in paths.items()
-    }
+    if "paths" in raw:
+        paths = raw["paths"]
+        if not isinstance(paths, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in paths.items()
+        ):
+            raise SchemaError(f"{path}: 'paths' must map names to strings")
+        config.paths = {key: str(base / value) for key, value in paths.items()}
 
-    def shares_of(key, default):
-        if key not in raw or raw[key] is None:
-            return raw.get(key, default)
-        shares = numbers(key, raw[key])
-        ok = all(0 <= s < math.inf for s in shares) and sum(shares) > 0
-        check(key, raw[key], ok, "finite, non-negative and not all zero")
-        if len(shares) != len(races):
-            raise SchemaError(f"{path}: {key} must have one share per race")
-        return shares
-
-    return RunConfig(
-        races=races,
-        seed=raw["seed"],
-        suffixes=tuple(s.lower() for s in suffixes),
-        filter_words=filter_words,
-        target_shares=shares_of("target_shares", None),
-        sample_shares=shares_of("sample_shares", US_POPULATION_SHARES),
-        smoothing_alpha=float(alpha),
-        strict_metrics=strict,
-        ensemble=ensemble,
-        paths=paths,
-        train=train,
-    )
+    for key in ("target_shares", "sample_shares"):
+        if key in raw:  # null stays None
+            setattr(config, key, None if raw[key] is None else shares(key, raw[key]))
+    return config

@@ -18,9 +18,9 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
 
     A :class:`SchemaError` raised in the ``with`` block, by the iterator
     (a wrong field count) or by the caller, is raised again with the path
-    and the file line the current record ends on; a record the csv module
-    cannot parse raises :func:`_bad_record`'s error, and bytes that are not
-    UTF-8 raise :func:`not_utf8`'s.  A UTF-8 byte order mark is skipped.
+    and the file line the current record starts on; so is a record the csv
+    module cannot parse, and bytes that are not UTF-8 raise
+    :func:`not_utf8`'s.  A UTF-8 byte order mark is skipped.
     ``fh`` is the file already open with ``skipped`` lines read; by
     default ``path`` is opened.
     """
@@ -41,36 +41,40 @@ def read_csv(path, header: list[str], fh=None, skipped: int = 0):
             try:
                 yield records()
             except SchemaError as exc:
-                line = skipped + reader.line_num
+                line = _record_start(path, skipped, reader.line_num)
                 raise SchemaError(f"{path}: line {line}: {exc}") from exc.__cause__
     except UnicodeDecodeError as exc:
         raise not_utf8(path) from exc
     except csv.Error as exc:
-        raise _bad_record(path, skipped, exc) from exc
+        raise SchemaError(
+            f"{path}: line {_record_start(path, skipped)}: cannot parse the record that "
+            f"starts here (an unclosed quote?): {exc}"
+        ) from exc
 
 
-def _bad_record(path, skipped: int, exc: csv.Error) -> SchemaError:
-    """The error for a record of ``path`` that the csv module gave up on,
-    ``skipped`` lines into the file: it names the line the record starts on.
+def _record_start(path, skipped: int, end: int | None = None) -> int:
+    """The file line a record of ``path``, ``skipped`` lines in, starts on:
+    the record whose reader line count is ``end``, or else the one the csv
+    module gave up on.
 
-    A quote left open runs its field on over the following lines until
-    the field size limit, so the reader stops far below that line; the
-    file is read again, a record at a time, to find it.
+    The reader stops below that line when the record spans lines: a quoted
+    field may hold line breaks, and a quote left open runs its field on
+    over the following lines (up to the field size limit).  So the file is
+    read again, a record at a time, to find it.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         for _ in range(skipped):
             fh.readline()
         reader = csv.reader(fh)
-        ended = 0  # the line the last whole record ends on
+        ended = 0  # the line the last record before it ends on
         try:
             for _ in reader:
+                if reader.line_num == end:
+                    break
                 ended = reader.line_num
         except csv.Error:
             pass
-    return SchemaError(
-        f"{path}: line {skipped + ended + 1}: cannot parse the record that starts here "
-        f"(an unclosed quote?): {exc}"
-    )
+    return skipped + ended + 1
 
 
 def not_utf8(path) -> SchemaError:

@@ -19,16 +19,6 @@ from .core import RaceSet
 from .csvio import framed, write_csv
 from .errors import LengthMismatchError, SingleClassError
 
-__all__ = [
-    "MetricRow",
-    "ClassReport",
-    "RocCurve",
-    "class_metrics",
-    "roc_curve",
-    "intersect_covered",
-    "emit_report",
-]
-
 
 @dataclass(frozen=True)
 class MetricRow:

@@ -85,7 +85,6 @@ import json
 import math
 import os
 import struct
-import threading
 
 import numpy as np
 
@@ -107,6 +106,43 @@ _BLAS_THREAD_VARS = (
 
 MAGIC = b"NPRX"
 FORMAT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """Training hyperparameters; their defaults, the production setting,
+    are the defaults of :func:`init_params`, :class:`NetworkParams` and
+    :class:`AdamState` too."""
+
+    seed: int = 0
+    epochs: int = 10
+    batch_size: int = 512
+    split: float = 0.8
+    embed_dim: int = 256
+    hidden: int = 512
+    layers: int = 4
+    dropout: float = 0.2
+    lr: float = 0.001
+    weight_decay: float = 0.004
+    decoupled_decay: bool = False
+
+    def __post_init__(self):
+        for f in fields(self):  # a float field takes an int too; a bool is no int here
+            kind = {"int": (int,), "float": (int, float), "bool": (bool,)}[f.type]
+            value = getattr(self, f.name)
+            if type(value) not in kind:
+                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        for name in ("epochs", "batch_size", "embed_dim", "hidden", "layers"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 < self.split < 1.0:
+            raise ValueError("split must be in (0, 1)")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError("lr must be finite and > 0")
+        if not 0.0 <= self.weight_decay < math.inf:
+            raise ValueError("weight_decay must be finite and >= 0")
 
 
 @dataclass
@@ -154,7 +190,7 @@ class NetworkParams:
         hidden: int,
         n_layers: int,
         n_classes: int,
-        dropout: float = 0.2,
+        dropout: float = TrainConfig.dropout,
         flat: np.ndarray | None = None,
     ):
         if n_layers < 1:
@@ -207,11 +243,11 @@ class NetworkParams:
 
 
 def init_params(
-    embed_dim: int = 256,
-    hidden: int = 512,
-    layers: int = 4,
+    embed_dim: int = TrainConfig.embed_dim,
+    hidden: int = TrainConfig.hidden,
+    layers: int = TrainConfig.layers,
     n_classes: int = 4,
-    dropout: float = 0.2,
+    dropout: float = TrainConfig.dropout,
     seed: int = 0,
 ) -> NetworkParams:
     """Seeded initialization: uniform +-1/sqrt(fan_in), forget-gate bias 1."""
@@ -293,22 +329,13 @@ def _both(here, there):
         here()
         there()
         return
-    failure = []
+    # imported here: the processes whose directions take turns do not pay for it
+    from concurrent.futures import ThreadPoolExecutor
 
-    def run():
-        try:
-            there()
-        except BaseException as exc:  # re-raised on the calling thread
-            failure.append(exc)
-
-    worker = threading.Thread(target=run)
-    worker.start()
-    try:
+    with ThreadPoolExecutor(1) as pool:
+        later = pool.submit(there)
         here()
-    finally:
-        worker.join()
-    if failure:
-        raise failure[0]
+    later.result()
 
 
 def _per_direction(make):
@@ -635,8 +662,8 @@ class AdamState:
     shrinks parameters directly.
     """
 
-    lr: float = 0.001
-    weight_decay: float = 0.004
+    lr: float = TrainConfig.lr
+    weight_decay: float = TrainConfig.weight_decay
     beta1: float = 0.9
     beta2: float = 0.999
     epsilon: float = 1e-8
@@ -671,39 +698,6 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState):
         update = update + state.lr * state.weight_decay * theta
     theta -= update
     return params, state
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    seed: int = 0
-    epochs: int = 10
-    batch_size: int = 512
-    split: float = 0.8
-    embed_dim: int = 256
-    hidden: int = 512
-    layers: int = 4
-    dropout: float = 0.2
-    lr: float = 0.001
-    weight_decay: float = 0.004
-    decoupled_decay: bool = False
-
-    def __post_init__(self):
-        for f in fields(self):  # a float field takes an int too; a bool is no int here
-            kind = {"int": (int,), "float": (int, float), "bool": (bool,)}[f.type]
-            value = getattr(self, f.name)
-            if type(value) not in kind:
-                raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
-        for name in ("epochs", "batch_size", "embed_dim", "hidden", "layers"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 < self.split < 1.0:
-            raise ValueError("split must be in (0, 1)")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
-        if not 0.0 < self.lr < math.inf:
-            raise ValueError("lr must be finite and > 0")
-        if not 0.0 <= self.weight_decay < math.inf:
-            raise ValueError("weight_decay must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -774,19 +768,9 @@ def train(people: People, cfg: TrainConfig):
     x_train, y_train = codes[train_idx], labels[train_idx]
     x_val, y_val = codes[val_idx], labels[val_idx]
 
-    params = init_params(
-        embed_dim=cfg.embed_dim,
-        hidden=cfg.hidden,
-        layers=cfg.layers,
-        n_classes=len(races),
-        dropout=cfg.dropout,
-        seed=seeds[3],
-    )
+    params = init_params(cfg.embed_dim, cfg.hidden, cfg.layers, len(races), cfg.dropout, seeds[3])
     state = AdamState.for_params(
-        params,
-        lr=cfg.lr,
-        weight_decay=cfg.weight_decay,
-        decoupled=cfg.decoupled_decay,
+        params, lr=cfg.lr, weight_decay=cfg.weight_decay, decoupled=cfg.decoupled_decay
     )
 
     log: list[EpochStats] = []

@@ -179,9 +179,10 @@ _CODE_BYTES = bytes(CHAR_TO_CODE.get(chr(b), VOCAB_SIZE) for b in range(256))
 def _encode_windows(texts: list[str]) -> np.ndarray:
     """``(len(texts), WINDOW)`` uint8 codes, each text truncated or right
     padded to the window, one byte per character."""
+    pad = bytes([PAD_CODE])
     # "replace" turns each non-ASCII character into one "?", outside the vocabulary
     data = bytearray().join(
-        text[:WINDOW].encode("ascii", "replace").translate(_CODE_BYTES).ljust(WINDOW, b"\0")
+        text[:WINDOW].encode("ascii", "replace").translate(_CODE_BYTES).ljust(WINDOW, pad)
         for text in texts
     )
     codes = np.frombuffer(data, dtype=np.uint8).reshape(len(texts), WINDOW)
@@ -196,7 +197,7 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     """Encode columns of raw first and last names for the neural model.
 
     Each distinct raw name is keyed once (:func:`column_keys` with
-    :func:`neural_key`) and each distinct pair of keys encoded once.
+    :func:`neural_key`), and each usable row is encoded.
     Returns ``(codes, usable)``: ``usable`` marks the rows whose first and
     last name both keep at least ``min_length`` characters, and ``codes``
     holds the encodings of those rows, in order, as a ``(rows, WINDOW)``
@@ -207,6 +208,5 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     lasts, last_codes = column_keys(lasts, neural_key)
     usable = usable_keys(firsts, min_length)[first_codes]
     usable &= usable_keys(lasts, min_length)[last_codes]
-    pairs, pair_codes = column_keys(zip(first_codes[usable].tolist(), last_codes[usable].tolist()))
-    encoded = _encode_windows([f"{firsts[f]} {lasts[l]}" for f, l in pairs])
-    return encoded[pair_codes], usable
+    rows = zip(first_codes[usable].tolist(), last_codes[usable].tolist())
+    return _encode_windows([f"{firsts[f]} {lasts[l]}" for f, l in rows]), usable

@@ -22,11 +22,12 @@ from nameproxy.cli import (
     write_people_csv,
     write_predictions_csv,
 )
-from nameproxy.config import load_config
+import nameproxy.config as config
+from nameproxy.config import RunConfig, load_config
 from nameproxy.core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from nameproxy.csvio import write_csv as write_framed_csv
 from nameproxy.errors import SchemaError
-from nameproxy.lstm import init_params, save_params
+from nameproxy.lstm import TrainConfig, init_params, save_params
 from nameproxy.sampling import representative_sample_indices
 from nameproxy.tables import (
     EXTERNAL,
@@ -73,6 +74,46 @@ class TestConfig:
         path.write_text(json.dumps({"seed": 1, "surprise": True}))
         with pytest.raises(SchemaError, match="surprise"):
             load_config(path)
+
+    def test_accepted_keys_are_pinned(self, tmp_path):
+        keys = {
+            "races", "seed", "suffixes", "filter_words_file", "target_shares", "sample_shares",
+            "smoothing_alpha", "strict_metrics", "ensemble", "paths", "train",
+        }
+        assert config._KEYS == keys
+        (tmp_path / "words.txt").write_text("acme\n")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "races": list(RACES.labels), "seed": 1, "suffixes": ["jr"],
+            "filter_words_file": "words.txt", "target_shares": [1, 1, 1, 1],
+            "sample_shares": [1, 2, 3, 4], "smoothing_alpha": 0.5, "strict_metrics": True,
+            "ensemble": {"members": ["bisg"]}, "paths": {"params": "p.bin"},
+            "train": {"epochs": 2},
+        }))
+        loaded = load_config(path)
+        assert loaded.filter_words == {"acme"}
+        assert loaded.train == TrainConfig(seed=1, epochs=2)
+        # the field a key fills is not itself a key
+        path.write_text(json.dumps({"seed": 1, "filter_words": ["acme"]}))
+        with pytest.raises(SchemaError, match=re.escape("unknown config keys: ['filter_words']")):
+            load_config(path)
+
+    def test_omitted_keys_take_the_field_defaults(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7}))
+        loaded = load_config(path)
+        assert loaded == RunConfig(seed=7)
+        assert loaded.train == TrainConfig(seed=7)
+        assert loaded.ensemble.members == ("first_last_zcta", "ibisg", "ibifsg")
+        assert loaded.sample_shares == (0.059, 0.126, 0.189, 0.593)
+        assert loaded.target_shares is None and loaded.paths == {}
+
+    def test_train_section_without_seed_takes_the_run_seed(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 7, "train": {"epochs": 3}}))
+        assert load_config(path).train == TrainConfig(seed=7, epochs=3)
+        path.write_text(json.dumps({"seed": 7, "train": {"epochs": 3, "seed": 9}}))
+        assert load_config(path).train == TrainConfig(seed=9, epochs=3)
 
     def test_unframeable_race_label_is_bad_races(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -878,8 +919,8 @@ class TestReadPredictions:
             "2,m,-0.0,1.0,0.0,0.0,black,1",
         ]
 
-    # the line a record ends on: the quoted "\r" ends a file line
-    @pytest.mark.parametrize("model,line", [("m/x", 3), ("m\rx", 4)])
+    # the line a record starts on, though the quoted "\r" ends a file line
+    @pytest.mark.parametrize("model,line", [("m/x", 3), ("m\rx", 3)])
     def test_model_id_that_cannot_name_a_report_names_line(self, tmp_path, model, line):
         path = tmp_path / "preds.csv"
         rows = [[0, "m", *self.COVERED], [0, model, *self.COVERED]]

@@ -8,6 +8,7 @@ limit (128 KB), where the reader stops far below the faulty line.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -208,6 +209,21 @@ def test_unclosed_quote_in_people_file_names_its_line(tmp_path, capsys, line):
                "--n", "1", "--out", str(tmp_path / "out.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith(f"nameproxy: {prefix}")
+
+
+@pytest.mark.parametrize("line,after,fields", [
+    (5, [], 1),  # the open field runs on to the end of the file
+    (3, ['bo,"kim",1002,black\n'], 3),  # to the next quote, on line 4
+])
+def test_record_below_the_field_size_limit_names_its_first_line(tmp_path, line, after, fields):
+    path = tmp_path / "people.csv"
+    lines = ["first_name,last_name,geo_id,race\n"] + ["ann,lee,1001,white\n"] * 6
+    lines[line - 1] = '"ann,lee,1001,white\n'
+    lines[line : line + len(after)] = after
+    path.write_text("".join(lines))
+    message = f"{path}: line {line}: expected 4 fields, got {fields}"
+    with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+        read_people_csv(path, RACES, require_race=True)
 
 
 def test_unclosed_quote_in_probability_file_names_its_line(tmp_path):
