@@ -132,11 +132,13 @@ def load_config(path) -> RunConfig:
 
     if "ensemble" in raw:
         given = section("ensemble")
+        convert = {"members": strings, "weights": numbers}
+        unknown = [f"ensemble.{key}" for key in sorted(given.keys() - convert.keys())]
+        if unknown:
+            raise SchemaError(f"{path}: unknown config keys: {unknown}")
         try:
             config.ensemble = EnsembleSpec(**{
-                key: convert(f"ensemble.{key}", given[key])
-                for key, convert in (("members", strings), ("weights", numbers))
-                if key in given
+                key: convert[key](f"ensemble.{key}", value) for key, value in given.items()
             })
             # predict runs each member as a model of its own: the ensemble
             # itself cannot be one

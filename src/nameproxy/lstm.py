@@ -11,7 +11,10 @@ seen the whole window.
 Everything runs in float64 and all randomness flows from explicit seeds:
 initialization, the train/validation split, class balancing, batch
 shuffling, and dropout masks.  Two runs with the same seed produce
-bit-identical parameter trajectories.
+bit-identical parameter trajectories.  A pass applies dropout only when
+given a ``dropout_seed``: :func:`forward` takes none by default, and
+:func:`loss_and_gradients` draws the masks of seed 0.  The optimizer is
+Adam (Kingma & Ba 2015) with their fixed β1 0.9, β2 0.999 and ε 1e-8.
 
 Every weight lives in one contiguous float64 vector, ``NetworkParams.flat``,
 laid out by :func:`_layout`: the embedding, then per layer the forward and
@@ -40,7 +43,7 @@ as the head reads two of its steps.  When the directions take turns, each
 layer after the first writes its output over its input: the forward
 direction fills a half-width buffer, the backward one writes ``h_t`` over
 the second half of ``x[t]`` once it has projected ``x[t]``, and the
-buffer is then copied over the first half.  So eval memory is one
+buffer is then copied over the first half.  So inference memory is one
 layer's activations and half of another plus those buffers, and
 :func:`predict_proba_batch` runs 256 rows at a time.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
@@ -93,11 +96,11 @@ from .csvio import write_csv
 from .errors import CorruptFileError, InsufficientClassError, ShapeMismatchError
 from .names import VOCAB_SIZE, encode_columns
 
-TRAIN = "train"
-EVAL = "eval"
-
 # gate slices within the stacked 4H dimension: input, forget, candidate, output
 _I, _F, _G, _O = range(4)
+
+# Adam's moment decay rates and denominator guard (Kingma & Ba 2015)
+_BETA1, _BETA2, _EPSILON = 0.9, 0.999, 1e-8
 
 # the variables a BLAS reads its thread count from, in the order read here
 _BLAS_THREAD_VARS = (
@@ -480,7 +483,7 @@ def _reuse(dead, shape):
     return flat[:size].reshape(shape) if flat.size >= size else np.empty(shape)
 
 
-def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, tape=None):
+def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=None):
     """``(log_probs, feat, codes)``: log-probabilities, the dense head's input
     and the checked ``(batch, steps)`` codes.
 
@@ -499,10 +502,8 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     None), and per direction the whole window's gates and ``c_t``, which is
     what BPTT reads.  A layer's input is not kept: backward rebuilds it
     from the previous record's output and mask, or gathers the embedding
-    again for layer 0.
+    again for layer 0.  A ``dropout_seed`` of None applies no dropout.
     """
-    if mode not in (TRAIN, EVAL):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim == 1:
         codes = codes[None, :]
@@ -514,8 +515,8 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
         raise ShapeMismatchError("codes out of vocabulary range")
     batch, steps = codes.shape
     hidden = params.hidden
-    drop_rng = np.random.default_rng(dropout_seed)
-    use_dropout = mode == TRAIN and params.dropout > 0.0
+    use_dropout = dropout_seed is not None and params.dropout > 0.0
+    drop_rng = np.random.default_rng(dropout_seed) if use_dropout else None
     keep = 1.0 - params.dropout
 
     # every array a direction writes is allocated here, on the calling
@@ -548,7 +549,7 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
         mask = None
         if use_dropout and not last:
             # drawn in (batch, steps) order: that order fixes which units a
-            # seed drops, so train-mode probabilities do not depend on the
+            # seed drops, so probabilities under dropout do not depend on the
             # activation layout
             mask = (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
         if tape is not None:
@@ -560,11 +561,12 @@ def _forward_pass(params: NetworkParams, codes, mode: str, dropout_seed: int, ta
     return _log_softmax(logits), feat, codes
 
 
-def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 0) -> np.ndarray:
+def forward(params: NetworkParams, codes, dropout_seed: int | None = None) -> np.ndarray:
     """Class probabilities for a batch of encoded names, shape (batch, classes).
 
-    Eval mode is a pure function of (params, codes); train mode applies
-    seeded inter-layer dropout.  Either way no training cache is kept: each
+    Without a ``dropout_seed`` this is a pure function of (params, codes);
+    an int seeds inter-layer dropout masks, those :func:`loss_and_gradients`
+    draws from the same seed.  Either way no training cache is kept: each
     direction holds one step's gates and its running ``h``/``c``, and when
     the directions take turns a layer's output is written over its input,
     so memory is that of one layer's activations and half of another (two
@@ -572,26 +574,22 @@ def forward(params: NetworkParams, codes, mode: str = EVAL, dropout_seed: int = 
     to those :func:`loss_and_gradients` computes, in either schedule.  A
     ``(0, steps)`` batch gives ``(0, n_classes)``.
     """
-    log_probs, _, _ = _forward_pass(params, codes, mode, dropout_seed)
+    log_probs, _, _ = _forward_pass(params, codes, dropout_seed)
     return np.exp(log_probs)
 
 
-def loss_and_gradients(
-    params: NetworkParams,
-    codes,
-    labels,
-    mode: str = TRAIN,
-    dropout_seed: int = 0,
-):
+def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int | None = 0):
     """Mean cross-entropy over the batch plus its gradient, a vector laid out
     like ``params.flat``.
 
-    Gradients flow through the dense head, both directions of every layer,
-    and the embedding rows that the batch touched.
+    An int ``dropout_seed`` (0 by default) seeds the inter-layer dropout
+    masks, as in training; None applies no dropout.  Gradients flow through
+    the dense head, both directions of every layer, and the embedding rows
+    that the batch touched.
     """
     labels = np.asarray(labels, dtype=np.int64)
     tape = []
-    log_probs, feat, codes = _forward_pass(params, codes, mode, dropout_seed, tape)
+    log_probs, feat, codes = _forward_pass(params, codes, dropout_seed, tape)
     batch, steps = codes.shape
     if labels.shape != (batch,):
         raise ShapeMismatchError(f"labels must be ({batch},), got {labels.shape}")
@@ -655,7 +653,8 @@ def loss_and_gradients(
 @dataclass
 class AdamState:
     """Adam moments (vectors laid out like ``params.flat``) plus the
-    hyperparameters of the update rule.
+    learning rate and weight decay of the update rule; β1, β2 and ε are
+    fixed at Kingma & Ba's 0.9, 0.999 and 1e-8.
 
     Weight decay defaults to the coupled form (decay added to the gradient
     before the moment updates); set ``decoupled`` for the variant that
@@ -664,9 +663,6 @@ class AdamState:
 
     lr: float = TrainConfig.lr
     weight_decay: float = TrainConfig.weight_decay
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     decoupled: bool = False
     step: int = 0
     m: np.ndarray | None = None
@@ -684,16 +680,16 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState):
         raise ShapeMismatchError(f"gradient has shape {grads.shape}, parameters {theta.shape}")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
+    bc1 = 1.0 - _BETA1**t
+    bc2 = 1.0 - _BETA2**t
     g = grads
     if state.weight_decay != 0.0 and not state.decoupled:
         g = g + state.weight_decay * theta
-    state.m *= state.beta1
-    state.m += (1.0 - state.beta1) * g
-    state.v *= state.beta2
-    state.v += (1.0 - state.beta2) * (g * g)
-    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + state.epsilon)
+    state.m *= _BETA1
+    state.m += (1.0 - _BETA1) * g
+    state.v *= _BETA2
+    state.v += (1.0 - _BETA2) * (g * g)
+    update = state.lr * (state.m / bc1) / (np.sqrt(state.v / bc2) + _EPSILON)
     if state.weight_decay != 0.0 and state.decoupled:
         update = update + state.lr * state.weight_decay * theta
     theta -= update
@@ -782,7 +778,7 @@ def train(people: People, cfg: TrainConfig):
             batch = order[start : start + cfg.batch_size]
             seed = int(dropout_rng.integers(0, 2**63))
             loss, grads = loss_and_gradients(
-                params, x_train[batch], y_train[batch], mode=TRAIN, dropout_seed=seed
+                params, x_train[batch], y_train[batch], dropout_seed=seed
             )
             adam_step(params, grads, state)
             total_loss += loss * batch.size
@@ -801,7 +797,7 @@ def _accuracy(params, codes, labels, batch_size):
 
 
 def predict_scores(params: NetworkParams, firsts, lasts) -> Scores:
-    """Eval-mode probabilities for columns of raw first and last names.
+    """Dropout-free probabilities for columns of raw first and last names.
 
     Names are encoded by :func:`names.encode_columns`; a row whose first
     or last name normalizes to nothing declines as unencodable.
@@ -821,7 +817,7 @@ def predict_proba(params: NetworkParams, first: str, last: str) -> np.ndarray | 
 
 
 def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> np.ndarray:
-    """Eval-mode probabilities for pre-encoded names, in input order, run
+    """Dropout-free probabilities for pre-encoded names, in input order, run
     through :func:`forward` ``batch_size`` rows at a time.
 
     ``codes`` keeps its dtype (uint8 from :func:`names.encode_columns`):
@@ -841,7 +837,7 @@ def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> 
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
     codes = np.asarray(codes)
     outputs = [
-        forward(params, codes[start : start + batch_size], mode=EVAL)
+        forward(params, codes[start : start + batch_size])
         for start in range(0, codes.shape[0], batch_size)
     ]
     return np.concatenate(outputs) if outputs else np.zeros((0, params.n_classes))

@@ -12,8 +12,8 @@ A :class:`GeoTable` answers ``P(geo | race)``.  Tables hold raw counts:
 a caller that smooths ``P(race | name)`` passes its ``smoothing_alpha``.
 
 Construction follows the standard small-cell suppression convention:
-a name is kept only when it has at least ``min_total`` observations, or
-falls in the single-race band (by default 15-29 observations all of one
+a name is kept only when it has at least :data:`MIN_TOTAL` observations,
+or falls in :data:`SINGLE_RACE_BAND` (15-29 observations all of one
 race).  Tables built from different sources can be merged with an
 explicit preference rule; on collision the preferred side's row wins
 wholesale, never mixing counts.
@@ -46,24 +46,21 @@ EXTERNAL = "external"
 #: A name table row's source is its index in this tuple.
 SOURCES = (INTERNAL, EXTERNAL)
 
-#: Default suppression thresholds: keep when total >= 30, or when the
-#: total lies in [15, 29] and exactly one race accounts for all of it.
+#: Suppression thresholds: keep when total >= 30, or when the total lies
+#: in [15, 29] and exactly one race accounts for all of it.  The rule reads
+#: them when called; ``MIN_TOTAL = 0`` keeps every counted name.
 MIN_TOTAL = 30
 SINGLE_RACE_BAND = (15, 29)
 
 
-def passes_suppression(
-    counts,
-    min_total: int = MIN_TOTAL,
-    single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
-) -> bool | np.ndarray:
+def passes_suppression(counts) -> bool | np.ndarray:
     """Apply the small-cell suppression rule to one entry's counts (a
     ``bool``) or to each row of a ``(rows, races)`` matrix (a bool array)."""
     counts = np.asarray(counts)
     total = counts.sum(axis=-1)
-    lo, hi = single_race_band
+    lo, hi = SINGLE_RACE_BAND
     single_race = np.count_nonzero(counts, axis=-1) == 1
-    kept = (total >= min_total) | ((lo <= total) & (total <= hi) & single_race)
+    kept = (total >= MIN_TOTAL) | ((lo <= total) & (total <= hi) & single_race)
     return bool(kept) if counts.ndim == 1 else kept
 
 
@@ -281,9 +278,6 @@ def build_name_table(
     seed: int = 0,
     target_shares=None,
     suffixes: tuple[str, ...] = DEFAULT_SUFFIXES,
-    suppress: bool = True,
-    min_total: int = MIN_TOTAL,
-    single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
 ) -> NameTable:
     """Build a suppressed name table from people carrying ground-truth race.
 
@@ -307,9 +301,7 @@ def build_name_table(
     column = people.last if kind == SURNAME else people.first
     keys, codes = column_keys(column, partial(table_key, suffixes=suffixes))
     race = people.race[rows]
-    return count_name_table(
-        kind, people.races, keys, codes[rows], race, suppress, min_total, single_race_band
-    )
+    return count_name_table(kind, people.races, keys, codes[rows], race)
 
 
 def training_rows(people: People, seed: int = 0, target_shares=None) -> np.ndarray:
@@ -333,14 +325,7 @@ def training_rows(people: People, seed: int = 0, target_shares=None) -> np.ndarr
 
 
 def count_name_table(
-    kind: str,
-    races: RaceSet,
-    keys: list,
-    key_codes: np.ndarray,
-    race: np.ndarray,
-    suppress: bool = True,
-    min_total: int = MIN_TOTAL,
-    single_race_band: tuple[int, int] = SINGLE_RACE_BAND,
+    kind: str, races: RaceSet, keys: list, key_codes: np.ndarray, race: np.ndarray
 ) -> NameTable:
     """Count ``(name, race)`` pairs into a suppressed :class:`NameTable`.
 
@@ -356,8 +341,7 @@ def count_name_table(
     key_codes = np.asarray(key_codes, dtype=np.intp)
     race = np.where(usable_keys(keys)[key_codes], race, -1)
     counts, race_totals, order = _count_pairs(key_codes, race, len(keys), len(races))
-    if suppress:
-        order = order[passes_suppression(counts[order], min_total, single_race_band)]
+    order = order[passes_suppression(counts[order])]
     if order.size == 0:
         raise EmptyTableError("no names survived normalization and suppression")
     return NameTable(kind, races, [keys[k] for k in order.tolist()], counts[order], race_totals)

@@ -214,6 +214,7 @@ class TestSyntheticPopulationOracle:
     equal the enumerated conditional distribution."""
 
     def test_bisg_matches_enumeration(self):
+        from nameproxy import tables
         from nameproxy.tables import build_geo_table, build_name_table
 
         rng = np.random.default_rng(99)
@@ -231,7 +232,9 @@ class TestSyntheticPopulationOracle:
                         [Row("anna", s, g, race)] * int(u[si, ri] * v[gi, ri])
                     )
         people = people_of(records)
-        surname_table = build_name_table(people, SURNAME, suppress=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "MIN_TOTAL", 0)
+            surname_table = build_name_table(people, SURNAME)
         geo_table = build_geo_table(people)
         ctx = BayesContext(surname_table, geo_table)
 

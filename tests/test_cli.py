@@ -75,6 +75,17 @@ class TestConfig:
         with pytest.raises(SchemaError, match="surprise"):
             load_config(path)
 
+    def test_unknown_ensemble_key_rejected(self, tmp_path, capsys):
+        # a misspelt "members" must not fall back to the default members
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 1, "ensemble": {"member": ["bisg"]}}))
+        message = f"{path}: unknown config keys: ['ensemble.member']"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == f"nameproxy: {message}\n"
+
     def test_accepted_keys_are_pinned(self, tmp_path):
         keys = {
             "races", "seed", "suffixes", "filter_words_file", "target_shares", "sample_shares",

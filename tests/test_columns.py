@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nameproxy import names
+from nameproxy import names, tables
 from nameproxy.bayes import (
     BayesContext,
     bayes_scores,
@@ -46,7 +46,6 @@ from nameproxy.tables import (
     build_geo_table,
     build_name_table,
     merge_tables,
-    passes_suppression,
 )
 
 from conftest import Row, entries_of, geo_table, name_table, people_of
@@ -498,7 +497,8 @@ class TestColumnKeys:
 
 
 def ref_build_name_table(records, kind, races):
-    """Per-record counting, as the table builder is defined."""
+    """Per-record counting, as the table builder is defined, with the
+    suppression thresholds 3 and (2, 2)."""
     race_index = {label: i for i, label in enumerate(races)}
     entries = {}
     totals = np.zeros(len(races), dtype=np.int64)
@@ -510,7 +510,10 @@ def ref_build_name_table(records, kind, races):
             continue
         entries.setdefault(name, np.zeros(len(races), dtype=np.int64))[race_index[rec.race]] += 1
         totals[race_index[rec.race]] += 1
-    kept = {k: c for k, c in entries.items() if passes_suppression(c, 3, (2, 2))}
+    kept = {
+        k: c for k, c in entries.items()
+        if c.sum() >= 3 or (c.sum() == 2 and np.count_nonzero(c) == 1)
+    }
     return kept, totals
 
 
@@ -534,7 +537,10 @@ class TestTableCountingOracle:
         ]
         people = people_of(records, races)
         for kind in (SURNAME, FIRSTNAME):
-            table = build_name_table(people, kind, min_total=3, single_race_band=(2, 2))
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(tables, "MIN_TOTAL", 3)
+                mp.setattr(tables, "SINGLE_RACE_BAND", (2, 2))
+                table = build_name_table(people, kind)
             entries, totals = ref_build_name_table(records, kind, races)
             assert table.keys == list(entries)
             for key, counts in entries.items():

@@ -20,9 +20,7 @@ from nameproxy.errors import (
     ShapeMismatchError,
 )
 from nameproxy.lstm import (
-    EVAL,
     MAGIC,
-    TRAIN,
     AdamState,
     NetworkParams,
     TrainConfig,
@@ -87,19 +85,19 @@ class TestForward:
         params = tiny_params()
         rng = np.random.default_rng(2)
         codes = random_batch(rng, 4)
-        a = forward(params, codes, mode=EVAL, dropout_seed=1)
-        b = forward(params, codes, mode=EVAL, dropout_seed=2)
+        a = forward(params, codes)
+        b = forward(params, codes, dropout_seed=None)
         np.testing.assert_array_equal(a, b)
-        t1 = forward(params, codes, mode=TRAIN, dropout_seed=1)
-        t2 = forward(params, codes, mode=TRAIN, dropout_seed=2)
+        t1 = forward(params, codes, dropout_seed=1)
+        t2 = forward(params, codes, dropout_seed=2)
         assert not np.array_equal(t1, t2)
 
     def test_train_mode_same_seed_reproduces(self):
         params = tiny_params()
         rng = np.random.default_rng(3)
         codes = random_batch(rng, 4)
-        t1 = forward(params, codes, mode=TRAIN, dropout_seed=9)
-        t2 = forward(params, codes, mode=TRAIN, dropout_seed=9)
+        t1 = forward(params, codes, dropout_seed=9)
+        t2 = forward(params, codes, dropout_seed=9)
         np.testing.assert_array_equal(t1, t2)
 
     def test_rejects_bad_codes(self):
@@ -128,13 +126,16 @@ class TestForward:
         "embed_dim,hidden,layers,batch,steps",
         [(4, 3, 1, 1, 1), (4, 3, 2, 5, 1), (8, 8, 2, 1, WINDOW), (16, 32, 3, 17, WINDOW)],
     )
-    @pytest.mark.parametrize("mode", [EVAL, TRAIN])
-    def test_cache_free_matches_cached_bitwise(self, embed_dim, hidden, layers, batch, steps, mode):
+    @pytest.mark.parametrize("dropout_seed", [None, 5], ids=["eval", "train"])
+    def test_cache_free_matches_cached_bitwise(
+        self, embed_dim, hidden, layers, batch, steps, dropout_seed
+    ):
         params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=11)
         codes = np.random.default_rng(12).integers(0, 30, size=(batch, steps))
-        cached, cache = np.exp(_forward_pass(params, codes, mode, 5, tape := [])[0]), tape or None
-        assert cache is not None
-        np.testing.assert_array_equal(forward(params, codes, mode=mode, dropout_seed=5), cached)
+        tape = []
+        cached = np.exp(_forward_pass(params, codes, dropout_seed, tape)[0])
+        assert tape
+        np.testing.assert_array_equal(forward(params, codes, dropout_seed=dropout_seed), cached)
 
     def test_eval_keeps_no_per_step_cache(self):
         """Eval peak memory stays near one layer's activations, whatever the depth.
@@ -162,7 +163,7 @@ class TestLossAndGradients:
         params = zero_params()
         codes = random_batch(np.random.default_rng(0), 6)
         labels = np.array([0, 1, 2, 3, 0, 1])
-        loss, _ = loss_and_gradients(params, codes, labels, mode=EVAL)
+        loss, _ = loss_and_gradients(params, codes, labels, dropout_seed=None)
         assert loss == pytest.approx(np.log(4.0), abs=1e-12)
 
     def test_duplicated_example_contributes_identically(self):
@@ -170,8 +171,8 @@ class TestLossAndGradients:
         rng = np.random.default_rng(4)
         one = random_batch(rng, 1)
         two = np.vstack([one, one])
-        loss1, grads1 = loss_and_gradients(params, one, np.array([2]), mode=EVAL)
-        loss2, grads2 = loss_and_gradients(params, two, np.array([2, 2]), mode=EVAL)
+        loss1, grads1 = loss_and_gradients(params, one, np.array([2]), dropout_seed=None)
+        loss2, grads2 = loss_and_gradients(params, two, np.array([2, 2]), dropout_seed=None)
         assert loss1 == pytest.approx(loss2, abs=1e-12)
         np.testing.assert_allclose(grads1, grads2, atol=1e-12)
 
@@ -183,18 +184,18 @@ class TestLossAndGradients:
         with pytest.raises(ShapeMismatchError):
             loss_and_gradients(params, codes, np.array([0]))
 
-    @pytest.mark.parametrize("mode,seed", [(EVAL, 0), (TRAIN, 1234)])
-    def test_gradients_match_finite_differences(self, mode, seed):
+    @pytest.mark.parametrize("seed", [None, 1234], ids=["eval-0", "train-1234"])
+    def test_gradients_match_finite_differences(self, seed):
         """Sampled central-difference check on every parameter group.
 
-        In train mode the dropout mask is fixed by the seed, so the loss is
-        a smooth function of the parameters there too.
+        Under dropout the mask is fixed by the seed, so the loss is a
+        smooth function of the parameters there too.
         """
         params = tiny_params(seed=7)
         rng = np.random.default_rng(6)
         codes = random_batch(rng, 2, window=WINDOW)
         labels = np.array([1, 3])
-        _, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
+        _, grads = loss_and_gradients(params, codes, labels, dropout_seed=seed)
         h = 1e-5
         flat = params.flat
         offset = 0
@@ -206,9 +207,9 @@ class TestLossAndGradients:
             for k, j in enumerate(picks):
                 orig = flat[j]
                 flat[j] = orig + h
-                lp, _ = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
+                lp, _ = loss_and_gradients(params, codes, labels, dropout_seed=seed)
                 flat[j] = orig - h
-                lm, _ = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=seed)
+                lm, _ = loss_and_gradients(params, codes, labels, dropout_seed=seed)
                 flat[j] = orig
                 numeric[k] = (lp - lm) / (2 * h)
             analytic = grads[picks]
@@ -219,10 +220,10 @@ class TestLossAndGradients:
         params = tiny_params(seed=11, dropout=0.0)
         codes = random_batch(np.random.default_rng(12), 1)
         labels = np.array([0])
-        before, grads = loss_and_gradients(params, codes, labels, mode=EVAL)
+        before, grads = loss_and_gradients(params, codes, labels, dropout_seed=None)
         state = AdamState.for_params(params, lr=1e-4, weight_decay=0.0)
         adam_step(params, grads, state)
-        after, _ = loss_and_gradients(params, codes, labels, mode=EVAL)
+        after, _ = loss_and_gradients(params, codes, labels, dropout_seed=None)
         assert after < before
 
 

@@ -3,11 +3,12 @@
 The reference below is the straightforward batch-major implementation
 the kernels in ``nameproxy.lstm`` replaced: one whole-window input
 projection per direction and every per-step gate, state and ``tanh(c)``
-stored for BPTT.  The time-major kernels must give bit-identical eval and
-train-mode probabilities and the same loss; gradients may differ only in
-the order their GEMMs sum over rows.  Running a layer's two directions at
-once or one after the other must give the same bits, and the gate that
-picks between them is a pure function of the environment and core count.
+stored for BPTT.  The time-major kernels must give bit-identical
+probabilities, with and without dropout, and the same loss; gradients may
+differ only in the order their GEMMs sum over rows.  Running a layer's two
+directions at once or one after the other must give the same bits, and the
+gate that picks between them is a pure function of the environment and
+core count.
 """
 
 import sys
@@ -20,8 +21,6 @@ import pytest
 
 from nameproxy import lstm
 from nameproxy.lstm import (
-    EVAL,
-    TRAIN,
     TrainConfig,
     _concurrent_directions,
     forward,
@@ -109,7 +108,7 @@ def _ref_backprop_direction(direction, cache, d_out, grad):
     return (flat_dz @ direction.w_in.T).reshape(x.shape)
 
 
-def _ref_forward(params, codes, mode, dropout_seed):
+def _ref_forward(params, codes, dropout_seed):
     batch, steps = codes.shape
     hidden = params.hidden
     drop_rng = np.random.default_rng(dropout_seed)
@@ -121,7 +120,7 @@ def _ref_forward(params, codes, mode, dropout_seed):
         cache_b = _ref_run_direction(bwd, x, True, out[:, :, hidden:])
         mask = None
         if l < params.n_layers - 1:
-            if mode == TRAIN and params.dropout > 0.0:
+            if dropout_seed is not None and params.dropout > 0.0:
                 keep = 1.0 - params.dropout
                 mask = (drop_rng.random(out.shape) < keep) / keep
                 x = out * mask
@@ -133,8 +132,8 @@ def _ref_forward(params, codes, mode, dropout_seed):
     return np.exp(log_probs), {"layers": layers, "feat": feat, "log_probs": log_probs}
 
 
-def _ref_loss_and_gradients(params, codes, labels, mode, dropout_seed):
-    probs, cache = _ref_forward(params, codes, mode, dropout_seed)
+def _ref_loss_and_gradients(params, codes, labels, dropout_seed):
+    probs, cache = _ref_forward(params, codes, dropout_seed)
     batch, steps = codes.shape
     hidden = params.hidden
     loss = float(-cache["log_probs"][np.arange(batch), labels].mean())
@@ -180,16 +179,16 @@ DIMS = [
 
 
 @pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
-@pytest.mark.parametrize("mode", [EVAL, TRAIN])
-def test_matches_batch_major_reference(embed_dim, hidden, layers, batch, steps, mode):
+@pytest.mark.parametrize("dropout_seed", [None, 7], ids=["eval", "train"])
+def test_matches_batch_major_reference(embed_dim, hidden, layers, batch, steps, dropout_seed):
     params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=21)
     rng = np.random.default_rng(22)
     codes = rng.integers(0, 30, size=(batch, steps))
     labels = rng.integers(0, 4, size=batch)
-    ref_probs, _ = _ref_forward(params, codes, mode, 7)
-    assert np.array_equal(forward(params, codes, mode=mode, dropout_seed=7), ref_probs)
-    ref_loss, ref_grads = _ref_loss_and_gradients(params, codes, labels, mode, 7)
-    loss, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=7)
+    ref_probs, _ = _ref_forward(params, codes, dropout_seed)
+    assert np.array_equal(forward(params, codes, dropout_seed=dropout_seed), ref_probs)
+    ref_loss, ref_grads = _ref_loss_and_gradients(params, codes, labels, dropout_seed)
+    loss, grads = loss_and_gradients(params, codes, labels, dropout_seed=dropout_seed)
     assert loss == ref_loss
     # only the row order of the weight-gradient sums differs
     assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max()
@@ -201,9 +200,9 @@ def test_reused_buffers_carry_nothing_between_calls():
     rng = np.random.default_rng(5)
     codes = rng.integers(0, 30, size=(22, WINDOW))
     labels = rng.integers(0, 4, size=22)
-    first = loss_and_gradients(params, codes[:17], labels[:17], mode=TRAIN, dropout_seed=6)
-    loss_and_gradients(params, codes[17:], labels[17:], mode=TRAIN, dropout_seed=6)
-    again = loss_and_gradients(params, codes[:17], labels[:17], mode=TRAIN, dropout_seed=6)
+    first = loss_and_gradients(params, codes[:17], labels[:17], dropout_seed=6)
+    loss_and_gradients(params, codes[17:], labels[17:], dropout_seed=6)
+    again = loss_and_gradients(params, codes[:17], labels[:17], dropout_seed=6)
     assert first[0] == again[0]
     assert np.array_equal(first[1], again[1])
     assert np.array_equal(params.flat, before)
@@ -216,16 +215,18 @@ def in_schedule(monkeypatch, concurrent: bool, fn):
 
 
 @pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
-@pytest.mark.parametrize("mode", [EVAL, TRAIN])
-def test_schedules_give_identical_bits(embed_dim, hidden, layers, batch, steps, mode, monkeypatch):
+@pytest.mark.parametrize("dropout_seed", [None, 8], ids=["eval", "train"])
+def test_schedules_give_identical_bits(
+    embed_dim, hidden, layers, batch, steps, dropout_seed, monkeypatch
+):
     params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=23)
     rng = np.random.default_rng(24)
     codes = rng.integers(0, 30, size=(batch, steps))
     labels = rng.integers(0, 4, size=batch)
 
     def run():
-        probs = forward(params, codes, mode=mode, dropout_seed=8)
-        loss, grads = loss_and_gradients(params, codes, labels, mode=mode, dropout_seed=8)
+        probs = forward(params, codes, dropout_seed=dropout_seed)
+        loss, grads = loss_and_gradients(params, codes, labels, dropout_seed=dropout_seed)
         return probs, loss, grads
 
     one_by_one = in_schedule(monkeypatch, False, run)
@@ -236,11 +237,13 @@ def test_schedules_give_identical_bits(embed_dim, hidden, layers, batch, steps, 
 
 
 @pytest.mark.parametrize("concurrent", [False, True])
-@pytest.mark.parametrize("mode", [EVAL, TRAIN])
-def test_empty_batch_gives_no_rows_in_either_schedule(concurrent, mode, monkeypatch):
+@pytest.mark.parametrize("dropout_seed", [None, 0], ids=["eval", "train"])
+def test_empty_batch_gives_no_rows_in_either_schedule(concurrent, dropout_seed, monkeypatch):
     params = init_params(embed_dim=4, hidden=3, layers=3, seed=27)
     codes = np.zeros((0, WINDOW), dtype=np.int64)
-    probs = in_schedule(monkeypatch, concurrent, lambda: forward(params, codes, mode=mode))
+    probs = in_schedule(
+        monkeypatch, concurrent, lambda: forward(params, codes, dropout_seed=dropout_seed)
+    )
     assert probs.shape == (0, 4)
 
 
@@ -390,9 +393,7 @@ class TestMemory:
         # Keeping the input and a float mask as well peaks at 52 units, and
         # c_prev, h_prev and tanh(c) on top of that at 66
         peak = self.peak_units(
-            lambda: loss_and_gradients(
-                self.params, self.codes, self.labels, mode=TRAIN, dropout_seed=3
-            )
+            lambda: loss_and_gradients(self.params, self.codes, self.labels, dropout_seed=3)
         )
         assert peak < 42
 

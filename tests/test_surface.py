@@ -3,6 +3,8 @@ module-level name is a change to this list, made on purpose.
 
 A public name is a module-level function, class or assigned name (a
 plain name or one in a tuple target) that does not start with ``_``.
+:func:`settable_values` counts the values a caller can set through that
+surface; it is reported, not pinned.
 """
 
 import ast
@@ -44,8 +46,8 @@ SURFACE = {
         "intersect_covered", "roc_curve",
     ],
     "lstm": [
-        "AdamState", "EVAL", "EpochStats", "FORMAT_VERSION", "LstmDirection", "MAGIC",
-        "NetworkParams", "TRAIN", "TrainConfig", "adam_step", "forward", "init_params",
+        "AdamState", "EpochStats", "FORMAT_VERSION", "LstmDirection", "MAGIC",
+        "NetworkParams", "TrainConfig", "adam_step", "forward", "init_params",
         "load_params", "loss_and_gradients", "predict_proba", "predict_proba_batch",
         "predict_scores", "prepare_dataset", "save_params", "split_and_balance", "train",
         "write_training_log",
@@ -81,6 +83,35 @@ def public_names(source: str) -> list[str]:
     return sorted(name for name in names if not name.startswith("_"))
 
 
+def settable_values(source: str) -> int:
+    """The defaulted parameters of a module's public functions and of the
+    public methods (``__init__`` included) of its public classes, plus the
+    fields of its public dataclasses."""
+
+    def defaults(fn) -> int:
+        return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
+
+    def is_dataclass(cls) -> bool:
+        calls = (d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list)
+        return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in calls)
+
+    count = 0
+    for node in ast.parse(source).body:
+        if getattr(node, "name", "_").startswith("_"):
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            count += defaults(node)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and (
+                    not item.name.startswith("_") or item.name == "__init__"
+                ):
+                    count += defaults(item)
+                elif isinstance(item, ast.AnnAssign) and is_dataclass(node):
+                    count += 1
+    return count
+
+
 def test_public_names_match_the_pinned_list():
     found = {path.stem: public_names(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert found == {module: sorted(names) for module, names in SURFACE.items()}
@@ -93,3 +124,26 @@ def test_counter_sees_each_kind_of_definition():
         "def _g(): pass\n_H = 6\nif True:\n    I = 7\n"
     )
     assert public_names(source) == ["A", "B", "C", "c", "f"]
+
+
+def test_settable_value_counter_sees_each_kind_of_setting():
+    source = (
+        "from dataclasses import dataclass\n"
+        "def f(a, b=1, *c, d, e=2, **g): pass\n"  # 2
+        "def _f(a=1): pass\n"
+        "class C:\n"
+        "    x: int = 0\n"  # not a dataclass field
+        "    def __init__(self, a=1): pass\n"  # 1
+        "    def m(self, a, b=2): pass\n"  # 1
+        "    def _m(self, a=1): pass\n"
+        "    def __eq__(self, other=None): pass\n"
+        "@dataclass(frozen=True)\n"
+        "class D:\n"
+        "    x: int\n"  # 1
+        "    y: int = 0\n"  # 1
+        "    def m(self, a=None): pass\n"  # 1
+        "@dataclass\n"
+        "class _E:\n"
+        "    x: int = 0\n"
+    )
+    assert settable_values(source) == 7

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nameproxy import tables
 from nameproxy.core import RaceSet
 from nameproxy.csvio import write_csv
 from nameproxy.errors import (
@@ -25,6 +26,7 @@ from nameproxy.tables import (
     NameTable,
     build_geo_table,
     build_name_table,
+    count_name_table,
     merge_tables,
     passes_suppression,
 )
@@ -166,8 +168,24 @@ class TestBuildNameTable:
 
     def test_unsuppressed_build_keeps_everything(self):
         data = {"Tiny": (1, 1, 1, 2)}
-        table = build_name_table(records_for(data), SURNAME, suppress=False)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "MIN_TOTAL", 0)
+            table = build_name_table(records_for(data), SURNAME)
         assert "tiny" in table
+
+    def test_counting_reads_the_thresholds_when_called(self):
+        # "ab" 4 observations over two races, "cd" 3 of one race
+        args = (SURNAME, RACES, ["ab", "cd"], np.array([0, 0, 0, 0, 1, 1, 1]),
+                np.array([0, 0, 1, 1, 2, 2, 2]))
+        with pytest.raises(EmptyTableError):
+            count_name_table(*args)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tables, "MIN_TOTAL", 4)
+            assert count_name_table(*args).keys == ["ab"]
+            mp.setattr(tables, "SINGLE_RACE_BAND", (3, 3))
+            assert count_name_table(*args).keys == ["ab", "cd"]
+        with pytest.raises(EmptyTableError):
+            count_name_table(*args)
 
 
 class TestQueryDirections:
