@@ -23,7 +23,7 @@ import numpy as np
 from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
-from .csvio import framed, read_csv, write_csv
+from .csvio import framed, read_csv, replacing, write_csv
 from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores, resolve_model
 from .errors import MissingArtifactError, NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
@@ -213,7 +213,7 @@ def cmd_build_tables(args, config: RunConfig) -> int:
     manifest["geo"] = {"entries": len(geo_table), "path": str(geo_path)}
 
     manifest_path = out_dir / "manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with replacing(manifest_path, encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
     logger.info("wrote tables and manifest under %s", out_dir)

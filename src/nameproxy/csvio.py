@@ -1,13 +1,16 @@
 """The CSV framing every nameproxy file shares (RFC 4180, "\\n" line ends):
 one header line that must match exactly, then records of its field count;
-and the error for a text file that is not UTF-8.
+the error for a text file that is not UTF-8; and :func:`replacing`, which
+every writer of the package opens its target through.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from contextlib import contextmanager, nullcontext
+import os
+import shutil
+from contextlib import contextmanager, nullcontext, suppress
 
 from .errors import SchemaError
 
@@ -98,6 +101,38 @@ def not_utf8(path) -> SchemaError:
     return SchemaError(f"{path}: not UTF-8 text")
 
 
+@contextmanager
+def replacing(path, mode: str = "w", **kwargs):
+    """Open a temporary file beside ``path`` with :func:`open`'s ``mode``
+    and ``kwargs``, and move it over ``path`` when the ``with`` block ends
+    without an exception.
+
+    On an exception the temporary file is removed and ``path`` is left as
+    it was, so a writer that fails part-way (a row iterator that raises, a
+    full disk) leaves no truncated file.  :func:`open` makes the temporary
+    file, so it gets the permissions a new ``path`` would, and an existing
+    ``path`` keeps its own; its owner, group and other hard links are not
+    kept.  A ``path`` that exists and is not a regular file (a FIFO, a
+    device such as ``/dev/stdout``) is opened and written in place.
+    """
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+        return
+    head, tail = os.path.split(os.fspath(path))
+    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, mode, **kwargs) as fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            shutil.copymode(path, temporary)
+        os.replace(temporary, path)
+    except BaseException:
+        with suppress(OSError):
+            os.remove(temporary)
+        raise
+
+
 def framed(fields) -> str:
     """``fields`` as :func:`write_csv` frames them within a record, without a
     line end: text to join with "," to other framed text, or to text that
@@ -119,7 +154,7 @@ def write_csv(path, header: list[str], rows=(), text: tuple[int, ...] = (), prea
     "\\n" line ends the csv writer before Python 3.13 leaves a lone "\\r"
     unquoted.  Race labels never hold one (see :class:`core.RaceSet`).
     """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with replacing(path, newline="", encoding="utf-8") as fh:
         fh.write(preamble)
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)

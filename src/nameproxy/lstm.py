@@ -37,15 +37,17 @@ loop over the steps: each step projects its input, adds the recurrent
 product and overwrites the sum with its activated gates.  At production
 dims, projecting 1, 3, 5 or 10 steps in one GEMM, or the whole window,
 ran within run-to-run noise, so a step projects only itself.
-:func:`forward` gives each direction one step's gates and ``c_t``, reused
-at every step of every layer, and the last layer a two-step output ring,
-as the head reads two of its steps.  When the directions take turns, each
-layer after the first writes its output over its input: the forward
-direction fills a half-width buffer, the backward one writes ``h_t`` over
-the second half of ``x[t]`` once it has projected ``x[t]``, and the
-buffer is then copied over the first half.  So inference memory is one
-layer's activations and half of another plus those buffers, and
-:func:`predict_proba_batch` runs 256 rows at a time.
+:func:`forward` runs a block of 4 or more rows as two row halves at once
+where :data:`_HALVES` holds (below), and the dense head once, on the whole
+block.  In a block or a half the directions take turns, each with one
+step's gates and ``c_t``, reused at every step of every layer; the last
+layer writes into a two-step output ring, as the head reads two of its
+steps, and each layer after the first writes its output over its input:
+the forward direction fills a half-width buffer, the backward one writes
+``h_t`` over the second half of ``x[t]`` once it has projected ``x[t]``,
+and the buffer is then copied over the first half.  So inference memory
+is one layer's activations and half of another plus those buffers, in
+either schedule, and :func:`predict_proba_batch` runs 256 rows at a time.
 :func:`loss_and_gradients` gives it whole-window buffers and keeps one
 record per layer (output, bool dropout mask, and per direction every
 step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
@@ -60,20 +62,28 @@ of one name is the exception: numpy projects its one-row steps with a
 matrix-vector product, whose last bits can differ from the same row in a
 larger GEMM (at desk dims by at most about 6e-17 in a probability).
 
-A layer's two directions read the same input and write disjoint memory,
-so they can run at once (Appleyard et al. 2016 do the same on GPUs): the
-forward direction on the calling thread and the backward one on a worker
-thread, joined before the next layer, in the layer pass, in BPTT and in
-the two ``w_in``-gradient GEMMs (:func:`_both`).  They run at once when
-two BLAS calls fit on the usable cores, that is when twice the BLAS
-thread count is at most the cores this process may run on.  The count is
-the first positive integer among ``OPENBLAS_NUM_THREADS``,
-``GOTO_NUM_THREADS``, ``MKL_NUM_THREADS`` and ``OMP_NUM_THREADS``, else
-the number of usable cores, as OpenBLAS assumes; so by default the
-directions take turns, and pinning the BLAS to k threads on at least 2k
-cores runs them at once.  Every array a direction writes is allocated on
-the calling thread and the input gradient sums its halves in one order,
-so probabilities, loss and gradients are bit-identical in both schedules.
+Work that reads the same input and writes disjoint memory can run at
+once, one part on the calling thread and one on a worker (:func:`_both`;
+Appleyard et al. 2016 do the same on GPUs).  In training that is a layer's
+two directions, in the layer pass, in BPTT and in the two
+``w_in``-gradient GEMMs, where :data:`_CONCURRENT` holds: when two BLAS
+calls at the BLAS thread count fit on the usable cores
+(:func:`_concurrent_directions`).  In inference it is a block's two row
+halves, independent up to the dense head, where :data:`_HALVES` holds:
+where the directions' rule does, and also on exactly 2 usable cores when
+the BLAS's own thread setter is found (:func:`_halves_at_once`).  While
+both parts run, :func:`_both` narrows the BLAS to half the usable cores
+where two calls at its thread count would not fit, and sets it back; so
+an unpinned BLAS on 2 cores scores at 1 thread per half.  Both gates are
+fixed at import.  At one BLAS thread count probabilities, loss and
+gradients are bit-identical in every schedule: on OpenBLAS 0.3.31 a layer
+GEMM gives a row the same bits in any block of 2 or more rows, every
+array a part writes is allocated on the calling thread, and the input
+gradient sums its halves in one order.  The count itself can move last
+bits: OpenBLAS 0.3.31 blocks a GEMM whose inner dimension lies strictly
+between 256 and 512 one way at 1 thread and another at 2, so where an
+embedding width, ``hidden`` or twice it falls there, narrowed scoring
+gives the bits of 1 thread.
 
 Raw names are encoded in one place, :func:`names.encode_columns`: for
 training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
@@ -92,7 +102,7 @@ import struct
 import numpy as np
 
 from .core import REASON_CODE, UNENCODABLE_NAME, People, Scores
-from .csvio import write_csv
+from .csvio import replacing, write_csv
 from .errors import CorruptFileError, InsufficientClassError, ShapeMismatchError
 from .names import VOCAB_SIZE, encode_columns
 
@@ -290,8 +300,8 @@ def _log_softmax(logits):
 
 
 def _concurrent_directions(environ, cores: int) -> bool:
-    """Whether a layer's two directions run at once: when two BLAS calls at
-    the BLAS thread count fit on ``cores`` usable cores.
+    """Whether a layer's two directions run at once in training: when two
+    BLAS calls at the BLAS thread count fit on ``cores`` usable cores.
 
     The count is the first positive integer among :data:`_BLAS_THREAD_VARS`
     in the ``environ`` mapping, else ``cores``, as OpenBLAS itself assumes.
@@ -308,6 +318,18 @@ def _concurrent_directions(environ, cores: int) -> bool:
     return 2 * threads <= cores
 
 
+def _halves_at_once(environ, cores: int, narrowable: bool) -> bool:
+    """Whether :func:`forward` runs a block's two row halves at once: where
+    :func:`_concurrent_directions` holds, and on exactly 2 usable ``cores``
+    with a ``narrowable`` BLAS, one whose thread count :func:`_both` can
+    set to 1 while the halves run.
+
+    Narrowing was measured only there, for inference; training and hosts
+    of 3 or more cores keep the directions' rule.
+    """
+    return (narrowable and cores == 2) or _concurrent_directions(environ, cores)
+
+
 def _usable_cores() -> int:
     try:
         return len(os.sched_getaffinity(0))
@@ -315,35 +337,79 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-# fixed when the module loads, as the BLAS fixes its thread count when it loads
-_CONCURRENT = _concurrent_directions(os.environ, _usable_cores())
+def _blas_threads():
+    """``(get, set)``, the BLAS's own thread-count functions, or None.
 
-
-def _both(here, there):
-    """Call ``here()`` and ``there()``: at once, ``there`` on a worker thread,
-    when :data:`_CONCURRENT` holds, else one after the other.
-
-    The worker is joined before this returns or raises, and an exception it
-    raised is raised here.  ``there`` must call no traced public function
-    and should allocate nothing large: every array it writes comes from the
-    calling thread, so its memory stays in the main thread's heap.
+    They are looked up with ctypes in numpy's loaded ``_multiarray_umath``,
+    which sees the symbols of the BLAS it links: the ILP64 OpenBLAS of
+    numpy's wheels, or a plain OpenBLAS.
     """
-    if not _CONCURRENT:
+    try:
+        import ctypes
+        from numpy._core import _multiarray_umath
+
+        blas = ctypes.CDLL(_multiarray_umath.__file__)
+    except (ImportError, OSError):
+        return None
+    for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""),
+                           ("openblas", "64_"), ("openblas", "")):
+        try:
+            get = getattr(blas, f"{prefix}_get_num_threads{suffix}")
+            set_ = getattr(blas, f"{prefix}_set_num_threads{suffix}")
+        except AttributeError:
+            continue
+        get.argtypes, get.restype = (), ctypes.c_int
+        set_.argtypes, set_.restype = (ctypes.c_int,), None
+        return get, set_
+    return None
+
+
+# fixed when the module loads, as the BLAS fixes its thread count when it loads
+_BLAS_THREADS = _blas_threads()
+_CORES = _usable_cores()
+_CONCURRENT = _concurrent_directions(os.environ, _CORES)
+_HALVES = _halves_at_once(os.environ, _CORES, _BLAS_THREADS is not None)
+
+
+def _both(here, there, at_once: bool):
+    """Call ``here()`` and ``there()``: ``at_once``, ``there`` on a worker
+    thread, else one after the other.
+
+    Where two BLAS calls at the BLAS's current thread count would not fit
+    on the usable cores, it is narrowed to half of them while both run,
+    and set back before this returns or raises.  The worker is joined
+    before this returns or raises, and an exception it raised is raised
+    here.  ``there`` must call no traced public function and should
+    allocate nothing large: every array it writes, a direction's or a row
+    half's, comes from the calling thread, as memory a worker thread frees
+    stays in that thread's malloc arena.  The BLAS thread count is one per
+    process, so callers on two threads at once may see each other's
+    narrowing.
+    """
+    if not at_once:
         here()
         there()
         return
-    # imported here: the processes whose directions take turns do not pay for it
+    # imported here: the processes that take turns do not pay for it
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(1) as pool:
-        later = pool.submit(there)
-        here()
-    later.result()
+    get, set_ = _BLAS_THREADS or (lambda: 0, None)
+    threads, width = get(), max(1, _CORES // 2)
+    if threads > width:
+        set_(width)
+    try:
+        with ThreadPoolExecutor(1) as pool:
+            later = pool.submit(there)
+            here()
+        later.result()
+    finally:
+        if threads > width:
+            set_(threads)
 
 
 def _per_direction(make):
-    """``[make(), make()]``, one buffer per direction of a layer, or one
-    buffer for both when they take turns."""
+    """``[make(), make()]``, one buffer per direction of a layer in
+    training, or one buffer for both when they take turns."""
     first = make()
     return [first, make() if _CONCURRENT else first]
 
@@ -487,22 +553,14 @@ def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=N
     """``(log_probs, feat, codes)``: log-probabilities, the dense head's input
     and the checked ``(batch, steps)`` codes.
 
-    Activations are time-major, ``(steps, batch, features)``.  Without a
-    ``tape`` each direction reuses one step's gates and ``c_t``, and the
-    last layer writes into a two-step ring, since the head reads only the
-    forward state at the last step and the backward state at step zero.
-    When the directions take turns, every layer after the first also
-    writes its output over its input: the forward direction fills a
-    ``(steps, batch, hidden)`` buffer, the backward one writes ``h_t`` over
-    the second half of ``x[t]`` once step ``t`` has projected it, and the
-    forward half is then copied over the first half.  So memory stays at
-    one layer's activations and half of another.  Given a list, it gets
-    one ``(out, mask, (acts, c) forward, (acts, c) backward)`` record per
-    layer: the layer's output, the bool dropout mask applied to it (or
-    None), and per direction the whole window's gates and ``c_t``, which is
-    what BPTT reads.  A layer's input is not kept: backward rebuilds it
-    from the previous record's output and mask, or gathers the embedding
-    again for layer 0.  A ``dropout_seed`` of None applies no dropout.
+    Given a list, the pass runs :func:`_record_layers` and the list gets one
+    record per layer.  Without one it runs :func:`_run_layers`, where
+    :data:`_HALVES` holds as two row halves at once through
+    :func:`_both`, in buffers allocated here on the calling thread; the
+    dense head then runs on the whole block.  A block of under 4 rows is
+    not split, as a one-row half would project through gemv.  A
+    ``dropout_seed`` of None applies no dropout; an int seeds every layer's
+    mask, drawn here for the whole block.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim == 1:
@@ -515,50 +573,120 @@ def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=N
         raise ShapeMismatchError("codes out of vocabulary range")
     batch, steps = codes.shape
     hidden = params.hidden
-    use_dropout = dropout_seed is not None and params.dropout > 0.0
-    drop_rng = np.random.default_rng(dropout_seed) if use_dropout else None
     keep = 1.0 - params.dropout
+    masks = [None] * params.n_layers  # the last layer's output is not dropped
+    if dropout_seed is not None and params.dropout > 0.0:
+        drop_rng = np.random.default_rng(dropout_seed)
+        # drawn in (batch, steps) order, layer by layer: that order fixes
+        # which units a seed drops, so probabilities under dropout do not
+        # depend on the activation layout
+        masks[:-1] = [
+            (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
+            for _ in range(params.n_layers - 1)
+        ]
 
-    # every array a direction writes is allocated here, on the calling
-    # thread; inference reuses one step's gates and c_t in every layer
-    scratch = _per_direction(lambda: _pass_scratch(batch, hidden))
-    if tape is None:
-        acts = _per_direction(lambda: np.empty((1, batch, 4 * hidden)))
-        cells = _per_direction(lambda: np.empty((1, batch, hidden)))
-    # a layer's output written over its input needs its directions in turn
-    in_place = tape is None and not _CONCURRENT
-    x = params.embedding[codes.T]  # (T, B, D)
-    for l, (fwd, bwd) in enumerate(params.layers):
-        if tape is not None:
-            acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
-            cells = [np.empty((steps, batch, hidden)) for _ in range(2)]
-        last = l == params.n_layers - 1
-        slots = 2 if tape is None and last else steps
-        if in_place and l > 0 and not last:
-            out = x  # forward | backward, over the input
-            h_f, h_b = np.empty((steps, batch, hidden)), x[:, :, hidden:]
-        else:
-            out = np.empty((slots, batch, 2 * hidden))  # forward | backward
-            h_f, h_b = out[:, :, :hidden], out[:, :, hidden:]
-        # taking turns, the forward direction runs first, while x is whole
-        _both(lambda: _run_direction(fwd, x, False, h_f, acts[0], cells[0], scratch[0]),
-              lambda: _run_direction(bwd, x, True, h_b, acts[1], cells[1], scratch[1]))
-        if out is x:
-            out[:, :, :hidden] = h_f
-        del h_f  # freed before the next layer allocates its own
-        mask = None
-        if use_dropout and not last:
-            # drawn in (batch, steps) order: that order fixes which units a
-            # seed drops, so probabilities under dropout do not depend on the
-            # activation layout
-            mask = (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
-        if tape is not None:
-            tape.append((out, mask, *zip(acts, cells)))
-        x = out if mask is None else _dropout(out, mask, keep)
+    feat = np.empty((batch, 2 * hidden))
+    if tape is not None:
+        _record_layers(params, codes, masks, feat, tape)
+    elif batch < 4 or not _HALVES:
+        _run_layers(params, codes, masks, feat, _layer_buffers(params, batch, steps))
+    else:
+        def half(rows):
+            row_masks = [None if mask is None else mask[:, rows] for mask in masks]
+            buffers = _layer_buffers(params, rows.stop - rows.start, steps)
+            return lambda: _run_layers(params, codes[rows], row_masks, feat[rows], buffers)
 
-    feat = np.concatenate([out[(steps - 1) % len(out), :, :hidden], out[0, :, hidden:]], axis=1)
+        _both(half(slice(0, batch // 2)), half(slice(batch // 2, batch)), at_once=True)
     logits = feat @ params.dense_w + params.dense_b
     return _log_softmax(logits), feat, codes
+
+
+def _layer_buffers(params: NetworkParams, batch: int, steps: int):
+    """The arrays :func:`_run_layers` writes for ``batch`` rows: a spare
+    ``(steps, batch, max(embed_dim, hidden))`` array, which holds layer 0's
+    input and then each middle layer's forward output; the first layer's
+    output, written over by every middle layer; the last layer's two-step
+    ring; and one step's gates, ``c_t`` and :func:`_pass_scratch`."""
+    hidden = params.hidden
+    return (
+        np.empty((steps, batch, max(params.embed_dim, hidden))),
+        np.empty((steps if params.n_layers > 1 else 0, batch, 2 * hidden)),
+        np.empty((2, batch, 2 * hidden)),
+        np.empty((1, batch, 4 * hidden)),
+        np.empty((1, batch, hidden)),
+        _pass_scratch(batch, hidden),
+    )
+
+
+def _run_layers(params: NetworkParams, codes, masks, feat, buffers):
+    """The layer stack on ``codes``' rows in :func:`_layer_buffers`'
+    ``buffers``, writing the dense head's input (the forward state at the
+    last step and the backward state at step zero) into ``feat``.
+    ``masks`` holds each layer's time-major bool dropout mask for these
+    rows, or None.
+
+    The directions take turns and share one step's gates and ``c_t``.
+    Every layer after the first writes its output over its input: the
+    forward direction fills the spare buffer, the backward one writes
+    ``h_t`` over the second half of ``x[t]`` once step ``t`` has projected
+    it, and the forward half is then copied over the first half.
+    """
+    batch, steps = codes.shape
+    hidden = params.hidden
+    keep = 1.0 - params.dropout
+    spare, first, ring, acts, cells, scratch = buffers
+    # codes are in range; "clip" only keeps take from buffering out
+    x = np.take(params.embedding, codes.T, axis=0, mode="clip",
+                out=_reuse(spare, (steps, batch, params.embed_dim)))
+    for l, (fwd, bwd) in enumerate(params.layers):
+        if l == params.n_layers - 1:
+            out, h_f = ring, ring[:, :, :hidden]
+        elif l == 0:
+            out, h_f = first, first[:, :, :hidden]
+        else:
+            out, h_f = x, _reuse(spare, (steps, batch, hidden))  # over the input
+        # the forward direction runs first, while x is whole
+        _run_direction(fwd, x, False, h_f, acts, cells, scratch)
+        _run_direction(bwd, x, True, out[:, :, hidden:], acts, cells, scratch)
+        if out is x:
+            out[:, :, :hidden] = h_f
+        if masks[l] is not None:
+            _dropout(out, masks[l], keep, out=out)
+        x = out
+    feat[:, :hidden] = out[(steps - 1) % 2, :, :hidden]
+    feat[:, hidden:] = out[0, :, hidden:]
+
+
+def _record_layers(params: NetworkParams, codes, masks, feat, tape):
+    """The layer stack for training, writing the dense head's input into
+    ``feat`` and one ``(out, mask, (acts, c) forward, (acts, c) backward)``
+    record per layer onto ``tape``: the layer's output, its time-major
+    bool dropout mask (or None), and per direction the whole window's gates
+    and ``c_t``, which is what BPTT reads.
+
+    A layer's directions run through :func:`_both`, and every array they
+    write is allocated here, on the calling thread.  A layer's input is not
+    kept: backward rebuilds it from the previous record's output and mask,
+    or gathers the embedding again for layer 0.
+    """
+    batch, steps = codes.shape
+    hidden = params.hidden
+    keep = 1.0 - params.dropout
+    scratch = _per_direction(lambda: _pass_scratch(batch, hidden))
+    x = params.embedding[codes.T]  # (T, B, D)
+    for l, (fwd, bwd) in enumerate(params.layers):
+        acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
+        cells = [np.empty((steps, batch, hidden)) for _ in range(2)]
+        out = np.empty((steps, batch, 2 * hidden))  # forward | backward
+        _both(lambda: _run_direction(fwd, x, False, out[:, :, :hidden], acts[0], cells[0],
+                                     scratch[0]),
+              lambda: _run_direction(bwd, x, True, out[:, :, hidden:], acts[1], cells[1],
+                                     scratch[1]),
+              _CONCURRENT)
+        tape.append((out, masks[l], *zip(acts, cells)))
+        x = out if masks[l] is None else _dropout(out, masks[l], keep)
+    feat[:, :hidden] = out[-1, :, :hidden]
+    feat[:, hidden:] = out[0, :, hidden:]
 
 
 def forward(params: NetworkParams, codes, dropout_seed: int | None = None) -> np.ndarray:
@@ -566,12 +694,14 @@ def forward(params: NetworkParams, codes, dropout_seed: int | None = None) -> np
 
     Without a ``dropout_seed`` this is a pure function of (params, codes);
     an int seeds inter-layer dropout masks, those :func:`loss_and_gradients`
-    draws from the same seed.  Either way no training cache is kept: each
-    direction holds one step's gates and its running ``h``/``c``, and when
-    the directions take turns a layer's output is written over its input,
-    so memory is that of one layer's activations and half of another (two
-    layers' when they run at once).  The probabilities are bit-identical
-    to those :func:`loss_and_gradients` computes, in either schedule.  A
+    draws from the same seed.  Either way no training cache is kept: where
+    :data:`_HALVES` holds, a block of 4 or more rows runs as two row halves
+    at once; in a block or a half each direction holds one
+    step's gates and its running ``h``/``c``, and a layer's output is
+    written over its input, so memory is that of one layer's activations
+    and half of another, in either schedule.  The dense head runs once, on
+    the whole block.  The probabilities are bit-identical to those
+    :func:`loss_and_gradients` computes, at one BLAS thread count.  A
     ``(0, steps)`` batch gives ``(0, n_classes)``.
     """
     log_probs, _, _ = _forward_pass(params, codes, dropout_seed)
@@ -625,6 +755,7 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
                                         d_out[:, :, :hidden], grad_f, scratch[0]),
             lambda: _backprop_direction(bwd, out[:, :, hidden:], acts_b, c_b, True,
                                         d_out[:, :, hidden:], grad_b, scratch[1]),
+            _CONCURRENT,
         )
         # the gate gradients, written over the gates
         dz_f, dz_b = acts_f.reshape(rows, 4 * hidden), acts_b.reshape(rows, 4 * hidden)
@@ -639,7 +770,7 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
             x = prev_out if prev_mask is None else _dropout(prev_out, prev_mask, keep, out=buf)
         x = x.reshape(rows, in_dim)
         _both(lambda: np.matmul(x.T, dz_f, out=grad_f.w_in),
-              lambda: np.matmul(x.T, dz_b, out=grad_b.w_in))
+              lambda: np.matmul(x.T, dz_b, out=grad_b.w_in), _CONCURRENT)
         # the input gradient: the forward half over x, the backward half over dz_f
         d_in = np.matmul(dz_f, fwd.w_in.T, out=buf.reshape(rows, in_dim))
         d_in += np.matmul(dz_b, bwd.w_in.T, out=_reuse(dz_f, (rows, in_dim)))
@@ -825,10 +956,12 @@ def predict_proba_batch(params: NetworkParams, codes, batch_size: int = 256) -> 
     are the same for any integer dtype.
 
     At production dims and 2 BLAS threads a step's GEMMs ran as fast on
-    256 rows as on 512, on half the activation memory.  There a row's bits
-    do not depend on the block size from 245 rows up; below that OpenBLAS
-    0.3.31 sends the dense head's product (rows * 1024 * 4 <= 10**6) down
-    its small-matrix path, whose last bits differ.
+    256 rows as on 512, on half the activation memory; on 2 cores a block
+    of 256 rows runs as two halves of 128 at once (see :func:`forward`).
+    There a row's bits do not depend on the block size from 245 rows up;
+    below that OpenBLAS 0.3.31 sends the dense head's product
+    (rows * 1024 * 4 <= 10**6) down its small-matrix path, whose last bits
+    differ.
 
     Raises:
         ValueError: ``batch_size`` is below 1.
@@ -863,7 +996,7 @@ def save_params(params: NetworkParams, path) -> None:
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
     try:
-        with open(path, "wb") as fh:
+        with replacing(path, "wb") as fh:
             fh.write(MAGIC)
             fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
             fh.write(blob)

@@ -6,9 +6,11 @@ projection per direction and every per-step gate, state and ``tanh(c)``
 stored for BPTT.  The time-major kernels must give bit-identical
 probabilities, with and without dropout, and the same loss; gradients may
 differ only in the order their GEMMs sum over rows.  Running a layer's two
-directions at once or one after the other must give the same bits, and the
-gate that picks between them is a pure function of the environment and
-core count.
+directions, or a block's two row halves, at once or one after the other
+must give the same bits at one BLAS thread count; running at once narrows
+the BLAS, and sets it back.  The gates that pick between the schedules are
+pure functions of the environment, the core count and, for the row halves,
+whether the BLAS thread count can be set.
 """
 
 import sys
@@ -23,6 +25,7 @@ from nameproxy import lstm
 from nameproxy.lstm import (
     TrainConfig,
     _concurrent_directions,
+    _halves_at_once,
     forward,
     init_params,
     loss_and_gradients,
@@ -209,9 +212,26 @@ def test_reused_buffers_carry_nothing_between_calls():
 
 
 def in_schedule(monkeypatch, concurrent: bool, fn):
-    """``fn()`` with a layer's two directions run at once or one after the other."""
+    """``fn()`` with a layer's two directions (a block's two row halves in
+    inference) run at once or one after the other.
+
+    One after the other runs at the BLAS thread count that running at once
+    narrows the BLAS to, so the two schedules compare at one count: OpenBLAS
+    0.3.31 sums a GEMM whose inner dimension lies strictly between 256 and
+    512 in other blocks at 1 thread than at 2, so its last bits depend on
+    the count.
+    """
     monkeypatch.setattr(lstm, "_CONCURRENT", concurrent)
-    return fn()
+    monkeypatch.setattr(lstm, "_HALVES", concurrent)
+    if concurrent or lstm._BLAS_THREADS is None:
+        return fn()
+    get, set_ = lstm._BLAS_THREADS
+    threads = get()
+    set_(min(threads, max(1, lstm._CORES // 2)))
+    try:
+        return fn()
+    finally:
+        set_(threads)
 
 
 @pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
@@ -236,6 +256,40 @@ def test_schedules_give_identical_bits(
     assert np.array_equal(one_by_one[2], at_once[2])
 
 
+@pytest.mark.parametrize("batch", [*range(10), 31, 255, 256, 257])
+@pytest.mark.parametrize("dropout_seed", [None, 5], ids=["eval", "train"])
+def test_row_halves_change_no_bit(batch, dropout_seed, monkeypatch):
+    params = init_params(embed_dim=8, hidden=8, layers=3, seed=28)
+    codes = np.random.default_rng(29).integers(0, 30, size=(batch, WINDOW))
+
+    def run():
+        return forward(params, codes, dropout_seed=dropout_seed)
+
+    whole = in_schedule(monkeypatch, False, run)
+    halves = in_schedule(monkeypatch, True, run)
+    # the pass loss_and_gradients runs, with the same masks
+    recorded = np.exp(lstm._forward_pass(params, codes, dropout_seed, tape=[])[0])
+    assert whole.tobytes() == halves.tobytes() == recorded.tobytes()
+
+
+@pytest.mark.parametrize("concurrent", [False, True])
+@pytest.mark.parametrize("batch", range(10))
+def test_blocks_of_four_rows_or_more_run_in_two_halves(batch, concurrent, monkeypatch):
+    halves = []
+    original = lstm._run_layers
+
+    def recording(params, codes, *args):
+        halves.append(codes.shape[0])
+        return original(params, codes, *args)
+
+    monkeypatch.setattr(lstm, "_run_layers", recording)
+    monkeypatch.setattr(lstm, "_HALVES", concurrent)
+    forward(init_params(embed_dim=4, hidden=3, layers=2, seed=1), np.ones((batch, 5), dtype=np.int64))
+    # no one-row half, which would project through gemv
+    split = concurrent and batch >= 4
+    assert sorted(halves) == ([batch // 2, batch - batch // 2] if split else [batch])
+
+
 @pytest.mark.parametrize("concurrent", [False, True])
 @pytest.mark.parametrize("dropout_seed", [None, 0], ids=["eval", "train"])
 def test_empty_batch_gives_no_rows_in_either_schedule(concurrent, dropout_seed, monkeypatch):
@@ -254,15 +308,16 @@ def test_schedules_agree_under_frequent_thread_switches(monkeypatch):
     labels = rng.integers(0, 4, size=33)
 
     def run():
-        return loss_and_gradients(params, codes, labels)
+        return forward(params, codes, dropout_seed=4), *loss_and_gradients(params, codes, labels)
 
-    loss, grads = in_schedule(monkeypatch, False, run)
+    probs, loss, grads = in_schedule(monkeypatch, False, run)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(5):
             again = in_schedule(monkeypatch, True, run)
-            assert again[0] == loss and np.array_equal(again[1], grads)
+            assert np.array_equal(again[0], probs)
+            assert again[1] == loss and np.array_equal(again[2], grads)
     finally:
         sys.setswitchinterval(interval)
 
@@ -276,8 +331,23 @@ def test_schedules_train_identically(monkeypatch):
     assert np.array_equal(params_a.flat, params_b.flat)
 
 
+@pytest.fixture
+def blas_threads(monkeypatch):
+    """The BLAS thread count's reader, with the count set to every usable
+    core, so that :func:`lstm._both` narrows it; where the BLAS has no
+    setter, a stand-in count that ``_both`` narrows the same way."""
+    if lstm._BLAS_THREADS is None:
+        count = [lstm._CORES]
+        monkeypatch.setattr(lstm, "_BLAS_THREADS", (lambda: count[0], lambda n: count.__setitem__(0, n)))
+    get, set_ = lstm._BLAS_THREADS
+    before = get()
+    set_(lstm._CORES)
+    yield get
+    set_(before)
+
+
 @pytest.mark.parametrize("kernel", ["_run_direction", "_backprop_direction"])
-def test_worker_exception_reaches_the_caller(kernel, monkeypatch):
+def test_worker_exception_reaches_the_caller(kernel, monkeypatch, blas_threads):
     caller = threading.current_thread()
     original = getattr(lstm, kernel)
     workers = []
@@ -291,12 +361,35 @@ def test_worker_exception_reaches_the_caller(kernel, monkeypatch):
     monkeypatch.setattr(lstm, kernel, fails_off_the_caller)
     monkeypatch.setattr(lstm, "_CONCURRENT", True)
     params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
+    threads = blas_threads()
     with pytest.raises(RuntimeError, match="worker's direction failed"):
         loss_and_gradients(params, np.ones((2, 5), dtype=np.int64), [0, 1])
     assert len(workers) == 1 and not workers[0].is_alive()
+    assert blas_threads() == threads
 
 
-def test_caller_joins_the_worker_before_raising(monkeypatch):
+def test_worker_exception_in_a_row_half_reaches_the_caller(monkeypatch, blas_threads):
+    caller = threading.current_thread()
+    original = lstm._run_layers
+    workers = []
+
+    def fails_off_the_caller(*args):
+        if threading.current_thread() is not caller:
+            workers.append(threading.current_thread())
+            raise RuntimeError("the worker's row half failed")
+        return original(*args)
+
+    monkeypatch.setattr(lstm, "_run_layers", fails_off_the_caller)
+    monkeypatch.setattr(lstm, "_HALVES", True)
+    params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
+    threads = blas_threads()
+    with pytest.raises(RuntimeError, match="worker's row half failed"):
+        forward(params, np.ones((4, 5), dtype=np.int64))
+    assert len(workers) == 1 and not workers[0].is_alive()
+    assert blas_threads() == threads
+
+
+def test_caller_joins_the_worker_before_raising(monkeypatch, blas_threads):
     caller = threading.current_thread()
     finished = threading.Event()
 
@@ -307,33 +400,97 @@ def test_caller_joins_the_worker_before_raising(monkeypatch):
         finished.set()
 
     monkeypatch.setattr(lstm, "_run_direction", slow_worker_failing_caller)
-    monkeypatch.setattr(lstm, "_CONCURRENT", True)
-    threads = threading.active_count()
+    monkeypatch.setattr(lstm, "_HALVES", True)
+    threads, active = blas_threads(), threading.active_count()
     params = init_params(embed_dim=4, hidden=3, layers=1, seed=1)
+    # 4 rows: the second row half runs on the worker
     with pytest.raises(RuntimeError, match="caller's direction failed"):
-        forward(params, np.ones((2, 5), dtype=np.int64))
+        forward(params, np.ones((4, 5), dtype=np.int64))
     assert finished.is_set()
-    assert threading.active_count() == threads
+    assert threading.active_count() == active
+    assert blas_threads() == threads
 
 
-@pytest.mark.parametrize("environ,cores,concurrent", [
-    ({}, 2, False),  # unset: the BLAS takes every core
-    ({}, 4, False),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True),
-    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True),
-    ({"OPENBLAS_NUM_THREADS": "2"}, 3, False),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": ""}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, False),
-    ({"OPENBLAS_NUM_THREADS": "0"}, 4, False),
-    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, True),
-    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 2, True),
-])
+def test_both_narrows_the_blas_while_its_calls_run(monkeypatch, blas_threads):
+    seen = []
+    original = lstm._run_direction
+
+    def recording(*args):
+        seen.append(blas_threads())
+        return original(*args)
+
+    monkeypatch.setattr(lstm, "_run_direction", recording)
+    monkeypatch.setattr(lstm, "_CONCURRENT", True)
+    monkeypatch.setattr(lstm, "_HALVES", True)
+    params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
+    rng = np.random.default_rng(2)
+    codes, labels = rng.integers(0, 30, size=(9, WINDOW)), rng.integers(0, 4, size=9)
+    threads = blas_threads()
+    forward(params, codes)
+    assert blas_threads() == threads
+    loss_and_gradients(params, codes, labels)
+    assert blas_threads() == threads
+    # two layers of two directions in each row half, then in training
+    assert seen == [max(1, lstm._CORES // 2)] * 12
+
+
+@pytest.mark.parametrize("directions", [False, True])
+@pytest.mark.parametrize("halves", [False, True])
+def test_each_schedule_reads_its_own_gate(directions, halves, monkeypatch):
+    caller = threading.current_thread()
+    off_the_caller = []
+    for kernel in ("_run_direction", "_backprop_direction", "_run_layers"):
+        def recording(*args, original=getattr(lstm, kernel), kernel=kernel):
+            if threading.current_thread() is not caller:
+                off_the_caller.append(kernel)
+            return original(*args)
+
+        monkeypatch.setattr(lstm, kernel, recording)
+    monkeypatch.setattr(lstm, "_CONCURRENT", directions)
+    monkeypatch.setattr(lstm, "_HALVES", halves)
+    params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
+    codes = np.ones((6, 5), dtype=np.int64)
+    forward(params, codes)
+    # the second row half: two layers of two directions, in turn
+    assert off_the_caller == (["_run_layers"] + ["_run_direction"] * 4 if halves else [])
+    off_the_caller.clear()
+    loss_and_gradients(params, codes, [0, 1, 2, 3, 0, 1])
+    # two layers, each with a backward direction in the pass and in BPTT
+    assert off_the_caller == (["_run_direction"] * 2 + ["_backprop_direction"] * 2
+                              if directions else [])
+
+
+# (environ, cores, directions at once; row halves at once with a BLAS
+# thread setter found)
+GATE = [
+    ({}, 2, False, True),  # unset: the BLAS takes every core
+    ({}, 4, False, False),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 2, True, True),
+    ({"OPENBLAS_NUM_THREADS": "1"}, 1, False, False),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 2, False, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 4, True, True),
+    ({"OPENBLAS_NUM_THREADS": "2"}, 3, False, False),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 2, False, True),
+    ({"OPENBLAS_NUM_THREADS": "abc"}, 2, False, True),
+    ({"OPENBLAS_NUM_THREADS": ""}, 2, False, True),
+    ({"OPENBLAS_NUM_THREADS": "-1"}, 2, False, True),
+    ({"OPENBLAS_NUM_THREADS": "0"}, 4, False, False),
+    ({"OPENBLAS_NUM_THREADS": "abc", "OMP_NUM_THREADS": "1"}, 2, True, True),
+    ({"OPENBLAS_NUM_THREADS": "0", "MKL_NUM_THREADS": "1"}, 2, True, True),
+]
+
+
+@pytest.mark.parametrize("environ,cores,concurrent", [row[:3] for row in GATE])
 def test_gate(environ, cores, concurrent):
     assert _concurrent_directions(environ, cores) is concurrent
+
+
+@pytest.mark.parametrize("setter", [False, True], ids=["no-setter", "setter"])
+@pytest.mark.parametrize("environ,cores,directions,narrowed", GATE)
+def test_row_halves_gate(environ, cores, directions, narrowed, setter):
+    # without a setter the halves follow the directions' rule; with one
+    # they also run at once on exactly 2 cores, the BLAS narrowed to 1
+    assert _halves_at_once(environ, cores, setter) is (narrowed if setter else directions)
 
 
 BLAS_THREAD_VARS = (
@@ -357,14 +514,16 @@ class TestMemory:
 
     UNIT = 64 * WINDOW * 32 * 8
     CONCURRENT = False
-    # a middle layer's input, overwritten by its output (2 units), the
-    # forward direction's output (1) and one step's gates and c_t: 3.51
-    # units; 4.51 with a separate output
+    # a middle layer's input, overwritten by its output (2 units), a spare
+    # buffer for layer 0's input and then the forward direction's output
+    # (1), the last layer's two-step ring and one step's gates and c_t:
+    # 3.71 units
     EVAL_BOUND = 4.0
 
     @pytest.fixture(autouse=True)
     def schedule(self, monkeypatch):
         monkeypatch.setattr(lstm, "_CONCURRENT", self.CONCURRENT)
+        monkeypatch.setattr(lstm, "_HALVES", self.CONCURRENT)
 
     def peak_units(self, fn):
         fn()
@@ -399,10 +558,10 @@ class TestMemory:
 
 
 class TestMemoryConcurrent(TestMemory):
-    """The same training bound, with a layer's two directions run at once."""
+    """The same training bound, with a layer's two directions, or a block's
+    two row halves, run at once."""
 
     CONCURRENT = True
-    # a layer's input and its separate output (2 units each) plus one
-    # step's gates and c_t per direction: 4.89 to 5.02 units, as the two
-    # threads' temporaries meet or miss
-    EVAL_BOUND = 5.25
+    # the two row halves' buffers, allocated before either half runs: the
+    # whole block's 3.71 units and the temporaries of a second thread, 3.73
+    EVAL_BOUND = 4.0

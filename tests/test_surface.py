@@ -30,7 +30,7 @@ SURFACE = {
         "RaceSet", "Scores", "UNENCODABLE_NAME", "UNKNOWN_FIRSTNAME", "UNKNOWN_GEO",
         "UNKNOWN_SURNAME", "ZERO_MASS", "renormalize_rows",
     ],
-    "csvio": ["framed", "not_utf8", "read_csv", "write_csv"],
+    "csvio": ["framed", "not_utf8", "read_csv", "replacing", "write_csv"],
     "ensemble": [
         "DEFAULT_MEMBERS", "EnsembleSpec", "MEMBER_ALIASES", "MEMBER_MODELS",
         "ensemble_predict", "ensemble_scores", "resolve_model",

@@ -1,0 +1,102 @@
+"""Every writer replaces its target whole or not at all.
+
+A writer writes a temporary file beside its target and moves it over the
+target only once it has written everything, so a writer that fails
+part-way leaves the old file byte for byte and no temporary file.  A
+target that exists and is not a regular file is written in place.
+"""
+
+import os
+import stat
+import threading
+import types
+
+import pytest
+
+from nameproxy import cli, lstm
+from nameproxy.cli import main
+from nameproxy.csvio import write_csv
+from nameproxy.lstm import init_params, save_params
+
+
+def failing_rows(k):
+    for i in range(k):
+        yield (f"row{i}", "x")
+    raise RuntimeError("the row iterator failed")
+
+
+@pytest.mark.parametrize("k", [0, 1, 5, 5000])
+def test_row_iterator_that_raises_leaves_the_old_file(tmp_path, k):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a", "b"], [("1", "2")] * 10)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError, match="row iterator failed"):
+        write_csv(path, ["a", "b"], failing_rows(k))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_written_file_has_the_permissions_of_a_new_file(tmp_path):
+    made = tmp_path / "made.csv"
+    made.touch()  # open()'s mode: 0o666 less the umask
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [("1",)])
+    assert path.read_bytes() == b"a\n1\n"
+    assert path.stat().st_mode == made.stat().st_mode
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o640, 0o604])
+def test_rewritten_file_keeps_its_permissions(tmp_path, mode):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [("1",)])
+    path.chmod(mode)
+    write_csv(path, ["a"], [("2",)])
+    assert path.read_bytes() == b"a\n2\n"
+    assert path.stat().st_mode & 0o777 == mode
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_a_target_that_is_not_a_regular_file_is_written_in_place(tmp_path):
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    read = []
+    reader = threading.Thread(target=lambda: read.append(path.read_bytes()), daemon=True)
+    reader.start()
+    write_csv(path, ["a"], [("1",)])
+    reader.join(timeout=10)
+    assert read == [b"a\n1\n"]
+    assert stat.S_ISFIFO(path.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+def test_save_params_that_fails_leaves_the_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "model.bin"
+    save_params(init_params(embed_dim=4, hidden=3, layers=2, seed=1), path)
+    before = path.read_bytes()
+
+    def fails(*args):
+        raise OSError("no space left on device")
+
+    # the header's length is packed after the magic bytes are written
+    monkeypatch.setattr(lstm, "struct", types.SimpleNamespace(pack=fails))
+    with pytest.raises(OSError, match="no space left on device"):
+        save_params(init_params(embed_dim=4, hidden=3, layers=2, seed=2), path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
+
+
+def test_build_tables_manifest_that_fails_leaves_the_old_one(world, tmp_path, monkeypatch):
+    out = tmp_path / "tables"
+    argv = ["build-tables", "--config", world["config"], "--voter", world["voter"],
+            "--out-dir", out]
+    assert main([str(a) for a in argv]) == 0
+    before = (out / "manifest.json").read_bytes()
+
+    def fails(obj, fh, **kwargs):
+        fh.write("{")
+        raise OSError("no space left on device")
+
+    monkeypatch.setattr(cli, "json", types.SimpleNamespace(dump=fails))
+    assert main([str(a) for a in argv]) == 2
+    assert (out / "manifest.json").read_bytes() == before
+    assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
