@@ -42,7 +42,7 @@ from .core import (
     Scores,
     renormalize_rows,
 )
-from .errors import MissingFirstnameTableError
+from .errors import NameproxyError
 from .names import DEFAULT_SUFFIXES, column_keys, table_key
 from .tables import GeoTable, NameTable
 
@@ -129,7 +129,7 @@ class BayesContext:
         """``P(first name | race)`` rows."""
         table = self.table("firstname_table")
         if table is None:
-            raise MissingFirstnameTableError("bifsg needs a first-name table")
+            raise NameproxyError("bifsg needs a first-name table")
         key = partial(table_key, suffixes=self.suffixes)
         return Factor(table.index, table.likelihood_rows(), key)
 
@@ -148,8 +148,8 @@ def bayes_scores(ctx: BayesContext, lasts, geos, firsts=None) -> Scores:
     posterior mass.
 
     Raises:
-        MissingFirstnameTableError: ``firsts`` given without a first-name table.
-        ZeroMassError: a known surname's entry has no mass to normalize.
+        NameproxyError: ``firsts`` given without a first-name table, or a
+            known surname's entry has no mass to normalize.
         ValueError: a known surname's entry has negative or non-finite counts.
     """
     if firsts is not None:

@@ -25,7 +25,7 @@ from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
 from .csvio import framed, read_csv, replacing, write_csv
 from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores, resolve_model
-from .errors import MissingArtifactError, NameproxyError, SchemaError
+from .errors import NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
 from .names import column_keys, is_person_name, table_key, usable_keys
@@ -101,7 +101,7 @@ class Artifacts:
     def _path(self, key):
         path = self.config.path(key)
         if path is None:
-            raise MissingArtifactError(f"config paths.{key} is required for the requested model")
+            raise NameproxyError(f"config paths.{key} is required for the requested model")
         return path
 
     @cached_property

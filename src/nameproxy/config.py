@@ -64,8 +64,8 @@ def load_config(path) -> RunConfig:
 
     Raises:
         SchemaError: structurally invalid configuration (including a
-            missing or non-integer seed: seeds must be explicit), or a
-            file that is not UTF-8 text.
+            missing, non-integer or negative seed: seeds must be explicit),
+            or a file that is not UTF-8 text.
     """
     base = Path(path).parent
     try:
@@ -87,6 +87,8 @@ def load_config(path) -> RunConfig:
         if not ok:
             raise SchemaError(f"{path}: '{key}' must be {what}, got {value!r}")
         return value
+
+    check("seed", raw["seed"], raw["seed"] >= 0, "a non-negative integer")
 
     def strings(key, value) -> tuple[str, ...]:
         ok = isinstance(value, list) and all(isinstance(v, str) for v in value)

@@ -1,8 +1,10 @@
 """Core domain types shared by every predictor and the evaluation harness.
 
 Probability vectors are plain float64 numpy arrays ordered like the active
-:class:`RaceSet`.  A model that cannot score a record returns ``None``
-instead of a vector; that absence is what the coverage metric counts.
+:class:`RaceSet`.  A model that cannot score a record declines it: its row
+of :class:`Scores` holds zeros and a reason code from
+:data:`DECLINE_REASONS`, and the coverage metric counts the rows with
+code 0.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import ZeroMassError
+from .errors import NameproxyError
 
 #: Canonical four-category race set, in fixed index order.
 DEFAULT_RACES = ("asian", "black", "hispanic", "white")
@@ -152,7 +154,7 @@ def renormalize_rows(raw) -> np.ndarray:
     division always lands inside that band.
 
     Raises:
-        ZeroMassError: some row is all zeros.
+        NameproxyError: some row is all zeros.
         ValueError: any entry is negative or non-finite.
     """
     x = np.asarray(raw, dtype=np.float64)
@@ -164,6 +166,6 @@ def renormalize_rows(raw) -> np.ndarray:
         raise ValueError("probability mass must be non-negative")
     s = x.sum(axis=1)
     if (s == 0.0).any():
-        raise ZeroMassError("cannot normalize a vector of zeros")
+        raise NameproxyError("cannot normalize a vector of zeros")
     in_band = np.abs(s - 1.0) <= 64.0 * x.shape[1] * _EPS
     return np.where(in_band[:, None], x, x / s[:, None])

@@ -109,27 +109,33 @@ def replacing(path, mode: str = "w", **kwargs):
 
     On an exception the temporary file is removed and ``path`` is left as
     it was, so a writer that fails part-way (a row iterator that raises, a
-    full disk) leaves no truncated file.  :func:`open` makes the temporary
-    file, so it gets the permissions a new ``path`` would, and an existing
-    ``path`` keeps its own; its owner, group and other hard links are not
-    kept.  A ``path`` that exists and is not a regular file (a FIFO, a
-    device such as ``/dev/stdout``) is opened and written in place.
+    full disk) leaves no truncated file.  An :class:`OSError`, raised here
+    or in the ``with`` block, is raised again as ``failed writing <path>:
+    <reason>``, so the message names the target and not the temporary
+    file.  :func:`open` makes the temporary file, so it gets the
+    permissions a new ``path`` would, and an existing ``path`` keeps its
+    own; its owner, group and other hard links are not kept.  A ``path``
+    that exists and is not a regular file (a FIFO, a device such as
+    ``/dev/stdout``) is opened and written in place.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, mode, **kwargs) as fh:
-            yield fh
-        return
+    in_place = os.path.exists(path) and not os.path.isfile(path)
     head, tail = os.path.split(os.fspath(path))
-    temporary = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    opened = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
-        with open(temporary, mode, **kwargs) as fh:
+        with open(opened, mode, **kwargs) as fh:
             yield fh
-        with suppress(FileNotFoundError):
-            shutil.copymode(path, temporary)
-        os.replace(temporary, path)
-    except BaseException:
-        with suppress(OSError):
-            os.remove(temporary)
+        if not in_place:
+            with suppress(FileNotFoundError):
+                shutil.copymode(path, opened)
+            os.replace(opened, path)
+    except BaseException as exc:
+        if not in_place:
+            with suppress(OSError):
+                os.remove(opened)
+        if isinstance(exc, OSError):
+            # the file an error names may be the temporary one: keep its reason only
+            reason = exc.strerror or exc
+            raise OSError(f"failed writing {path}: {reason}") from exc
         raise
 
 

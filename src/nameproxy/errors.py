@@ -1,57 +1,19 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+A class exists only where some code catches it by name; every other
+failure the package detects is a plain :class:`NameproxyError` whose
+message says what went wrong.
+"""
 
 
 class NameproxyError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class ZeroMassError(NameproxyError):
-    """Every entry of a vector to be normalized is zero."""
+    """Base class for all package-specific errors: invalid input or an
+    operation the data cannot support."""
 
 
 class EmptyAfterNormalizationError(NameproxyError):
     """A name normalized down to the empty string."""
 
 
-class UnknownCharacterError(NameproxyError):
-    """A character outside the encoding vocabulary survived normalization."""
-
-
-class InsufficientClassError(NameproxyError):
-    """A class has too few records for the requested operation."""
-
-
-class EmptyTableError(NameproxyError):
-    """No entries survived table construction."""
-
-
-class KindMismatchError(NameproxyError):
-    """Tables of different kinds (surname vs firstname) were combined."""
-
-
-class MissingFirstnameTableError(NameproxyError):
-    """A first-name factor was requested but no first-name table is loaded."""
-
-
-class ShapeMismatchError(NameproxyError):
-    """Network parameters, gradients, or inputs have inconsistent shapes."""
-
-
-class CorruptFileError(NameproxyError):
-    """A persisted artifact failed structural validation on load."""
-
-
-class LengthMismatchError(NameproxyError):
-    """Parallel sequences (truths vs predictions) differ in length."""
-
-
-class SingleClassError(NameproxyError):
-    """A ROC sweep needs both positive and negative examples."""
-
-
-class MissingArtifactError(NameproxyError):
-    """A table or parameter file required by the requested model is absent."""
-
-
 class SchemaError(NameproxyError):
-    """An input file does not match its expected schema."""
+    """A file the program read does not match its expected schema."""

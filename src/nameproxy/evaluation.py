@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import RaceSet
 from .csvio import framed, write_csv
-from .errors import LengthMismatchError, SingleClassError
+from .errors import NameproxyError
 
 
 @dataclass(frozen=True)
@@ -63,7 +63,7 @@ def class_metrics(truth, predicted, races: RaceSet | None = None, strict: bool =
     truth = np.asarray(truth, dtype=np.intp).reshape(-1)
     predicted = np.asarray(predicted, dtype=np.intp).reshape(-1)
     if truth.size != predicted.size:
-        raise LengthMismatchError(f"{truth.size} truths vs {predicted.size} predictions")
+        raise NameproxyError(f"{truth.size} truths vs {predicted.size} predictions")
     if ((truth < 0) | (truth >= k)).any():
         raise ValueError(f"truth indices must lie in [0, {k})")
     if ((predicted < -1) | (predicted >= k)).any():
@@ -104,19 +104,19 @@ def roc_curve(truth, scores, race: str, races: RaceSet | None = None) -> RocCurv
     (Mann-Whitney) statistic exactly.
 
     Raises:
-        SingleClassError: the one-vs-rest truth set has no positives or
+        NameproxyError: the one-vs-rest truth set has no positives or
             no negatives.
     """
     races = races or RaceSet()
     truth = np.asarray(truth, dtype=np.intp).reshape(-1)
     if truth.size != len(scores):
-        raise LengthMismatchError(f"{truth.size} truths vs {len(scores)} score vectors")
+        raise NameproxyError(f"{truth.size} truths vs {len(scores)} score vectors")
     idx = races.index(race)
     y = truth == idx
     n_pos = int(y.sum())
     n_neg = y.size - n_pos
     if n_pos == 0 or n_neg == 0:
-        raise SingleClassError(
+        raise NameproxyError(
             f"ROC for {race!r} needs both positives and negatives "
             f"(got {n_pos} positive, {n_neg} negative)"
         )
@@ -142,7 +142,7 @@ def intersect_covered(covered) -> np.ndarray:
     if not masks:
         return np.zeros(0, dtype=np.intp)
     if any(mask.shape != masks[0].shape for mask in masks):
-        raise LengthMismatchError("covered masks differ in length")
+        raise NameproxyError("covered masks differ in length")
     return np.flatnonzero(np.logical_and.reduce(masks))
 
 
@@ -159,38 +159,35 @@ def emit_report(
     """
     out_dir = Path(out_dir)
     written: list[str] = []
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        header = ["race", "accuracy", "precision", "recall", "f1", "coverage", "support"]
-        for model in sorted(reports):
-            path = out_dir / f"metrics_{model}.csv"
-            rows = (
-                [race, *(f"{getattr(m, key):.6f}" for key in header[1:-1]), m.support]
-                for race, m in reports[model].rows.items()
-            )
-            write_csv(path, header, rows)
-            written.append(str(path))
-        for model in sorted(rocs or {}):
-            path = out_dir / f"roc_{model}.csv"
-            # each curve's model and race framed once, then joined to every point
-            lines = []
-            for race, curve in rocs[model].items():
-                start = framed([model, race])
-                lines.append("".join(
-                    f"{start},{x:.6f},{t:.6f}\n"
-                    for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
-                ))
-            write_csv(path, ["model", "race", "fpr", "tpr"], lines=lines)
-            written.append(str(path))
-        if reports:
-            path = out_dir / "f1_comparison.csv"
-            rows = (
-                [model, race, f"{m.f1:.6f}"]
-                for model in sorted(reports)
-                for race, m in reports[model].rows.items()
-            )
-            write_csv(path, ["model", "race", "f1"], rows)
-            written.append(str(path))
-    except OSError as exc:
-        raise OSError(f"failed writing report under {out_dir}: {exc}") from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
+    header = ["race", "accuracy", "precision", "recall", "f1", "coverage", "support"]
+    for model in sorted(reports):
+        path = out_dir / f"metrics_{model}.csv"
+        rows = (
+            [race, *(f"{getattr(m, key):.6f}" for key in header[1:-1]), m.support]
+            for race, m in reports[model].rows.items()
+        )
+        write_csv(path, header, rows)
+        written.append(str(path))
+    for model in sorted(rocs or {}):
+        path = out_dir / f"roc_{model}.csv"
+        # each curve's model and race framed once, then joined to every point
+        lines = []
+        for race, curve in rocs[model].items():
+            start = framed([model, race])
+            lines.append("".join(
+                f"{start},{x:.6f},{t:.6f}\n"
+                for x, t in zip(curve.fpr.tolist(), curve.tpr.tolist())
+            ))
+        write_csv(path, ["model", "race", "fpr", "tpr"], lines=lines)
+        written.append(str(path))
+    if reports:
+        path = out_dir / "f1_comparison.csv"
+        rows = (
+            [model, race, f"{m.f1:.6f}"]
+            for model in sorted(reports)
+            for race, m in reports[model].rows.items()
+        )
+        write_csv(path, ["model", "race", "f1"], rows)
+        written.append(str(path))
     return written

@@ -54,11 +54,9 @@ step's gates and ``c_t``); ``h_{t-1}`` is read from the output,
 ``tanh(c_t)`` is recomputed, and the gate gradients overwrite the gates.
 A layer's input is rebuilt in backward, from the previous record's output
 and mask or from the embedding, in the output-gradient buffer backward
-no longer needs; the input gradient is written over that buffer.
-Probabilities and loss are bit-identical to the earlier batch-major
-kernels; gradients differ by at most about 1e-15 relative to the largest
-entry, as the weight-gradient GEMMs sum their rows in time order.  A batch
-of one name is the exception: numpy projects its one-row steps with a
+no longer needs; the input gradient is written over that buffer.  The
+weight-gradient GEMMs sum their rows in time order.  A batch of one name
+can differ in its last bits: numpy projects its one-row steps with a
 matrix-vector product, whose last bits can differ from the same row in a
 larger GEMM (at desk dims by at most about 6e-17 in a probability).
 
@@ -103,7 +101,7 @@ import numpy as np
 
 from .core import REASON_CODE, UNENCODABLE_NAME, People, Scores
 from .csvio import replacing, write_csv
-from .errors import CorruptFileError, InsufficientClassError, ShapeMismatchError
+from .errors import NameproxyError, SchemaError
 from .names import VOCAB_SIZE, encode_columns
 
 # gate slices within the stacked 4H dimension: input, forget, candidate, output
@@ -145,6 +143,8 @@ class TrainConfig:
             value = getattr(self, f.name)
             if type(value) not in kind:
                 raise TypeError(f"{f.name} must be {f.type}, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         for name in ("epochs", "batch_size", "embed_dim", "hidden", "layers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -193,7 +193,7 @@ class NetworkParams:
     ``flat``.  Without ``flat`` the weights start at zero.
 
     Raises:
-        ShapeMismatchError: no recurrent layer, or ``flat`` is not a
+        NameproxyError: no recurrent layer, or ``flat`` is not a
             contiguous float64 vector of the layout's size.
     """
 
@@ -207,13 +207,13 @@ class NetworkParams:
         flat: np.ndarray | None = None,
     ):
         if n_layers < 1:
-            raise ShapeMismatchError("need at least one recurrent layer")
+            raise NameproxyError("need at least one recurrent layer")
         layout = _layout(embed_dim, hidden, n_layers, n_classes)
         size = sum(math.prod(shape) for _, shape in layout)
         if flat is None:
             flat = np.zeros(size)
         elif flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
-            raise ShapeMismatchError(
+            raise NameproxyError(
                 f"flat must be a contiguous float64 vector of {size} entries, "
                 f"got {flat.dtype} {flat.shape}"
             )
@@ -249,7 +249,7 @@ class NetworkParams:
 
     def validate(self) -> None:
         if not np.isfinite(self.flat).all():
-            raise ShapeMismatchError("parameters contain non-finite values")
+            raise NameproxyError("parameters contain non-finite values")
 
     def copy(self) -> "NetworkParams":
         return self.like(self.flat.copy())
@@ -568,9 +568,9 @@ def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=N
     # encoded names use the fixed window, but the network itself runs on
     # any sequence length (handy for small test configurations)
     if codes.ndim != 2 or codes.shape[1] < 1:
-        raise ShapeMismatchError(f"codes must be (batch, steps), got {codes.shape}")
+        raise NameproxyError(f"codes must be (batch, steps), got {codes.shape}")
     if codes.size and (codes.min() < 0 or codes.max() >= VOCAB_SIZE):
-        raise ShapeMismatchError("codes out of vocabulary range")
+        raise NameproxyError("codes out of vocabulary range")
     batch, steps = codes.shape
     hidden = params.hidden
     keep = 1.0 - params.dropout
@@ -722,9 +722,9 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
     log_probs, feat, codes = _forward_pass(params, codes, dropout_seed, tape)
     batch, steps = codes.shape
     if labels.shape != (batch,):
-        raise ShapeMismatchError(f"labels must be ({batch},), got {labels.shape}")
+        raise NameproxyError(f"labels must be ({batch},), got {labels.shape}")
     if labels.min() < 0 or labels.max() >= params.n_classes:
-        raise ShapeMismatchError("label outside class range")
+        raise NameproxyError("label outside class range")
     loss = float(-log_probs[np.arange(batch), labels].mean())
 
     grads = params.like(np.zeros_like(params.flat))
@@ -808,7 +808,7 @@ def adam_step(params: NetworkParams, grads: np.ndarray, state: AdamState):
     """One in-place Adam update with bias correction; returns (params, state)."""
     theta = params.flat
     if grads.shape != theta.shape:
-        raise ShapeMismatchError(f"gradient has shape {grads.shape}, parameters {theta.shape}")
+        raise NameproxyError(f"gradient has shape {grads.shape}, parameters {theta.shape}")
     state.step += 1
     t = state.step
     bc1 = 1.0 - _BETA1**t
@@ -859,7 +859,7 @@ def split_and_balance(labels, n_classes: int, split: float, rng: np.random.Gener
     for cls in range(n_classes):
         members = np.nonzero(labels == cls)[0]
         if members.size < 2:
-            raise InsufficientClassError(
+            raise NameproxyError(
                 f"class {cls} has {members.size} usable records; need at least 2"
             )
         perm = rng.permutation(members.size)
@@ -995,14 +995,11 @@ def save_params(params: NetworkParams, path) -> None:
         "arrays": [[name, list(shape)] for name, shape in layout],
     }
     blob = json.dumps(header, sort_keys=True).encode("utf-8")
-    try:
-        with replacing(path, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
-            fh.write(blob)
-            fh.write(params.flat.astype("<f8", copy=False))
-    except OSError as exc:
-        raise OSError(f"failed writing parameters to {path}: {exc}") from exc
+    with replacing(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<II", FORMAT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(params.flat.astype("<f8", copy=False))
 
 
 def _is_count(value) -> bool:
@@ -1017,28 +1014,28 @@ def _checked_size(header, path, available: int) -> int:
     Returns the number of stored float64 values.
     """
     if not isinstance(header, dict):
-        raise CorruptFileError(f"{path}: header is not a JSON object")
+        raise SchemaError(f"{path}: header is not a JSON object")
     for key in ("embed_dim", "hidden", "layers", "n_classes", "dropout", "arrays"):
         if key not in header:
-            raise CorruptFileError(f"{path}: header lacks {key!r}")
+            raise SchemaError(f"{path}: header lacks {key!r}")
     for key in ("embed_dim", "hidden", "layers", "n_classes"):
         if not _is_count(header[key]):
-            raise CorruptFileError(f"{path}: header {key} must be a non-negative integer")
+            raise SchemaError(f"{path}: header {key} must be a non-negative integer")
     dropout = header["dropout"]
     if type(dropout) not in (int, float) or not 0.0 <= dropout < 1.0:
-        raise CorruptFileError(f"{path}: header dropout must be a number in [0, 1)")
+        raise SchemaError(f"{path}: header dropout must be a number in [0, 1)")
     arrays = header["arrays"]
     # the length check bounds ``layers`` by the header's own size before a
     # layout is built from it
     if not isinstance(arrays, list) or len(arrays) != 6 * header["layers"] + 3:
-        raise CorruptFileError(f"{path}: header arrays do not match its dimensions")
+        raise SchemaError(f"{path}: header arrays do not match its dimensions")
     layout = _layout(header["embed_dim"], header["hidden"], header["layers"], header["n_classes"])
     if arrays != [[name, list(shape)] for name, shape in layout]:
-        raise CorruptFileError(f"{path}: header arrays do not match its dimensions")
+        raise SchemaError(f"{path}: header arrays do not match its dimensions")
     # Python ints: no shape can overflow
     size = sum(math.prod(shape) for _, shape in layout)
     if 8 * size != available:
-        raise CorruptFileError(
+        raise SchemaError(
             f"{path}: header implies {8 * size} data bytes, file has {available}"
         )
     return size
@@ -1048,7 +1045,7 @@ def load_params(path) -> NetworkParams:
     """Load a parameter container; bit-exact inverse of :func:`save_params`.
 
     Raises:
-        CorruptFileError: bad magic, a malformed header, arrays that are
+        SchemaError: bad magic, a malformed header, arrays that are
             not the layout its dimensions imply, truncation, trailing
             bytes, or non-finite values.
     """
@@ -1056,24 +1053,24 @@ def load_params(path) -> NetworkParams:
         file_size = os.fstat(fh.fileno()).st_size
         prefix = fh.read(len(MAGIC) + 8)
         if len(prefix) < len(MAGIC) + 8 or prefix[: len(MAGIC)] != MAGIC:
-            raise CorruptFileError(f"{path}: not a parameter container")
+            raise SchemaError(f"{path}: not a parameter container")
         version, header_len = struct.unpack_from("<II", prefix, len(MAGIC))
         if version != FORMAT_VERSION:
-            raise CorruptFileError(f"{path}: unsupported format version {version}")
+            raise SchemaError(f"{path}: unsupported format version {version}")
         offset = len(MAGIC) + 8
         # read() sizes its buffer by the request, so bound it by the file first
         if header_len > file_size - offset:
-            raise CorruptFileError(f"{path}: header runs past the end of the file")
+            raise SchemaError(f"{path}: header runs past the end of the file")
         try:
             header = json.loads(fh.read(header_len).decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise CorruptFileError(f"{path}: unreadable header: {exc}") from exc
+            raise SchemaError(f"{path}: unreadable header: {exc}") from exc
         offset += header_len
         size = _checked_size(header, path, file_size - offset)
         # the data goes straight into the one vector the parameters keep
         flat = np.empty(size, dtype="<f8")
         if fh.readinto(memoryview(flat).cast("B")) != 8 * size:
-            raise CorruptFileError(f"{path}: file ended inside the parameter data")
+            raise SchemaError(f"{path}: file ended inside the parameter data")
     flat = flat.astype(np.float64, copy=False)
     try:
         params = NetworkParams(
@@ -1085,15 +1082,12 @@ def load_params(path) -> NetworkParams:
             flat,
         )
         params.validate()
-    except ShapeMismatchError as exc:
-        raise CorruptFileError(f"{path}: {exc}") from exc
+    except NameproxyError as exc:
+        raise SchemaError(f"{path}: {exc}") from exc
     return params
 
 
 def write_training_log(log, path) -> None:
     """Per-epoch CSV: epoch, train loss, validation accuracy."""
-    try:
-        rows = ([row.epoch, row.train_loss, row.val_accuracy] for row in log)
-        write_csv(path, ["epoch", "train_loss", "val_accuracy"], rows)
-    except OSError as exc:
-        raise OSError(f"failed writing training log to {path}: {exc}") from exc
+    rows = ([row.epoch, row.train_loss, row.val_accuracy] for row in log)
+    write_csv(path, ["epoch", "train_loss", "val_accuracy"], rows)

@@ -17,7 +17,7 @@ import re
 import numpy as np
 
 from .csvio import not_utf8
-from .errors import EmptyAfterNormalizationError, UnknownCharacterError
+from .errors import EmptyAfterNormalizationError, NameproxyError
 
 #: Generational suffix tokens stripped from the end of table keys.
 DEFAULT_SUFFIXES = ("jr", "sr", "ii", "iii", "iv")
@@ -165,7 +165,7 @@ def encode_name(first: str, last: str) -> np.ndarray:
     The result always has length :data:`WINDOW`.
 
     Raises:
-        UnknownCharacterError: a character outside the vocabulary made it
+        NameproxyError: a character outside the vocabulary made it
             through normalization (which indicates a normalization bug).
     """
     return _encode_windows([f"{first} {last}"])[0]
@@ -189,7 +189,7 @@ def _encode_windows(texts: list[str]) -> np.ndarray:
     if codes.size and codes.max() >= VOCAB_SIZE:
         row, col = np.argwhere(codes >= VOCAB_SIZE)[0]
         text = texts[row]
-        raise UnknownCharacterError(f"character {text[col]!r} in {text!r} is outside the vocabulary")
+        raise NameproxyError(f"character {text[col]!r} in {text!r} is outside the vocabulary")
     return codes
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import RaceSet
-from .errors import InsufficientClassError
+from .errors import NameproxyError
 
 
 def largest_remainder_quotas(n: int, shares) -> np.ndarray:
@@ -54,7 +54,7 @@ def representative_sample_indices(
     a fixed seed reproduces it byte for byte.
 
     Raises:
-        InsufficientClassError: a race has fewer records than its quota.
+        NameproxyError: a race has fewer records than its quota.
     """
     races = races or RaceSet()
     if len(np.asarray(shares)) != len(races):
@@ -66,7 +66,7 @@ def representative_sample_indices(
     for k, (label, quota) in enumerate(zip(races, quotas)):
         pool = np.flatnonzero(race == k)
         if quota > pool.size:
-            raise InsufficientClassError(
+            raise NameproxyError(
                 f"race {label!r} has {pool.size} records, quota is {int(quota)}"
             )
         if quota > 0:

@@ -29,12 +29,7 @@ import numpy as np
 
 from .core import People, RaceSet, renormalize_rows
 from .csvio import not_utf8, read_csv, write_csv
-from .errors import (
-    EmptyTableError,
-    InsufficientClassError,
-    KindMismatchError,
-    SchemaError,
-)
+from .errors import NameproxyError, SchemaError
 from .names import DEFAULT_SUFFIXES, column_keys, table_key, usable_keys
 from .sampling import max_feasible_sample_size, representative_sample_indices
 
@@ -229,7 +224,7 @@ class NameTable(_Rows):
         np.add.at(counts, codes, pseudo)
         kept = np.flatnonzero(usable_keys(keys) & (counts.sum(axis=1) > 0))
         if kept.size == 0:
-            raise EmptyTableError(f"{path}: no usable rows")
+            raise SchemaError(f"{path}: no usable rows")
         counts = counts[kept]
         keys = [keys[k] for k in kept.tolist()]
         sources = np.full(kept.size, SOURCES.index(EXTERNAL))  # so source_totals are external
@@ -292,8 +287,8 @@ def build_name_table(
     :func:`count_name_table` in a row.
 
     Raises:
-        InsufficientClassError: a race has no people at all.
-        EmptyTableError: nothing survives suppression.
+        NameproxyError: a race has no people at all, or nothing survives
+            suppression.
     """
     if kind not in (SURNAME, FIRSTNAME):
         raise ValueError(f"unknown table kind {kind!r}")
@@ -311,13 +306,13 @@ def training_rows(people: People, seed: int = 0, target_shares=None) -> np.ndarr
     in :func:`build_name_table`.  Drawing it once serves every table kind.
 
     Raises:
-        InsufficientClassError: a race has no people at all.
+        NameproxyError: a race has no people at all.
     """
     races = people.races
     counts_per_race = np.bincount(people.race[people.race >= 0], minlength=len(races))
     if (counts_per_race == 0).any():
         missing = [label for label, c in zip(races, counts_per_race) if c == 0]
-        raise InsufficientClassError(f"no records for race(s): {', '.join(missing)}")
+        raise NameproxyError(f"no records for race(s): {', '.join(missing)}")
     if target_shares is None:
         return np.arange(len(people))
     n = max_feasible_sample_size(counts_per_race, target_shares)
@@ -336,14 +331,14 @@ def count_name_table(
     record.
 
     Raises:
-        EmptyTableError: nothing survives suppression.
+        NameproxyError: nothing survives suppression.
     """
     key_codes = np.asarray(key_codes, dtype=np.intp)
     race = np.where(usable_keys(keys)[key_codes], race, -1)
     counts, race_totals, order = _count_pairs(key_codes, race, len(keys), len(races))
     order = order[passes_suppression(counts[order])]
     if order.size == 0:
-        raise EmptyTableError("no names survived normalization and suppression")
+        raise NameproxyError("no names survived normalization and suppression")
     return NameTable(kind, races, [keys[k] for k in order.tolist()], counts[order], race_totals)
 
 
@@ -354,14 +349,14 @@ def build_geo_table(people: People) -> GeoTable:
 
     Raises:
         ValueError: a geo id is empty.
-        EmptyTableError: nobody is counted.
+        NameproxyError: nobody is counted.
     """
     if not all(people.geo):
         raise ValueError("geo table construction needs non-empty geo ids")
     keys, codes = column_keys(people.geo)
     counts, race_totals, order = _count_pairs(codes, people.race, len(keys), len(people.races))
     if order.size == 0:
-        raise EmptyTableError("no records to build a geography table from")
+        raise NameproxyError("no records to build a geography table from")
     return GeoTable(people.races, [keys[k] for k in order.tolist()], counts[order], race_totals)
 
 
@@ -374,9 +369,9 @@ def merge_tables(internal: NameTable, external: NameTable, prefer: str) -> NameT
     each entry was counted in.
     """
     if internal.kind != external.kind:
-        raise KindMismatchError(f"cannot merge {internal.kind!r} with {external.kind!r}")
+        raise NameproxyError(f"cannot merge {internal.kind!r} with {external.kind!r}")
     if internal.races != external.races:
-        raise KindMismatchError("cannot merge tables over different race sets")
+        raise NameproxyError("cannot merge tables over different race sets")
     if prefer not in (INTERNAL, EXTERNAL):
         raise ValueError(f"prefer must be 'internal' or 'external', got {prefer!r}")
     preferred, other = (internal, external) if prefer == INTERNAL else (external, internal)
@@ -452,10 +447,7 @@ def _write_table_csv(path, key_header, races, keys, counts, meta, sources=None):
         row.append(SOURCES[src])
     rows = ([keys[i], *cells[i]] for i in sorted(range(len(keys)), key=keys.__getitem__))
     header = _table_header(key_header, races, sources is not None)
-    try:
-        write_csv(path, header, rows, (0,), preamble)
-    except OSError as exc:
-        raise OSError(f"failed writing table to {path}: {exc}") from exc
+    write_csv(path, header, rows, (0,), preamble)
 
 
 def _read_table_csv(path, key_header, with_source):

@@ -18,7 +18,7 @@ from nameproxy.bayes import (
     geo_augment_scores,
 )
 from nameproxy.core import RaceSet, Scores
-from nameproxy.errors import MissingFirstnameTableError
+from nameproxy.errors import NameproxyError
 from nameproxy.tables import FIRSTNAME, SURNAME
 
 from conftest import Row, geo_table, is_prob_vector, name_table, people_of
@@ -144,7 +144,7 @@ class TestBifsg:
 
     def test_missing_firstname_table_raises(self):
         ctx = make_ctx({"garcia": (1, 1, 1, 1)}, {"44444": (1, 1, 1, 1)}, (10, 10, 10, 10))
-        with pytest.raises(MissingFirstnameTableError):
+        with pytest.raises(NameproxyError, match="bifsg needs a first-name table"):
             bifsg(ctx, "alex", "garcia", "44444")
 
 

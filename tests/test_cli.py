@@ -59,6 +59,7 @@ TRAIN_OUT_OF_RANGE = {
     "lr_nan": {"lr": float("nan")},
     "weight_decay_negative": {"weight_decay": -0.5},
     "weight_decay_inf": {"weight_decay": float("inf")},
+    "seed_negative": {"seed": -3},
 }
 
 
@@ -68,6 +69,16 @@ class TestConfig:
         path.write_text(json.dumps({"paths": {}}))
         with pytest.raises(SchemaError, match="seed"):
             load_config(path)
+
+    def test_negative_seed_names_file(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": -1}))
+        message = f"{path}: 'seed' must be a non-negative integer, got -1"
+        with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+            load_config(path)
+        rc = run("sample", "--config", path, "--input", "x.csv", "--n", 1, "--out", "y.csv")
+        assert rc == 1
+        assert capsys.readouterr().err == f"nameproxy: {message}\n"
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = tmp_path / "cfg.json"
@@ -198,8 +209,9 @@ class TestConfig:
              "bad ensemble spec: unknown member 'bogus'; choose from "),
             ({"train": {"epochs": 0}}, "bad train section: epochs must be >= 1"),
             ({"train": {"lr": -1}}, "bad train section: lr must be finite and > 0"),
+            ({"train": {"seed": -3}}, "bad train section: seed must be >= 0"),
         ],
-        ids=["member_ensemble", "member_unknown", "epochs_zero", "lr_negative"],
+        ids=["member_ensemble", "member_unknown", "epochs_zero", "lr_negative", "seed_negative"],
     )
     def test_unusable_value_names_its_section(self, tmp_path, entry, message):
         path = tmp_path / "cfg.json"

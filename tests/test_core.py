@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from nameproxy.cli import write_predictions_csv
 from nameproxy.core import DEFAULT_RACES, RaceSet, Scores, renormalize_rows
-from nameproxy.errors import ZeroMassError
+from nameproxy.errors import NameproxyError
 
 from conftest import is_prob_vector
 
@@ -88,7 +88,7 @@ class TestRenormalize:
         np.testing.assert_array_equal(one_row([1.0, 0.0, 0.0, 0.0]), [1, 0, 0, 0])
 
     def test_zero_mass(self):
-        with pytest.raises(ZeroMassError):
+        with pytest.raises(NameproxyError, match="cannot normalize a vector of zeros"):
             one_row([0.0, 0.0, 0.0, 0.0])
 
     def test_rejects_negative(self):

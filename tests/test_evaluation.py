@@ -1,12 +1,13 @@
 """Metrics, ROC/AUC, covered-subset intersection, and report files."""
 
 import csv
+import re
 
 import numpy as np
 import pytest
 
 from nameproxy.core import RaceSet
-from nameproxy.errors import LengthMismatchError, SingleClassError
+from nameproxy.errors import NameproxyError
 from nameproxy.evaluation import (
     class_metrics,
     emit_report,
@@ -107,7 +108,7 @@ class TestClassMetrics:
         assert report["asian"].support == 1  # support still counts covered records
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(NameproxyError, match="1 truths vs 2 predictions"):
             class_metrics(idx(["asian"]), idx(["asian", "black"]))
 
     def test_unknown_truth_label(self):
@@ -161,9 +162,11 @@ class TestRocCurve:
             assert curve.auc == pytest.approx(oracle, abs=1e-9)
 
     def test_single_class_raises(self):
-        with pytest.raises(SingleClassError):
+        message = re.escape("ROC for 'asian' needs both positives and negatives (got 2 positive, 0")
+        with pytest.raises(NameproxyError, match=message):
             roc_curve(idx(["asian", "asian"]), [np.ones(4) / 4] * 2, "asian")
-        with pytest.raises(SingleClassError):
+        message = re.escape("ROC for 'asian' needs both positives and negatives (got 0 positive, 2")
+        with pytest.raises(NameproxyError, match=message):
             roc_curve(idx(["white", "white"]), [np.ones(4) / 4] * 2, "asian")
 
 
@@ -207,7 +210,7 @@ class TestIntersectCovered:
         assert report_a == report_b
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatchError):
+        with pytest.raises(NameproxyError, match="covered masks differ in length"):
             intersect_covered([[False], [False, False]])
 
 

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import struct
 import tempfile
 import tracemalloc
@@ -14,11 +15,7 @@ from hypothesis import strategies as st
 
 from nameproxy import lstm
 from nameproxy.core import UNENCODABLE_NAME, RaceSet
-from nameproxy.errors import (
-    CorruptFileError,
-    InsufficientClassError,
-    ShapeMismatchError,
-)
+from nameproxy.errors import NameproxyError, SchemaError
 from nameproxy.lstm import (
     MAGIC,
     AdamState,
@@ -102,11 +99,12 @@ class TestForward:
 
     def test_rejects_bad_codes(self):
         params = tiny_params()
-        with pytest.raises(ShapeMismatchError):
+        message = re.escape("codes must be (batch, steps), got (2, 3, 4)")
+        with pytest.raises(NameproxyError, match=message):
             forward(params, np.zeros((2, 3, 4), dtype=np.int64))
         bad = np.zeros((1, WINDOW), dtype=np.int64)
         bad[0, 0] = 30
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(NameproxyError, match="codes out of vocabulary range"):
             forward(params, bad)
 
     def test_variable_window_supported(self):
@@ -179,9 +177,9 @@ class TestLossAndGradients:
     def test_rejects_bad_labels(self):
         params = tiny_params()
         codes = random_batch(np.random.default_rng(5), 2)
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(NameproxyError, match="label outside class range"):
             loss_and_gradients(params, codes, np.array([0, 4]))
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(NameproxyError, match=re.escape("labels must be (2,), got (1,)")):
             loss_and_gradients(params, codes, np.array([0]))
 
     @pytest.mark.parametrize("seed", [None, 1234], ids=["eval-0", "train-1234"])
@@ -256,7 +254,8 @@ class TestAdam:
     def test_shape_mismatch(self):
         params = tiny_params()
         grads = np.zeros(params.flat.size + 1)
-        with pytest.raises(ShapeMismatchError):
+        message = f"gradient has shape ({grads.size},), parameters ({params.flat.size},)"
+        with pytest.raises(NameproxyError, match=re.escape(message)):
             adam_step(params, grads, AdamState.for_params(params))
 
 
@@ -295,7 +294,7 @@ class TestSplitAndBalance:
 
     def test_insufficient_class(self):
         labels = np.array([0, 0, 1, 1, 2, 2, 3])
-        with pytest.raises(InsufficientClassError):
+        with pytest.raises(NameproxyError, match="class 3 has 1 usable records; need at least 2"):
             split_and_balance(labels, 4, 0.8, np.random.default_rng(0))
 
 
@@ -339,13 +338,18 @@ class TestTrain:
 
     def test_insufficient_class(self):
         records = people_of([("aa", "bb", "0", "white")] * 50)
-        with pytest.raises(InsufficientClassError):
+        with pytest.raises(NameproxyError, match="class 0 has 0 usable records; need at least 2"):
             train(records, TrainConfig(seed=0, epochs=1, embed_dim=4, hidden=4, layers=1))
 
     @pytest.mark.parametrize("dropout", [7.5, -0.1, 1.0])
     def test_config_rejects_dropout_outside_unit_interval(self, dropout):
         with pytest.raises(ValueError, match="dropout"):
             TrainConfig(dropout=dropout)
+
+    def test_config_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            TrainConfig(seed=-1)
+        assert TrainConfig(seed=0).seed == 0
 
 
 class TestPredictProba:
@@ -524,7 +528,8 @@ class TestPersistence:
         save_params(params, path)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) - 17])
-        with pytest.raises(CorruptFileError):
+        message = f"^{re.escape(str(path))}: header implies .* file has "
+        with pytest.raises(SchemaError, match=message):
             load_params(path)
 
     def test_trailing_garbage(self, tmp_path):
@@ -532,13 +537,15 @@ class TestPersistence:
         path = tmp_path / "params.bin"
         save_params(params, path)
         path.write_bytes(path.read_bytes() + b"junk")
-        with pytest.raises(CorruptFileError):
+        message = f"^{re.escape(str(path))}: header implies .* file has "
+        with pytest.raises(SchemaError, match=message):
             load_params(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "params.bin"
         path.write_bytes(b"NOPE" + b"\x00" * 32)
-        with pytest.raises(CorruptFileError):
+        message = f"^{re.escape(str(path))}: not a parameter container$"
+        with pytest.raises(SchemaError, match=message):
             load_params(path)
 
     @pytest.mark.parametrize(
@@ -585,13 +592,13 @@ class TestPersistence:
             + new_header
             + blob[start + header_len :]
         )
-        with pytest.raises(CorruptFileError):
+        with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: header "):
             load_params(path)
 
     def test_header_length_past_end_of_file(self, tmp_path):
         path = tmp_path / "params.bin"
         path.write_bytes(MAGIC + struct.pack("<II", 1, 2**32 - 1) + b"{}")
-        with pytest.raises(CorruptFileError, match="past the end"):
+        with pytest.raises(SchemaError, match="header runs past the end of the file"):
             load_params(path)
 
     def test_load_holds_one_copy_of_the_parameters(self, tmp_path):
@@ -611,7 +618,8 @@ class TestPersistence:
     def test_header_not_an_object(self, tmp_path):
         path = tmp_path / "params.bin"
         path.write_bytes(MAGIC + struct.pack("<II", 1, 2) + b"[]")
-        with pytest.raises(CorruptFileError):
+        message = f"^{re.escape(str(path))}: header is not a JSON object$"
+        with pytest.raises(SchemaError, match=message):
             load_params(path)
 
     def test_hidden_metadata_honored(self, tmp_path):
@@ -625,12 +633,13 @@ class TestValidate:
     def test_rejects_flat_of_wrong_size_or_dtype(self):
         size = tiny_params().flat.size
         for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32)):
-            with pytest.raises(ShapeMismatchError):
+            message = f"flat must be a contiguous float64 vector of {size} entries"
+            with pytest.raises(NameproxyError, match=message):
                 NetworkParams(4, 3, 2, 4, flat=flat)
         NetworkParams(4, 3, 2, 4, flat=np.zeros(size))
 
     def test_catches_non_finite(self):
         params = tiny_params()
         params.dense_w[0, 0] = np.nan
-        with pytest.raises(ShapeMismatchError):
+        with pytest.raises(NameproxyError, match="parameters contain non-finite values"):
             params.validate()

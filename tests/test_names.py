@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nameproxy import names
-from nameproxy.errors import EmptyAfterNormalizationError, SchemaError, UnknownCharacterError
+from nameproxy.errors import EmptyAfterNormalizationError, NameproxyError, SchemaError
 
 name_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=40
@@ -143,11 +143,12 @@ class TestEncodeName:
         assert list(codes) == [1] * 20 + [29] + [2] * 9
 
     def test_unknown_character(self):
-        with pytest.raises(UnknownCharacterError):
+        message = "character '1' in 'sm1th lee' is outside the vocabulary"
+        with pytest.raises(NameproxyError, match=message):
             names.encode_name("sm1th", "lee")
 
     def test_non_ascii_character_is_unknown(self):
-        with pytest.raises(UnknownCharacterError, match="character 'é' in 'josé lee'"):
+        with pytest.raises(NameproxyError, match="character 'é' in 'josé lee'"):
             names.encode_name("josé", "lee")
 
     def test_hyphen_apostrophe_codes(self):

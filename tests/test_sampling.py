@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from nameproxy.core import RaceSet
-from nameproxy.errors import InsufficientClassError
+from nameproxy.errors import NameproxyError
 from nameproxy.sampling import (
     largest_remainder_quotas,
     max_feasible_sample_size,
@@ -87,7 +87,7 @@ class TestRepresentativeSample:
 
     def test_quota_exceeding_pool(self):
         pool = make_pool((2, 50, 50, 50))
-        with pytest.raises(InsufficientClassError):
+        with pytest.raises(NameproxyError, match="race 'asian' has 2 records, quota is 25"):
             sample_races(pool, 100, (0.25, 0.25, 0.25, 0.25), seed=0)
 
     def test_deterministic_and_order_preserving(self):

@@ -100,3 +100,36 @@ def test_build_tables_manifest_that_fails_leaves_the_old_one(world, tmp_path, mo
     assert main([str(a) for a in argv]) == 2
     assert (out / "manifest.json").read_bytes() == before
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
+
+
+
+@pytest.mark.parametrize("command", ["predict", "sample", "train", "evaluate", "build-tables"])
+def test_a_failed_write_names_its_target(world, tmp_path, capsys, command):
+    """``predict``, ``sample`` and ``train`` write into a directory that
+    does not exist.  ``build-tables`` and ``evaluate`` make their output
+    directory, so there the first file they write is a directory already."""
+    voter, missing, out_dir = world["voter"], tmp_path / "missing", tmp_path / "out"
+    predictions = tmp_path / "pred.csv"
+    args, target = {
+        "predict": (["--input", voter, "--models", "bisg", "--out", missing / "pred.csv"],
+                    missing / "pred.csv"),
+        "sample": (["--input", voter, "--n", 20, "--out", missing / "sample.csv"],
+                   missing / "sample.csv"),
+        "train": (["--voter", voter, "--out-params", missing / "model.bin",
+                   "--out-log", tmp_path / "log.csv"], missing / "model.bin"),
+        "evaluate": (["--truth", voter, "--predictions", predictions, "--out-dir", out_dir],
+                     out_dir / "metrics_bisg.csv"),
+        "build-tables": (["--voter", voter, "--out-dir", out_dir], out_dir / "surname_table.csv"),
+    }[command]
+    config = ["--config", world["config"]]
+    if command == "evaluate":
+        predict = ["predict", *config, "--input", voter, "--models", "bisg", "--out", predictions]
+        assert main([str(a) for a in predict]) == 0
+    if command in ("evaluate", "build-tables"):
+        target.mkdir(parents=True)
+    capsys.readouterr()
+    assert main([str(a) for a in [command, *config, *args]]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"nameproxy: io error: failed writing {target}: ")
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
