@@ -170,7 +170,6 @@ def prediction_header(races: RaceSet) -> list[str]:
 def cmd_build_tables(args, config: RunConfig) -> int:
     people = read_people_csv(args.voter, config.races, require_race=True)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = training_rows(people, config.seed, config.target_shares)
     per_race = np.bincount(people.race, minlength=len(config.races))

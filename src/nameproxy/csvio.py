@@ -105,7 +105,8 @@ def not_utf8(path) -> SchemaError:
 def replacing(path, mode: str = "w", **kwargs):
     """Open a temporary file beside ``path`` with :func:`open`'s ``mode``
     and ``kwargs``, and move it over ``path`` when the ``with`` block ends
-    without an exception.
+    without an exception.  Missing directories above ``path`` are made
+    first.
 
     On an exception the temporary file is removed and ``path`` is left as
     it was, so a writer that fails part-way (a row iterator that raises, a
@@ -122,6 +123,8 @@ def replacing(path, mode: str = "w", **kwargs):
     head, tail = os.path.split(os.fspath(path))
     opened = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
+        if head:
+            os.makedirs(head, exist_ok=True)
         with open(opened, mode, **kwargs) as fh:
             yield fh
         if not in_place:

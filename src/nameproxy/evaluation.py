@@ -159,7 +159,6 @@ def emit_report(
     """
     out_dir = Path(out_dir)
     written: list[str] = []
-    out_dir.mkdir(parents=True, exist_ok=True)
     header = ["race", "accuracy", "precision", "recall", "f1", "coverage", "support"]
     for model in sorted(reports):
         path = out_dir / f"metrics_{model}.csv"

@@ -11,9 +11,9 @@ seen the whole window.
 Everything runs in float64 and all randomness flows from explicit seeds:
 initialization, the train/validation split, class balancing, batch
 shuffling, and dropout masks.  Two runs with the same seed produce
-bit-identical parameter trajectories.  A pass applies dropout only when
-given a ``dropout_seed``: :func:`forward` takes none by default, and
-:func:`loss_and_gradients` draws the masks of seed 0.  The optimizer is
+bit-identical parameter trajectories.  Dropout is drawn only in training:
+:func:`loss_and_gradients` draws the masks of its ``dropout_seed`` (0 by
+default), and :func:`forward` applies none.  The optimizer is
 Adam (Kingma & Ba 2015) with their fixed β1 0.9, β2 0.999 and ε 1e-8.
 
 Every weight lives in one contiguous float64 vector, ``NetworkParams.flat``,
@@ -38,7 +38,7 @@ product and overwrites the sum with its activated gates.  At production
 dims, projecting 1, 3, 5 or 10 steps in one GEMM, or the whole window,
 ran within run-to-run noise, so a step projects only itself.
 :func:`forward` runs a block of 4 or more rows as two row halves at once
-where :data:`_HALVES` holds (below), and the dense head once, on the whole
+where :data:`_AT_ONCE` holds (below), and the dense head once, on the whole
 block.  In a block or a half the directions take turns, each with one
 step's gates and ``c_t``, reused at every step of every layer; the last
 layer writes into a two-step output ring, as the head reads two of its
@@ -64,24 +64,23 @@ Work that reads the same input and writes disjoint memory can run at
 once, one part on the calling thread and one on a worker (:func:`_both`;
 Appleyard et al. 2016 do the same on GPUs).  In training that is a layer's
 two directions, in the layer pass, in BPTT and in the two
-``w_in``-gradient GEMMs, where :data:`_CONCURRENT` holds: when two BLAS
-calls at the BLAS thread count fit on the usable cores
-(:func:`_concurrent_directions`).  In inference it is a block's two row
-halves, independent up to the dense head, where :data:`_HALVES` holds:
-where the directions' rule does, and also on exactly 2 usable cores when
-the BLAS's own thread setter is found (:func:`_halves_at_once`).  While
-both parts run, :func:`_both` narrows the BLAS to half the usable cores
-where two calls at its thread count would not fit, and sets it back; so
-an unpinned BLAS on 2 cores scores at 1 thread per half.  Both gates are
-fixed at import.  At one BLAS thread count probabilities, loss and
+``w_in``-gradient GEMMs; in inference it is a block's two row halves,
+independent up to the dense head.  Both run at once where one gate,
+:data:`_AT_ONCE`, holds (:func:`_parts_at_once`): when two BLAS calls at
+the BLAS thread count fit on the usable cores, and on exactly 2 usable
+cores when the BLAS's own thread setter is found.  While both parts run,
+:func:`_both` narrows the BLAS to half the usable cores where two calls
+at its thread count would not fit, and sets it back; so an unpinned BLAS
+on 2 cores trains and scores at 1 thread per part.  The gate is fixed at
+import.  At one BLAS thread count probabilities, loss and
 gradients are bit-identical in every schedule: on OpenBLAS 0.3.31 a layer
 GEMM gives a row the same bits in any block of 2 or more rows, every
 array a part writes is allocated on the calling thread, and the input
 gradient sums its halves in one order.  The count itself can move last
 bits: OpenBLAS 0.3.31 blocks a GEMM whose inner dimension lies strictly
 between 256 and 512 one way at 1 thread and another at 2, so where an
-embedding width, ``hidden`` or twice it falls there, narrowed scoring
-gives the bits of 1 thread.
+embedding width, ``hidden`` or twice it falls there, narrowed training
+and scoring give the bits of 1 thread.
 
 Raw names are encoded in one place, :func:`names.encode_columns`: for
 training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
@@ -299,12 +298,16 @@ def _log_softmax(logits):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _concurrent_directions(environ, cores: int) -> bool:
-    """Whether a layer's two directions run at once in training: when two
-    BLAS calls at the BLAS thread count fit on ``cores`` usable cores.
+def _parts_at_once(environ, cores: int, narrowable: bool) -> bool:
+    """Whether :func:`_both` runs its two parts at once: where two BLAS
+    calls at the BLAS thread count fit on ``cores`` usable cores, and on
+    exactly 2 with a ``narrowable`` BLAS, one whose thread count
+    :func:`_both` can set to 1 while the parts run.
 
     The count is the first positive integer among :data:`_BLAS_THREAD_VARS`
     in the ``environ`` mapping, else ``cores``, as OpenBLAS itself assumes.
+    Narrowing was measured only on 2 cores; hosts of 3 or more keep the
+    rule that two calls must fit.
     """
     threads = cores
     for name in _BLAS_THREAD_VARS:
@@ -315,19 +318,7 @@ def _concurrent_directions(environ, cores: int) -> bool:
         if value > 0:
             threads = value
             break
-    return 2 * threads <= cores
-
-
-def _halves_at_once(environ, cores: int, narrowable: bool) -> bool:
-    """Whether :func:`forward` runs a block's two row halves at once: where
-    :func:`_concurrent_directions` holds, and on exactly 2 usable ``cores``
-    with a ``narrowable`` BLAS, one whose thread count :func:`_both` can
-    set to 1 while the halves run.
-
-    Narrowing was measured only there, for inference; training and hosts
-    of 3 or more cores keep the directions' rule.
-    """
-    return (narrowable and cores == 2) or _concurrent_directions(environ, cores)
+    return (narrowable and cores == 2) or 2 * threads <= cores
 
 
 def _usable_cores() -> int:
@@ -367,13 +358,12 @@ def _blas_threads():
 # fixed when the module loads, as the BLAS fixes its thread count when it loads
 _BLAS_THREADS = _blas_threads()
 _CORES = _usable_cores()
-_CONCURRENT = _concurrent_directions(os.environ, _CORES)
-_HALVES = _halves_at_once(os.environ, _CORES, _BLAS_THREADS is not None)
+_AT_ONCE = _parts_at_once(os.environ, _CORES, _BLAS_THREADS is not None)
 
 
-def _both(here, there, at_once: bool):
-    """Call ``here()`` and ``there()``: ``at_once``, ``there`` on a worker
-    thread, else one after the other.
+def _both(here, there):
+    """Call ``here()`` and ``there()``: where :data:`_AT_ONCE` holds,
+    ``there`` on a worker thread, else one after the other.
 
     Where two BLAS calls at the BLAS's current thread count would not fit
     on the usable cores, it is narrowed to half of them while both run,
@@ -386,7 +376,7 @@ def _both(here, there, at_once: bool):
     process, so callers on two threads at once may see each other's
     narrowing.
     """
-    if not at_once:
+    if not _AT_ONCE:
         here()
         there()
         return
@@ -405,13 +395,6 @@ def _both(here, there, at_once: bool):
     finally:
         if threads > width:
             set_(threads)
-
-
-def _per_direction(make):
-    """``[make(), make()]``, one buffer per direction of a layer in
-    training, or one buffer for both when they take turns."""
-    first = make()
-    return [first, make() if _CONCURRENT else first]
 
 
 def _pass_scratch(batch: int, hidden: int):
@@ -549,18 +532,17 @@ def _reuse(dead, shape):
     return flat[:size].reshape(shape) if flat.size >= size else np.empty(shape)
 
 
-def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=None):
+def _forward_pass(params: NetworkParams, codes, tape=None, dropout_seed: int | None = None):
     """``(log_probs, feat, codes)``: log-probabilities, the dense head's input
     and the checked ``(batch, steps)`` codes.
 
-    Given a list, the pass runs :func:`_record_layers` and the list gets one
-    record per layer.  Without one it runs :func:`_run_layers`, where
-    :data:`_HALVES` holds as two row halves at once through
+    Given a list, the pass runs :func:`_record_layers` under
+    ``dropout_seed``'s masks and the list gets one record per layer.
+    Without one it runs :func:`_run_layers`, which applies no dropout,
+    where :data:`_AT_ONCE` holds as two row halves at once through
     :func:`_both`, in buffers allocated here on the calling thread; the
     dense head then runs on the whole block.  A block of under 4 rows is
-    not split, as a one-row half would project through gemv.  A
-    ``dropout_seed`` of None applies no dropout; an int seeds every layer's
-    mask, drawn here for the whole block.
+    not split, as a one-row half would project through gemv.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim == 1:
@@ -572,31 +554,17 @@ def _forward_pass(params: NetworkParams, codes, dropout_seed: int | None, tape=N
     if codes.size and (codes.min() < 0 or codes.max() >= VOCAB_SIZE):
         raise NameproxyError("codes out of vocabulary range")
     batch, steps = codes.shape
-    hidden = params.hidden
-    keep = 1.0 - params.dropout
-    masks = [None] * params.n_layers  # the last layer's output is not dropped
-    if dropout_seed is not None and params.dropout > 0.0:
-        drop_rng = np.random.default_rng(dropout_seed)
-        # drawn in (batch, steps) order, layer by layer: that order fixes
-        # which units a seed drops, so probabilities under dropout do not
-        # depend on the activation layout
-        masks[:-1] = [
-            (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
-            for _ in range(params.n_layers - 1)
-        ]
-
-    feat = np.empty((batch, 2 * hidden))
+    feat = np.empty((batch, 2 * params.hidden))
     if tape is not None:
-        _record_layers(params, codes, masks, feat, tape)
-    elif batch < 4 or not _HALVES:
-        _run_layers(params, codes, masks, feat, _layer_buffers(params, batch, steps))
+        _record_layers(params, codes, dropout_seed, feat, tape)
+    elif batch < 4 or not _AT_ONCE:
+        _run_layers(params, codes, feat, _layer_buffers(params, batch, steps))
     else:
         def half(rows):
-            row_masks = [None if mask is None else mask[:, rows] for mask in masks]
             buffers = _layer_buffers(params, rows.stop - rows.start, steps)
-            return lambda: _run_layers(params, codes[rows], row_masks, feat[rows], buffers)
+            return lambda: _run_layers(params, codes[rows], feat[rows], buffers)
 
-        _both(half(slice(0, batch // 2)), half(slice(batch // 2, batch)), at_once=True)
+        _both(half(slice(0, batch // 2)), half(slice(batch // 2, batch)))
     logits = feat @ params.dense_w + params.dense_b
     return _log_softmax(logits), feat, codes
 
@@ -618,12 +586,11 @@ def _layer_buffers(params: NetworkParams, batch: int, steps: int):
     )
 
 
-def _run_layers(params: NetworkParams, codes, masks, feat, buffers):
+def _run_layers(params: NetworkParams, codes, feat, buffers):
     """The layer stack on ``codes``' rows in :func:`_layer_buffers`'
-    ``buffers``, writing the dense head's input (the forward state at the
-    last step and the backward state at step zero) into ``feat``.
-    ``masks`` holds each layer's time-major bool dropout mask for these
-    rows, or None.
+    ``buffers``, without dropout, writing the dense head's input (the
+    forward state at the last step and the backward state at step zero)
+    into ``feat``.
 
     The directions take turns and share one step's gates and ``c_t``.
     Every layer after the first writes its output over its input: the
@@ -633,7 +600,6 @@ def _run_layers(params: NetworkParams, codes, masks, feat, buffers):
     """
     batch, steps = codes.shape
     hidden = params.hidden
-    keep = 1.0 - params.dropout
     spare, first, ring, acts, cells, scratch = buffers
     # codes are in range; "clip" only keeps take from buffering out
     x = np.take(params.embedding, codes.T, axis=0, mode="clip",
@@ -650,29 +616,39 @@ def _run_layers(params: NetworkParams, codes, masks, feat, buffers):
         _run_direction(bwd, x, True, out[:, :, hidden:], acts, cells, scratch)
         if out is x:
             out[:, :, :hidden] = h_f
-        if masks[l] is not None:
-            _dropout(out, masks[l], keep, out=out)
         x = out
     feat[:, :hidden] = out[(steps - 1) % 2, :, :hidden]
     feat[:, hidden:] = out[0, :, hidden:]
 
 
-def _record_layers(params: NetworkParams, codes, masks, feat, tape):
+def _record_layers(params: NetworkParams, codes, dropout_seed: int | None, feat, tape):
     """The layer stack for training, writing the dense head's input into
     ``feat`` and one ``(out, mask, (acts, c) forward, (acts, c) backward)``
     record per layer onto ``tape``: the layer's output, its time-major
     bool dropout mask (or None), and per direction the whole window's gates
     and ``c_t``, which is what BPTT reads.
 
-    A layer's directions run through :func:`_both`, and every array they
-    write is allocated here, on the calling thread.  A layer's input is not
-    kept: backward rebuilds it from the previous record's output and mask,
-    or gathers the embedding again for layer 0.
+    A ``dropout_seed`` of None applies no dropout; an int seeds every
+    layer's mask, drawn before the first layer runs.  A layer's directions
+    run through :func:`_both`, each with its own scratch, and every array
+    they write is allocated here, on the calling thread.  A layer's input
+    is not kept: backward rebuilds it from the previous record's output and
+    mask, or gathers the embedding again for layer 0.
     """
     batch, steps = codes.shape
     hidden = params.hidden
     keep = 1.0 - params.dropout
-    scratch = _per_direction(lambda: _pass_scratch(batch, hidden))
+    masks = [None] * params.n_layers  # the last layer's output is not dropped
+    if dropout_seed is not None and params.dropout > 0.0:
+        drop_rng = np.random.default_rng(dropout_seed)
+        # drawn in (batch, steps) order, layer by layer: that order fixes
+        # which units a seed drops, so probabilities under dropout do not
+        # depend on the activation layout
+        masks[:-1] = [
+            (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
+            for _ in range(params.n_layers - 1)
+        ]
+    scratch = [_pass_scratch(batch, hidden) for _ in range(2)]
     x = params.embedding[codes.T]  # (T, B, D)
     for l, (fwd, bwd) in enumerate(params.layers):
         acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
@@ -681,30 +657,27 @@ def _record_layers(params: NetworkParams, codes, masks, feat, tape):
         _both(lambda: _run_direction(fwd, x, False, out[:, :, :hidden], acts[0], cells[0],
                                      scratch[0]),
               lambda: _run_direction(bwd, x, True, out[:, :, hidden:], acts[1], cells[1],
-                                     scratch[1]),
-              _CONCURRENT)
+                                     scratch[1]))
         tape.append((out, masks[l], *zip(acts, cells)))
         x = out if masks[l] is None else _dropout(out, masks[l], keep)
     feat[:, :hidden] = out[-1, :, :hidden]
     feat[:, hidden:] = out[0, :, hidden:]
 
 
-def forward(params: NetworkParams, codes, dropout_seed: int | None = None) -> np.ndarray:
+def forward(params: NetworkParams, codes) -> np.ndarray:
     """Class probabilities for a batch of encoded names, shape (batch, classes).
 
-    Without a ``dropout_seed`` this is a pure function of (params, codes);
-    an int seeds inter-layer dropout masks, those :func:`loss_and_gradients`
-    draws from the same seed.  Either way no training cache is kept: where
-    :data:`_HALVES` holds, a block of 4 or more rows runs as two row halves
-    at once; in a block or a half each direction holds one
-    step's gates and its running ``h``/``c``, and a layer's output is
-    written over its input, so memory is that of one layer's activations
-    and half of another, in either schedule.  The dense head runs once, on
-    the whole block.  The probabilities are bit-identical to those
-    :func:`loss_and_gradients` computes, at one BLAS thread count.  A
-    ``(0, steps)`` batch gives ``(0, n_classes)``.
+    A pure function of (params, codes): no dropout, and no training cache.
+    Where :data:`_AT_ONCE` holds, a block of 4 or more rows runs as two row
+    halves at once; in a block or a half each direction holds one step's
+    gates and its running ``h``/``c``, and a layer's output is written over
+    its input, so memory is that of one layer's activations and half of
+    another, in either schedule.  The dense head runs once, on the whole
+    block.  The probabilities are bit-identical to those
+    :func:`loss_and_gradients` computes without dropout, at one BLAS thread
+    count.  A ``(0, steps)`` batch gives ``(0, n_classes)``.
     """
-    log_probs, _, _ = _forward_pass(params, codes, dropout_seed)
+    log_probs, _, _ = _forward_pass(params, codes)
     return np.exp(log_probs)
 
 
@@ -719,7 +692,7 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
     """
     labels = np.asarray(labels, dtype=np.int64)
     tape = []
-    log_probs, feat, codes = _forward_pass(params, codes, dropout_seed, tape)
+    log_probs, feat, codes = _forward_pass(params, codes, tape, dropout_seed)
     batch, steps = codes.shape
     if labels.shape != (batch,):
         raise NameproxyError(f"labels must be ({batch},), got {labels.shape}")
@@ -743,7 +716,7 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
 
     keep = 1.0 - params.dropout
     rows = steps * batch
-    scratch = _per_direction(lambda: np.zeros((6, batch, hidden)))
+    scratch = [np.zeros((6, batch, hidden)) for _ in range(2)]
     for l in range(params.n_layers - 1, -1, -1):
         (fwd, bwd), (grad_f, grad_b) = params.layers[l], grads.layers[l]
         # each layer's record is released when the next one is popped
@@ -755,7 +728,6 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
                                         d_out[:, :, :hidden], grad_f, scratch[0]),
             lambda: _backprop_direction(bwd, out[:, :, hidden:], acts_b, c_b, True,
                                         d_out[:, :, hidden:], grad_b, scratch[1]),
-            _CONCURRENT,
         )
         # the gate gradients, written over the gates
         dz_f, dz_b = acts_f.reshape(rows, 4 * hidden), acts_b.reshape(rows, 4 * hidden)
@@ -770,7 +742,7 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
             x = prev_out if prev_mask is None else _dropout(prev_out, prev_mask, keep, out=buf)
         x = x.reshape(rows, in_dim)
         _both(lambda: np.matmul(x.T, dz_f, out=grad_f.w_in),
-              lambda: np.matmul(x.T, dz_b, out=grad_b.w_in), _CONCURRENT)
+              lambda: np.matmul(x.T, dz_b, out=grad_b.w_in))
         # the input gradient: the forward half over x, the backward half over dz_f
         d_in = np.matmul(dz_f, fwd.w_in.T, out=buf.reshape(rows, in_dim))
         d_in += np.matmul(dz_b, bwd.w_in.T, out=_reuse(dz_f, (rows, in_dim)))

@@ -31,7 +31,7 @@ from nameproxy.core import (
 )
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, roc_curve
-from nameproxy.lstm import TrainConfig, forward, init_params, loss_and_gradients, train
+from nameproxy.lstm import TrainConfig, init_params, loss_and_gradients, train
 from nameproxy.names import encode_name
 from nameproxy.sampling import largest_remainder_quotas, representative_sample_indices
 from nameproxy.tables import (
@@ -42,7 +42,7 @@ from nameproxy.tables import (
 )
 
 from conftest import Row, name_table, people_of, synthetic_voter_rows, write_csv
-from test_lstm import synthetic_records
+from test_lstm import pass_probs, synthetic_records
 
 RACES = RaceSet()
 
@@ -247,8 +247,9 @@ class TestC03GradientCheck:
         labels = np.array([0, 1, 2, 3])
 
         def loss_only():
-            # independent path: forward + hand-rolled cross-entropy
-            probs = forward(params, codes, dropout_seed=seed)
+            # independent path: the forward pass (under a seed the training
+            # one, as scoring has no dropout) + hand-rolled cross-entropy
+            probs = pass_probs(params, codes, seed)
             return float(-np.log(probs[np.arange(4), labels]).mean())
 
         _, analytic = loss_and_gradients(params, codes, labels, dropout_seed=seed)

@@ -55,6 +55,20 @@ def zero_params(dropout=0.0):
     return p
 
 
+def training_probs(params, codes, dropout_seed):
+    """The probabilities of the pass :func:`loss_and_gradients` runs, under
+    ``dropout_seed``'s masks: scoring applies no dropout."""
+    return np.exp(_forward_pass(params, codes, [], dropout_seed)[0])
+
+
+def pass_probs(params, codes, dropout_seed):
+    """:func:`forward`'s probabilities, or under a ``dropout_seed`` those of
+    the training pass."""
+    if dropout_seed is None:
+        return forward(params, codes)
+    return training_probs(params, codes, dropout_seed)
+
+
 def random_batch(rng, batch, window=WINDOW):
     codes = np.zeros((batch, window), dtype=np.int64)
     for b in range(batch):
@@ -83,18 +97,18 @@ class TestForward:
         rng = np.random.default_rng(2)
         codes = random_batch(rng, 4)
         a = forward(params, codes)
-        b = forward(params, codes, dropout_seed=None)
+        b = training_probs(params, codes, None)
         np.testing.assert_array_equal(a, b)
-        t1 = forward(params, codes, dropout_seed=1)
-        t2 = forward(params, codes, dropout_seed=2)
+        t1 = training_probs(params, codes, 1)
+        t2 = training_probs(params, codes, 2)
         assert not np.array_equal(t1, t2)
 
     def test_train_mode_same_seed_reproduces(self):
         params = tiny_params()
         rng = np.random.default_rng(3)
         codes = random_batch(rng, 4)
-        t1 = forward(params, codes, dropout_seed=9)
-        t2 = forward(params, codes, dropout_seed=9)
+        t1 = training_probs(params, codes, 9)
+        t2 = training_probs(params, codes, 9)
         np.testing.assert_array_equal(t1, t2)
 
     def test_rejects_bad_codes(self):
@@ -131,9 +145,21 @@ class TestForward:
         params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=11)
         codes = np.random.default_rng(12).integers(0, 30, size=(batch, steps))
         tape = []
-        cached = np.exp(_forward_pass(params, codes, dropout_seed, tape)[0])
-        assert tape
-        np.testing.assert_array_equal(forward(params, codes, dropout_seed=dropout_seed), cached)
+        _forward_pass(params, codes, tape, dropout_seed)
+        # the recorded pass keeps each layer's mask of the seed, drawn in
+        # (batch, steps) order; the last layer's output is not dropped
+        masks = [record[1] for record in tape]
+        assert len(masks) == layers and masks[-1] is None
+        if dropout_seed is None:
+            assert all(mask is None for mask in masks)
+        else:
+            draws = np.random.default_rng(dropout_seed)
+            for mask in masks[:-1]:
+                drawn = draws.random((batch, steps, 2 * hidden)) < 1.0 - params.dropout
+                np.testing.assert_array_equal(mask, drawn.transpose(1, 0, 2))
+        # scoring applies no dropout: the recorded pass without one
+        cached = np.exp(_forward_pass(params, codes, [])[0])
+        np.testing.assert_array_equal(forward(params, codes), cached)
 
     def test_eval_keeps_no_per_step_cache(self):
         """Eval peak memory stays near one layer's activations, whatever the depth.
@@ -399,16 +425,16 @@ class TestPredictProbaBatch:
 
     @pytest.mark.parametrize("concurrent", [False, True])
     def test_uint8_codes_score_as_int64_without_a_wide_copy(self, monkeypatch, concurrent):
-        monkeypatch.setattr(lstm, "_CONCURRENT", concurrent)
+        monkeypatch.setattr(lstm, "_AT_ONCE", concurrent)
         params = init_params(embed_dim=8, hidden=8, layers=3, seed=15)
         wide = random_batch(np.random.default_rng(16), 300)
         narrow = wide.astype(np.uint8)
         expected = predict_proba_batch(params, wide)
         blocks = []
 
-        def recording(params, codes, **kwargs):
+        def recording(params, codes):
             blocks.append(codes)
-            return forward(params, codes, **kwargs)
+            return forward(params, codes)
 
         monkeypatch.setattr(lstm, "forward", recording)
         probs = predict_proba_batch(params, narrow)

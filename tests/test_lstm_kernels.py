@@ -8,9 +8,9 @@ probabilities, with and without dropout, and the same loss; gradients may
 differ only in the order their GEMMs sum over rows.  Running a layer's two
 directions, or a block's two row halves, at once or one after the other
 must give the same bits at one BLAS thread count; running at once narrows
-the BLAS, and sets it back.  The gates that pick between the schedules are
-pure functions of the environment, the core count and, for the row halves,
-whether the BLAS thread count can be set.
+the BLAS, and sets it back.  The one gate that picks between the schedules
+is a pure function of the environment, the core count and whether the
+BLAS thread count can be set.
 """
 
 import sys
@@ -24,8 +24,7 @@ import pytest
 from nameproxy import lstm
 from nameproxy.lstm import (
     TrainConfig,
-    _concurrent_directions,
-    _halves_at_once,
+    _parts_at_once,
     forward,
     init_params,
     loss_and_gradients,
@@ -33,7 +32,7 @@ from nameproxy.lstm import (
 )
 from nameproxy.names import WINDOW
 
-from test_lstm import synthetic_records
+from test_lstm import pass_probs, synthetic_records, training_probs
 
 
 def _ref_sigmoid(x):
@@ -189,7 +188,8 @@ def test_matches_batch_major_reference(embed_dim, hidden, layers, batch, steps, 
     codes = rng.integers(0, 30, size=(batch, steps))
     labels = rng.integers(0, 4, size=batch)
     ref_probs, _ = _ref_forward(params, codes, dropout_seed)
-    assert np.array_equal(forward(params, codes, dropout_seed=dropout_seed), ref_probs)
+    assert np.array_equal(training_probs(params, codes, dropout_seed), ref_probs)
+    assert np.array_equal(forward(params, codes), _ref_forward(params, codes, None)[0])
     ref_loss, ref_grads = _ref_loss_and_gradients(params, codes, labels, dropout_seed)
     loss, grads = loss_and_gradients(params, codes, labels, dropout_seed=dropout_seed)
     assert loss == ref_loss
@@ -212,8 +212,8 @@ def test_reused_buffers_carry_nothing_between_calls():
 
 
 def in_schedule(monkeypatch, concurrent: bool, fn):
-    """``fn()`` with a layer's two directions (a block's two row halves in
-    inference) run at once or one after the other.
+    """``fn()`` with a layer's two directions in training, and a block's two
+    row halves in inference, run at once or one after the other.
 
     One after the other runs at the BLAS thread count that running at once
     narrows the BLAS to, so the two schedules compare at one count: OpenBLAS
@@ -221,8 +221,7 @@ def in_schedule(monkeypatch, concurrent: bool, fn):
     512 in other blocks at 1 thread than at 2, so its last bits depend on
     the count.
     """
-    monkeypatch.setattr(lstm, "_CONCURRENT", concurrent)
-    monkeypatch.setattr(lstm, "_HALVES", concurrent)
+    monkeypatch.setattr(lstm, "_AT_ONCE", concurrent)
     if concurrent or lstm._BLAS_THREADS is None:
         return fn()
     get, set_ = lstm._BLAS_THREADS
@@ -245,15 +244,17 @@ def test_schedules_give_identical_bits(
     labels = rng.integers(0, 4, size=batch)
 
     def run():
-        probs = forward(params, codes, dropout_seed=dropout_seed)
+        probs = forward(params, codes)
+        recorded = training_probs(params, codes, dropout_seed)
         loss, grads = loss_and_gradients(params, codes, labels, dropout_seed=dropout_seed)
-        return probs, loss, grads
+        return probs, recorded, loss, grads
 
     one_by_one = in_schedule(monkeypatch, False, run)
     at_once = in_schedule(monkeypatch, True, run)
     assert np.array_equal(one_by_one[0], at_once[0])
-    assert one_by_one[1] == at_once[1]
-    assert np.array_equal(one_by_one[2], at_once[2])
+    assert np.array_equal(one_by_one[1], at_once[1])
+    assert one_by_one[2] == at_once[2]
+    assert np.array_equal(one_by_one[3], at_once[3])
 
 
 @pytest.mark.parametrize("batch", [*range(10), 31, 255, 256, 257])
@@ -263,12 +264,12 @@ def test_row_halves_change_no_bit(batch, dropout_seed, monkeypatch):
     codes = np.random.default_rng(29).integers(0, 30, size=(batch, WINDOW))
 
     def run():
-        return forward(params, codes, dropout_seed=dropout_seed)
+        return pass_probs(params, codes, dropout_seed)
 
     whole = in_schedule(monkeypatch, False, run)
     halves = in_schedule(monkeypatch, True, run)
     # the pass loss_and_gradients runs, with the same masks
-    recorded = np.exp(lstm._forward_pass(params, codes, dropout_seed, tape=[])[0])
+    recorded = training_probs(params, codes, dropout_seed)
     assert whole.tobytes() == halves.tobytes() == recorded.tobytes()
 
 
@@ -283,7 +284,7 @@ def test_blocks_of_four_rows_or_more_run_in_two_halves(batch, concurrent, monkey
         return original(params, codes, *args)
 
     monkeypatch.setattr(lstm, "_run_layers", recording)
-    monkeypatch.setattr(lstm, "_HALVES", concurrent)
+    monkeypatch.setattr(lstm, "_AT_ONCE", concurrent)
     forward(init_params(embed_dim=4, hidden=3, layers=2, seed=1), np.ones((batch, 5), dtype=np.int64))
     # no one-row half, which would project through gemv
     split = concurrent and batch >= 4
@@ -295,9 +296,7 @@ def test_blocks_of_four_rows_or_more_run_in_two_halves(batch, concurrent, monkey
 def test_empty_batch_gives_no_rows_in_either_schedule(concurrent, dropout_seed, monkeypatch):
     params = init_params(embed_dim=4, hidden=3, layers=3, seed=27)
     codes = np.zeros((0, WINDOW), dtype=np.int64)
-    probs = in_schedule(
-        monkeypatch, concurrent, lambda: forward(params, codes, dropout_seed=dropout_seed)
-    )
+    probs = in_schedule(monkeypatch, concurrent, lambda: pass_probs(params, codes, dropout_seed))
     assert probs.shape == (0, 4)
 
 
@@ -308,7 +307,7 @@ def test_schedules_agree_under_frequent_thread_switches(monkeypatch):
     labels = rng.integers(0, 4, size=33)
 
     def run():
-        return forward(params, codes, dropout_seed=4), *loss_and_gradients(params, codes, labels)
+        return forward(params, codes), *loss_and_gradients(params, codes, labels, dropout_seed=4)
 
     probs, loss, grads = in_schedule(monkeypatch, False, run)
     interval = sys.getswitchinterval()
@@ -359,7 +358,7 @@ def test_worker_exception_reaches_the_caller(kernel, monkeypatch, blas_threads):
         return original(*args)
 
     monkeypatch.setattr(lstm, kernel, fails_off_the_caller)
-    monkeypatch.setattr(lstm, "_CONCURRENT", True)
+    monkeypatch.setattr(lstm, "_AT_ONCE", True)
     params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
     threads = blas_threads()
     with pytest.raises(RuntimeError, match="worker's direction failed"):
@@ -380,7 +379,7 @@ def test_worker_exception_in_a_row_half_reaches_the_caller(monkeypatch, blas_thr
         return original(*args)
 
     monkeypatch.setattr(lstm, "_run_layers", fails_off_the_caller)
-    monkeypatch.setattr(lstm, "_HALVES", True)
+    monkeypatch.setattr(lstm, "_AT_ONCE", True)
     params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
     threads = blas_threads()
     with pytest.raises(RuntimeError, match="worker's row half failed"):
@@ -400,7 +399,7 @@ def test_caller_joins_the_worker_before_raising(monkeypatch, blas_threads):
         finished.set()
 
     monkeypatch.setattr(lstm, "_run_direction", slow_worker_failing_caller)
-    monkeypatch.setattr(lstm, "_HALVES", True)
+    monkeypatch.setattr(lstm, "_AT_ONCE", True)
     threads, active = blas_threads(), threading.active_count()
     params = init_params(embed_dim=4, hidden=3, layers=1, seed=1)
     # 4 rows: the second row half runs on the worker
@@ -420,8 +419,7 @@ def test_both_narrows_the_blas_while_its_calls_run(monkeypatch, blas_threads):
         return original(*args)
 
     monkeypatch.setattr(lstm, "_run_direction", recording)
-    monkeypatch.setattr(lstm, "_CONCURRENT", True)
-    monkeypatch.setattr(lstm, "_HALVES", True)
+    monkeypatch.setattr(lstm, "_AT_ONCE", True)
     params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
     rng = np.random.default_rng(2)
     codes, labels = rng.integers(0, 30, size=(9, WINDOW)), rng.integers(0, 4, size=9)
@@ -434,9 +432,8 @@ def test_both_narrows_the_blas_while_its_calls_run(monkeypatch, blas_threads):
     assert seen == [max(1, lstm._CORES // 2)] * 12
 
 
-@pytest.mark.parametrize("directions", [False, True])
-@pytest.mark.parametrize("halves", [False, True])
-def test_each_schedule_reads_its_own_gate(directions, halves, monkeypatch):
+@pytest.mark.parametrize("at_once", [False, True])
+def test_each_schedule_reads_its_own_gate(at_once, monkeypatch):
     caller = threading.current_thread()
     off_the_caller = []
     for kernel in ("_run_direction", "_backprop_direction", "_run_layers"):
@@ -446,22 +443,20 @@ def test_each_schedule_reads_its_own_gate(directions, halves, monkeypatch):
             return original(*args)
 
         monkeypatch.setattr(lstm, kernel, recording)
-    monkeypatch.setattr(lstm, "_CONCURRENT", directions)
-    monkeypatch.setattr(lstm, "_HALVES", halves)
+    monkeypatch.setattr(lstm, "_AT_ONCE", at_once)
     params = init_params(embed_dim=4, hidden=3, layers=2, seed=1)
     codes = np.ones((6, 5), dtype=np.int64)
     forward(params, codes)
     # the second row half: two layers of two directions, in turn
-    assert off_the_caller == (["_run_layers"] + ["_run_direction"] * 4 if halves else [])
+    assert off_the_caller == (["_run_layers"] + ["_run_direction"] * 4 if at_once else [])
     off_the_caller.clear()
     loss_and_gradients(params, codes, [0, 1, 2, 3, 0, 1])
     # two layers, each with a backward direction in the pass and in BPTT
     assert off_the_caller == (["_run_direction"] * 2 + ["_backprop_direction"] * 2
-                              if directions else [])
+                              if at_once else [])
 
 
-# (environ, cores, directions at once; row halves at once with a BLAS
-# thread setter found)
+# (environ, cores, parts at once without a BLAS thread setter, with one)
 GATE = [
     ({}, 2, False, True),  # unset: the BLAS takes every core
     ({}, 4, False, False),
@@ -482,15 +477,16 @@ GATE = [
 
 @pytest.mark.parametrize("environ,cores,concurrent", [row[:3] for row in GATE])
 def test_gate(environ, cores, concurrent):
-    assert _concurrent_directions(environ, cores) is concurrent
+    # without a setter, the parts run at once only where two BLAS calls fit
+    assert _parts_at_once(environ, cores, False) is concurrent
 
 
 @pytest.mark.parametrize("setter", [False, True], ids=["no-setter", "setter"])
-@pytest.mark.parametrize("environ,cores,directions,narrowed", GATE)
-def test_row_halves_gate(environ, cores, directions, narrowed, setter):
-    # without a setter the halves follow the directions' rule; with one
-    # they also run at once on exactly 2 cores, the BLAS narrowed to 1
-    assert _halves_at_once(environ, cores, setter) is (narrowed if setter else directions)
+@pytest.mark.parametrize("environ,cores,without,with_setter", GATE)
+def test_row_halves_gate(environ, cores, without, with_setter, setter):
+    # with a setter they also run at once on exactly 2 cores, the BLAS
+    # narrowed to 1: training's directions and inference's row halves alike
+    assert _parts_at_once(environ, cores, setter) is (with_setter if setter else without)
 
 
 BLAS_THREAD_VARS = (
@@ -502,9 +498,9 @@ BLAS_THREAD_VARS = (
 def test_gate_reads_the_variables_in_order(first):
     # the first variable set decides, whatever the later ones say
     later = {name: "2" for name in BLAS_THREAD_VARS[first + 1 :]}
-    assert _concurrent_directions({BLAS_THREAD_VARS[first]: "1", **later}, 2)
+    assert _parts_at_once({BLAS_THREAD_VARS[first]: "1", **later}, 2, False)
     later = {name: "1" for name in BLAS_THREAD_VARS[first + 1 :]}
-    assert not _concurrent_directions({BLAS_THREAD_VARS[first]: "2", **later}, 2)
+    assert not _parts_at_once({BLAS_THREAD_VARS[first]: "2", **later}, 2, False)
 
 
 class TestMemory:
@@ -522,8 +518,7 @@ class TestMemory:
 
     @pytest.fixture(autouse=True)
     def schedule(self, monkeypatch):
-        monkeypatch.setattr(lstm, "_CONCURRENT", self.CONCURRENT)
-        monkeypatch.setattr(lstm, "_HALVES", self.CONCURRENT)
+        monkeypatch.setattr(lstm, "_AT_ONCE", self.CONCURRENT)
 
     def peak_units(self, fn):
         fn()

@@ -105,18 +105,16 @@ def test_build_tables_manifest_that_fails_leaves_the_old_one(world, tmp_path, mo
 
 @pytest.mark.parametrize("command", ["predict", "sample", "train", "evaluate", "build-tables"])
 def test_a_failed_write_names_its_target(world, tmp_path, capsys, command):
-    """``predict``, ``sample`` and ``train`` write into a directory that
-    does not exist.  ``build-tables`` and ``evaluate`` make their output
-    directory, so there the first file they write is a directory already."""
-    voter, missing, out_dir = world["voter"], tmp_path / "missing", tmp_path / "out"
+    """The first file each command writes is a directory already."""
+    voter, out_dir = world["voter"], tmp_path / "out"
     predictions = tmp_path / "pred.csv"
     args, target = {
-        "predict": (["--input", voter, "--models", "bisg", "--out", missing / "pred.csv"],
-                    missing / "pred.csv"),
-        "sample": (["--input", voter, "--n", 20, "--out", missing / "sample.csv"],
-                   missing / "sample.csv"),
-        "train": (["--voter", voter, "--out-params", missing / "model.bin",
-                   "--out-log", tmp_path / "log.csv"], missing / "model.bin"),
+        "predict": (["--input", voter, "--models", "bisg", "--out", out_dir / "pred.csv"],
+                    out_dir / "pred.csv"),
+        "sample": (["--input", voter, "--n", 20, "--out", out_dir / "sample.csv"],
+                   out_dir / "sample.csv"),
+        "train": (["--voter", voter, "--out-params", out_dir / "model.bin",
+                   "--out-log", tmp_path / "log.csv"], out_dir / "model.bin"),
         "evaluate": (["--truth", voter, "--predictions", predictions, "--out-dir", out_dir],
                      out_dir / "metrics_bisg.csv"),
         "build-tables": (["--voter", voter, "--out-dir", out_dir], out_dir / "surname_table.csv"),
@@ -125,11 +123,46 @@ def test_a_failed_write_names_its_target(world, tmp_path, capsys, command):
     if command == "evaluate":
         predict = ["predict", *config, "--input", voter, "--models", "bisg", "--out", predictions]
         assert main([str(a) for a in predict]) == 0
-    if command in ("evaluate", "build-tables"):
-        target.mkdir(parents=True)
+    target.mkdir(parents=True)
     capsys.readouterr()
     assert main([str(a) for a in [command, *config, *args]]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"nameproxy: io error: failed writing {target}: ")
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".tmp")]
+
+
+@pytest.mark.parametrize("command", ["predict", "sample", "train", "evaluate", "build-tables"])
+def test_a_command_makes_the_directories_above_its_targets(world, tmp_path, capsys, command):
+    """Missing directories above a target are made; where a regular file
+    stands in the way, the failure names the target."""
+    voter, config = world["voter"], ["--config", world["config"]]
+    predictions = tmp_path / "pred.csv"
+    if command == "evaluate":
+        predict = ["predict", *config, "--input", voter, "--models", "bisg", "--out", predictions]
+        assert main([str(a) for a in predict]) == 0
+
+    def run(out):
+        """The command's exit code writing below ``out``, and its first target."""
+        args, target = {
+            "predict": (["--input", voter, "--models", "bisg", "--out", out / "pred.csv"],
+                        out / "pred.csv"),
+            "sample": (["--input", voter, "--n", 20, "--out", out / "sample.csv"],
+                       out / "sample.csv"),
+            "train": (["--voter", voter, "--out-params", out / "model.bin",
+                       "--out-log", out / "log.csv"], out / "model.bin"),
+            "evaluate": (["--truth", voter, "--predictions", predictions, "--out-dir", out],
+                         out / "metrics_bisg.csv"),
+            "build-tables": (["--voter", voter, "--out-dir", out], out / "surname_table.csv"),
+        }[command]
+        return main([str(a) for a in [command, *config, *args]]), target
+
+    code, target = run(tmp_path / "a" / "b")
+    assert code == 0 and target.is_file()
+    (tmp_path / "afile").write_text("")
+    capsys.readouterr()
+    code, target = run(tmp_path / "afile" / "sub")
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"nameproxy: io error: failed writing {target}: Not a directory\n"
+    )
