@@ -43,7 +43,7 @@ from .core import (
     renormalize_rows,
 )
 from .errors import NameproxyError
-from .names import DEFAULT_SUFFIXES, column_keys, table_key
+from .names import DEFAULT_SUFFIXES, column_keys, normalize_table
 from .tables import GeoTable, NameTable
 
 logger = logging.getLogger(__name__)
@@ -122,7 +122,7 @@ class BayesContext:
         """``P(race | surname)`` rows; NaN rows for surnames with no mass."""
         table = self.table("surname_table")
         prior = table.prior_rows(self.smoothing_alpha)
-        return Factor(table.index, prior, partial(table_key, suffixes=self.suffixes))
+        return Factor(table.index, prior, partial(normalize_table, suffixes=self.suffixes))
 
     @cached_property
     def firstname_likelihood(self) -> Factor:
@@ -130,7 +130,7 @@ class BayesContext:
         table = self.table("firstname_table")
         if table is None:
             raise NameproxyError("bifsg needs a first-name table")
-        key = partial(table_key, suffixes=self.suffixes)
+        key = partial(normalize_table, suffixes=self.suffixes)
         return Factor(table.index, table.likelihood_rows(), key)
 
     @cached_property

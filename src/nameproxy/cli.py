@@ -23,12 +23,12 @@ import numpy as np
 from .bayes import BayesContext, bayes_scores, geo_augment_scores
 from .config import RunConfig, load_config
 from .core import DECLINED, REASON_CODE, People, RaceSet, Scores
-from .csvio import framed, read_csv, replacing, write_csv
+from .csvio import check_writable, framed, read_csv, replacing, write_csv
 from .ensemble import MEMBER_ALIASES, MEMBER_MODELS, ensemble_scores, resolve_model
 from .errors import NameproxyError, SchemaError
 from .evaluation import class_metrics, emit_report, intersect_covered, roc_curve
 from .lstm import load_params, predict_scores, save_params, train, write_training_log
-from .names import column_keys, is_person_name, table_key, usable_keys
+from .names import column_keys, is_person_name, normalize_table, usable_keys
 from .sampling import representative_sample_indices
 from .tables import (
     EXTERNAL,
@@ -186,7 +186,7 @@ def cmd_build_tables(args, config: RunConfig) -> int:
     ):
         # each distinct raw name is normalized once, for the counts and the
         # manifest alike; the sample rows are shared by both kinds
-        keys, codes = column_keys(column, partial(table_key, suffixes=config.suffixes))
+        keys, codes = column_keys(column, partial(normalize_table, suffixes=config.suffixes))
         table = count_name_table(kind, config.races, keys, codes[rows], people.race[rows])
         distinct = int(usable_keys(keys).sum())
         stats = {
@@ -220,6 +220,8 @@ def cmd_build_tables(args, config: RunConfig) -> int:
 
 
 def cmd_train(args, config: RunConfig) -> int:
+    check_writable(args.out_params)
+    check_writable(args.out_log)
     people = read_people_csv(args.voter, config.races, require_race=True)
     params, log = train(people, config.train)
     save_params(params, args.out_params)
@@ -242,6 +244,7 @@ def _parse_models(spec: str) -> list[str]:
 
 
 def cmd_predict(args, config: RunConfig) -> int:
+    check_writable(args.out)
     people = read_people_csv(args.input, config.races, require_race=False)
     models = _parse_models(args.models)
     artifacts = Artifacts(config)

@@ -7,6 +7,7 @@ every writer of the package opens its target through.
 from __future__ import annotations
 
 import csv
+import errno
 import io
 import os
 import shutil
@@ -119,27 +120,59 @@ def replacing(path, mode: str = "w", **kwargs):
     that exists and is not a regular file (a FIFO, a device such as
     ``/dev/stdout``) is opened and written in place.
     """
-    in_place = os.path.exists(path) and not os.path.isfile(path)
+    with _naming_target(path):
+        temporary = _temporary(path)
+        try:
+            with open(path if temporary is None else temporary, mode, **kwargs) as fh:
+                yield fh
+            if temporary is not None:
+                with suppress(FileNotFoundError):
+                    shutil.copymode(path, temporary)
+                os.replace(temporary, path)
+        except BaseException:
+            if temporary is not None:
+                with suppress(OSError):
+                    os.remove(temporary)
+            raise
+
+
+def check_writable(path) -> None:
+    """Raise now the error :func:`replacing` would raise on opening ``path``,
+    so that a command fails before its work and not after it.
+
+    The temporary file is made and removed again; ``path`` is left as it
+    is.  A ``path`` written in place is not opened, so that a FIFO is
+    opened once, by the write; a directory fails as opening it would.
+    """
+    with _naming_target(path):
+        temporary = _temporary(path)
+        if temporary is not None:
+            open(temporary, "w").close()
+            os.remove(temporary)
+        elif os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+
+
+def _temporary(path) -> str | None:
+    """The temporary file :func:`replacing` writes ``path`` through, after
+    making the directories above it; None for a ``path`` written in place."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        return None
     head, tail = os.path.split(os.fspath(path))
-    opened = path if in_place else os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    if head:
+        os.makedirs(head, exist_ok=True)
+    return os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+
+
+@contextmanager
+def _naming_target(path):
+    """Raise an :class:`OSError` again as ``failed writing <path>: <reason>``."""
     try:
-        if head:
-            os.makedirs(head, exist_ok=True)
-        with open(opened, mode, **kwargs) as fh:
-            yield fh
-        if not in_place:
-            with suppress(FileNotFoundError):
-                shutil.copymode(path, opened)
-            os.replace(opened, path)
-    except BaseException as exc:
-        if not in_place:
-            with suppress(OSError):
-                os.remove(opened)
-        if isinstance(exc, OSError):
-            # the file an error names may be the temporary one: keep its reason only
-            reason = exc.strerror or exc
-            raise OSError(f"failed writing {path}: {reason}") from exc
-        raise
+        yield
+    except OSError as exc:
+        # the file an error names may be the temporary one: keep its reason only
+        reason = exc.strerror or exc
+        raise OSError(f"failed writing {path}: {reason}") from exc
 
 
 def framed(fields) -> str:

@@ -11,9 +11,5 @@ class NameproxyError(Exception):
     operation the data cannot support."""
 
 
-class EmptyAfterNormalizationError(NameproxyError):
-    """A name normalized down to the empty string."""
-
-
 class SchemaError(NameproxyError):
     """A file the program read does not match its expected schema."""

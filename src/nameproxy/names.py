@@ -3,21 +3,27 @@
 Two key functions exist because the neural model and the probability
 tables want different things; each returns ``None`` where nothing survives:
 
-* :func:`neural_key` -- lower-case, keep hyphens, spaces, and apostrophes
+* :func:`normalize` -- lower-case, keep hyphens, spaces, and apostrophes
   (they appear legitimately in names), drop digits and other punctuation.
-* :func:`table_key` -- the convention used when building name frequency
-  tables: additionally strip generational suffixes ("JR", "III", ...) and
-  delete blanks, hyphens, and apostrophes, leaving pure ``[a-z]`` keys.
+* :func:`normalize_table` -- the convention used when building name
+  frequency tables: additionally strip generational suffixes ("JR",
+  "III", ...) and delete blanks, hyphens, and apostrophes, leaving pure
+  ``[a-z]`` keys.
+
+Both first fold a name that is not ASCII to ASCII, so that ``García``
+keys as ``garcia`` in any Unicode normalization form, as in ASCII name
+lists such as the Census surname file.
 """
 
 from __future__ import annotations
 
 import re
+import unicodedata
 
 import numpy as np
 
 from .csvio import not_utf8
-from .errors import EmptyAfterNormalizationError, NameproxyError
+from .errors import NameproxyError
 
 #: Generational suffix tokens stripped from the end of table keys.
 DEFAULT_SUFFIXES = ("jr", "sr", "ii", "iii", "iv")
@@ -34,6 +40,17 @@ CHAR_TO_CODE = {ch: code for code, ch in enumerate("abcdefghijklmnopqrstuvwxyz-'
 
 _DISALLOWED = re.compile(r"[^a-z' \-]+")
 _SPACE_RUNS = re.compile(r" {2,}")
+
+#: Letters NFKD does not split into an ASCII letter and marks, and the
+#: apostrophe and hyphen variants, each with its ASCII form.
+_FOLD = str.maketrans({
+    ch: ascii_form
+    for chars, ascii_form in (
+        ("øØ", "o"), ("łŁ", "l"), ("đĐ", "d"), ("ı", "i"), ("ßẞ", "ss"), ("æÆ", "ae"),
+        ("œŒ", "oe"), ("þÞ", "th"), ("\u2019\u02bc", "'"), ("\u2010\u2011\u2013\u2014", "-"),
+    )
+    for ch in chars
+})
 
 #: Small built-in list of obvious business tokens; real runs supply a much
 #: larger list via file.
@@ -56,41 +73,16 @@ DEFAULT_FILTER_WORDS = frozenset(
 )
 
 
-def normalize(name: str) -> str:
-    """The neural-key normalization of a raw name.
-
-    Raises:
-        EmptyAfterNormalizationError: nothing survives the character rules.
-    """
-    out = _neural_clean(name)
-    if not out:
-        raise EmptyAfterNormalizationError(f"nothing left of {name!r} after normalization")
-    return out
+def normalize(raw: str) -> str | None:
+    """The neural key of a raw name, or None when nothing survives the rule."""
+    return _neural_clean(raw) or None
 
 
-def normalize_table(name: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str:
-    """The table-key normalization, with a caller-supplied suffix list."""
-    out = _strip_suffixes(_neural_clean(name), suffixes)
-    out = out.replace(" ", "").replace("-", "").replace("'", "")
-    if not out:
-        raise EmptyAfterNormalizationError(f"nothing left of {name!r} after normalization")
-    return out
-
-
-def neural_key(raw: str) -> str | None:
-    """:func:`normalize`, or None when nothing survives it."""
-    try:
-        return normalize(raw)
-    except EmptyAfterNormalizationError:
-        return None
-
-
-def table_key(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
-    """:func:`normalize_table`, or None when nothing survives it."""
-    try:
-        return normalize_table(raw, suffixes)
-    except EmptyAfterNormalizationError:
-        return None
+def normalize_table(raw: str, suffixes: tuple[str, ...] = DEFAULT_SUFFIXES) -> str | None:
+    """The table key of a raw name, with a caller-supplied suffix list, or
+    None when nothing survives the rule."""
+    out = _strip_suffixes(_neural_clean(raw), suffixes)
+    return out.replace(" ", "").replace("-", "").replace("'", "") or None
 
 
 def usable_keys(keys, min_length: int = 2) -> np.ndarray:
@@ -103,7 +95,7 @@ def column_keys(values, key=None) -> tuple[list, np.ndarray]:
 
     ``keys`` holds the distinct keys in order of first appearance and
     ``codes`` each value's index into it.  ``key`` is a function of one
-    value (such as :func:`table_key`); without it each value is its own
+    value (such as :func:`normalize`); without it each value is its own
     key.  Values may be any hashable; only the distinct ones are kept.
     """
     memo: dict = {}
@@ -116,6 +108,11 @@ def column_keys(values, key=None) -> tuple[list, np.ndarray]:
 
 
 def _neural_clean(name: str) -> str:
+    if not name.isascii():
+        # NFKD splits an accented letter into its base letter and combining
+        # marks, which the rule below drops with every other non-ASCII
+        # character; NBSP and the other compatibility spaces become spaces
+        name = unicodedata.normalize("NFKD", name).translate(_FOLD)
     out = _DISALLOWED.sub("", name.lower())
     out = _SPACE_RUNS.sub(" ", out).strip()
     return out
@@ -197,15 +194,15 @@ def encode_columns(firsts, lasts, min_length: int = 1) -> tuple[np.ndarray, np.n
     """Encode columns of raw first and last names for the neural model.
 
     Each distinct raw name is keyed once (:func:`column_keys` with
-    :func:`neural_key`), and each usable row is encoded.
+    :func:`normalize`), and each usable row is encoded.
     Returns ``(codes, usable)``: ``usable`` marks the rows whose first and
     last name both keep at least ``min_length`` characters, and ``codes``
     holds the encodings of those rows, in order, as a ``(rows, WINDOW)``
     uint8 array: one byte per character, which :func:`lstm.forward`
     widens a block at a time.
     """
-    firsts, first_codes = column_keys(firsts, neural_key)
-    lasts, last_codes = column_keys(lasts, neural_key)
+    firsts, first_codes = column_keys(firsts, normalize)
+    lasts, last_codes = column_keys(lasts, normalize)
     usable = usable_keys(firsts, min_length)[first_codes]
     usable &= usable_keys(lasts, min_length)[last_codes]
     rows = zip(first_codes[usable].tolist(), last_codes[usable].tolist())

@@ -30,7 +30,7 @@ import numpy as np
 from .core import People, RaceSet, renormalize_rows
 from .csvio import not_utf8, read_csv, write_csv
 from .errors import NameproxyError, SchemaError
-from .names import DEFAULT_SUFFIXES, column_keys, table_key, usable_keys
+from .names import DEFAULT_SUFFIXES, column_keys, normalize_table, usable_keys
 from .sampling import max_feasible_sample_size, representative_sample_indices
 
 SURNAME = "surname"
@@ -214,7 +214,7 @@ class NameTable(_Rows):
                 raw_names.append(row[0])
                 totals.append(total)
                 probs.extend(p)
-        keys, codes = column_keys(raw_names, partial(table_key, suffixes=suffixes))
+        keys, codes = column_keys(raw_names, partial(normalize_table, suffixes=suffixes))
         # each total is exact in float64, so a row's product is p * total as a float
         pseudo = np.rint(
             np.frombuffer(probs).reshape(len(codes), len(races))
@@ -294,7 +294,7 @@ def build_name_table(
         raise ValueError(f"unknown table kind {kind!r}")
     rows = training_rows(people, seed, target_shares)
     column = people.last if kind == SURNAME else people.first
-    keys, codes = column_keys(column, partial(table_key, suffixes=suffixes))
+    keys, codes = column_keys(column, partial(normalize_table, suffixes=suffixes))
     race = people.race[rows]
     return count_name_table(kind, people.races, keys, codes[rows], race)
 
@@ -438,9 +438,10 @@ def _table_header(key_header, races, with_source) -> list[str]:
 
 
 def _write_table_csv(path, key_header, races, keys, counts, meta, sources=None):
-    """Write the ``meta`` lines, then each row's key, counts and (given
-    ``sources``) source, in ``sorted()`` key order."""
-    meta = {"races": ",".join(races), **meta}
+    """Write the ``meta`` lines and a ``rows`` line, which lets a reader
+    detect a cut file, then each row's key, counts and (given ``sources``)
+    source, in ``sorted()`` key order."""
+    meta = {"races": ",".join(races), **meta, "rows": len(keys)}
     preamble = "".join(f"# {key}: {val}\n" for key, val in meta.items())
     cells = counts.tolist()
     for row, src in zip(cells, [] if sources is None else sources.tolist()):
@@ -459,8 +460,9 @@ def _read_table_csv(path, key_header, with_source):
 
     Raises:
         SchemaError: a missing ``races`` or ``race_totals`` line, a
-            malformed header or row, a key that appears twice, or a file
-            that is not UTF-8 text.
+            malformed header or row, a key that appears twice, a row count
+            other than the ``rows`` line's (where the file has one), or a
+            file that is not UTF-8 text.
     """
     meta: dict[str, str] = {}
     keys: list[str] = []
@@ -507,5 +509,9 @@ def _read_table_csv(path, key_header, with_source):
                     if src not in SOURCES:
                         raise SchemaError(f"unknown source {src!r}")
                     sources.append(SOURCES.index(src))
+    if "rows" in meta and meta["rows"] != str(len(keys)):
+        raise SchemaError(
+            f"{path}: the 'rows' metadata line says {meta['rows']}, the file holds {len(keys)}"
+        )
     counts = np.frombuffer(counts, dtype=np.int64).reshape(len(keys), n_counts)
     return meta, races, keys, counts, np.array(sources, dtype=np.int8) if with_source else None

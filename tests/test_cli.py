@@ -5,12 +5,14 @@ import json
 import logging
 import re
 import tracemalloc
+import unicodedata
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import nameproxy.bayes as bayes
 import nameproxy.cli as cli
 import nameproxy.names as names
 from nameproxy.bayes import BayesContext, bayes_scores
@@ -39,7 +41,14 @@ from nameproxy.tables import (
     build_name_table,
 )
 
-from conftest import SURNAME_MIX, entries_of, people_of, provenance_of, write_csv
+from conftest import (
+    SURNAME_MIX,
+    entries_of,
+    people_of,
+    provenance_of,
+    synthetic_voter_rows,
+    write_csv,
+)
 
 RACES = RaceSet()
 
@@ -502,6 +511,18 @@ class TestBuildTables:
         assert provenance_of(table)["obrien"] == EXTERNAL
         assert "YODER" not in table
 
+    def test_composed_and_decomposed_spellings_make_one_key(self, world, tmp_path):
+        voter = tmp_path / "voter.csv"
+        accented = [("ana", unicodedata.normalize(form, "Pérez"), "30003", "hispanic")
+                    for form in ("NFC", "NFD") for _ in range(20)]
+        write_csv(voter, synthetic_voter_rows() + accented)
+        out = tmp_path / "tables"
+        rc = run("build-tables", "--config", world["config"], "--voter", voter, "--out-dir", out)
+        assert rc == 0
+        table = NameTable.load(out / "surname_table.csv")
+        assert entries_of(table)["perez"] == [0, 0, 40, 0]
+        assert len(table) == len(SURNAME_MIX) + 1
+
     def test_missing_voter_file_is_io_error(self, world, tmp_path):
         rc = run(
             "build-tables",
@@ -672,7 +693,8 @@ class TestPredictCommand:
             calls.append(raw)
             return real(raw, *args, **kwargs)
 
-        monkeypatch.setattr(names, "normalize_table", counted)
+        # where the Bayes models look it up
+        monkeypatch.setattr(bayes, "normalize_table", counted)
         rows = DEFAULT_INPUT_ROWS + [("ana", "Garcia ", "30003", ""), ("li", "chen", "10001", "")]
         predict_to(world, tmp_path, "bisg,bifsg,ensemble", rows=rows)
         # bisg, bifsg and the ensemble's ibisg/ibifsg share one resolution of

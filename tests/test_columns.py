@@ -34,7 +34,7 @@ from nameproxy.core import (
 )
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict, ensemble_scores
 from nameproxy.errors import NameproxyError
-from nameproxy.names import column_keys, table_key
+from nameproxy.names import column_keys, normalize_table
 from nameproxy.tables import (
     EXTERNAL,
     FIRSTNAME,
@@ -109,12 +109,12 @@ def ref_posterior(numerator):
 
 def ref_bayes(ctx: BayesContext, first, last, geo):
     """BISG when ``first`` is None, BIFSG otherwise, one record at a time."""
-    key = table_key(last, ctx.suffixes)
+    key = normalize_table(last, ctx.suffixes)
     prior = None if key is None else ref_prior(ctx.surname_table, key, ctx.smoothing_alpha)
     if prior is None:
         return None, UNKNOWN_SURNAME
     if first is not None:
-        fkey = table_key(first, ctx.suffixes)
+        fkey = normalize_table(first, ctx.suffixes)
         first_like = None if fkey is None else ref_name_likelihood(ctx.firstname_table, fkey)
         if first_like is None:
             return None, UNKNOWN_FIRSTNAME
@@ -448,7 +448,8 @@ def fold_key(value):
 column_text = st.text(alphabet="aAbB !-", max_size=4)
 column_tuple = st.tuples(st.integers(0, 2), st.integers(-1, 1))
 column_cases = st.one_of(
-    st.tuples(st.lists(column_text, max_size=30), st.sampled_from([None, fold_key, table_key])),
+    st.tuples(st.lists(column_text, max_size=30),
+              st.sampled_from([None, fold_key, normalize_table])),
     st.tuples(st.lists(column_tuple, max_size=30), st.sampled_from([None, fold_key])),
     st.tuples(st.lists(st.one_of(column_text, column_tuple), max_size=30),
               st.sampled_from([None, fold_key])),
@@ -473,26 +474,25 @@ class TestColumnKeys:
             assert sorted(map(repr, calls)) == sorted(map(repr, set(values)))
 
     def test_keys_codes_and_none(self):
-        keys, codes = column_keys(["Smith", "SMITH", "!!", "Lee", "smith jr", "!!"], table_key)
+        values = ["Smith", "SMITH", "!!", "Lee", "smith jr", "!!"]
+        keys, codes = column_keys(values, normalize_table)
         assert keys == ["smith", None, "lee"]
         assert codes.tolist() == [0, 0, 1, 2, 0, 1]
 
     def test_neural_and_raw_profiles(self):
-        keys, codes = column_keys(["O'Neil", "o'neil", "..."], names.neural_key)
+        keys, codes = column_keys(["O'Neil", "o'neil", "..."], names.normalize)
         assert keys == ["o'neil", None] and codes.tolist() == [0, 0, 1]
         keys, codes = column_keys(["b", "a", "b"])
         assert keys == ["b", "a"] and codes.tolist() == [0, 1, 0]
 
-    def test_normalizes_each_distinct_string_once(self, monkeypatch):
+    def test_normalizes_each_distinct_string_once(self):
         calls = []
-        real = names.normalize_table
 
-        def counted(raw, suffixes=names.DEFAULT_SUFFIXES):
+        def counted(raw):
             calls.append(raw)
-            return real(raw, suffixes)
+            return normalize_table(raw)
 
-        monkeypatch.setattr(names, "normalize_table", counted)
-        column_keys(["Ann", "Bo", "Ann", "ann", "Bo"] * 100, table_key)
+        column_keys(["Ann", "Bo", "Ann", "ann", "Bo"] * 100, counted)
         assert sorted(calls) == ["Ann", "Bo", "ann"]
 
 
@@ -505,7 +505,7 @@ def ref_build_name_table(records, kind, races):
     for rec in records:
         if rec.race not in race_index:
             continue
-        name = table_key(rec.last if kind == SURNAME else rec.first)
+        name = normalize_table(rec.last if kind == SURNAME else rec.first)
         if name is None or len(name) <= 1:
             continue
         entries.setdefault(name, np.zeros(len(races), dtype=np.int64))[race_index[rec.race]] += 1

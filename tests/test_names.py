@@ -1,12 +1,16 @@
 """Name keys, person-name filtering, and character encoding."""
 
+import re
+import string
+import unicodedata
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nameproxy import names
-from nameproxy.errors import EmptyAfterNormalizationError, NameproxyError, SchemaError
+from nameproxy.errors import NameproxyError, SchemaError
 
 name_text = st.text(
     alphabet=st.characters(min_codepoint=32, max_codepoint=0x2FF), max_size=40
@@ -34,8 +38,7 @@ class TestNormalize:
         assert names.normalize_table("JR") == "jr"
 
     def test_empty_after_normalization(self):
-        with pytest.raises(EmptyAfterNormalizationError):
-            names.normalize("123...!")
+        assert names.normalize("123...!") is None
 
     def test_custom_suffix_list(self):
         assert names.normalize_table("Nguyen Esq", suffixes=("esq",)) == "nguyen"
@@ -43,9 +46,8 @@ class TestNormalize:
     @settings(max_examples=400, deadline=None)
     @given(name_text)
     def test_neural_idempotent_and_clean(self, raw):
-        try:
-            once = names.normalize(raw)
-        except EmptyAfterNormalizationError:
+        once = names.normalize(raw)
+        if once is None:
             return
         assert names.normalize(once) == once
         assert set(once) <= set("abcdefghijklmnopqrstuvwxyz' -")
@@ -53,12 +55,93 @@ class TestNormalize:
     @settings(max_examples=400, deadline=None)
     @given(name_text)
     def test_table_idempotent_and_alpha(self, raw):
-        try:
-            once = names.normalize_table(raw)
-        except EmptyAfterNormalizationError:
+        once = names.normalize_table(raw)
+        if once is None:
             return
         assert names.normalize_table(once) == once
         assert set(once) <= set("abcdefghijklmnopqrstuvwxyz")
+
+
+def old_key(raw, table=False):
+    """The key rule before non-ASCII names were folded, copied here as the
+    oracle for ASCII input: lower-case, drop every character outside
+    ``[a-z' -]``, collapse spaces; a table key also strips trailing
+    suffixes and deletes blanks, hyphens and apostrophes."""
+    out = re.sub(r"[^a-z' \-]+", "", raw.lower())
+    out = re.sub(r" {2,}", " ", out).strip()
+    if table:
+        tokens = out.split()
+        while len(tokens) > 1 and tokens[-1] in names.DEFAULT_SUFFIXES:
+            tokens.pop()
+        out = " ".join(tokens).replace(" ", "").replace("-", "").replace("'", "")
+    return out or None
+
+
+#: profile: (key function, the characters its keys may hold, is a table key)
+PROFILES = {
+    "neural": (names.normalize, set(string.ascii_lowercase + "' -"), False),
+    "table": (names.normalize_table, set(string.ascii_lowercase), True),
+}
+
+# Latin letters with marks made both ways, the letters and punctuation the
+# fold maps, other scripts, and any other text
+folded_letters = "ØøŁłĐđıßẞÆæŒœÞþ\u2019\u02bc\u2010\u2011\u2013\u2014\u00a0`"
+unicode_name = st.one_of(
+    st.text(
+        alphabet=st.one_of(
+            st.characters(min_codepoint=32, max_codepoint=0x24F),
+            st.characters(min_codepoint=0x300, max_codepoint=0x36F),  # combining marks
+            st.sampled_from(folded_letters),
+            st.sampled_from("李Иванвмحمد\u1ec5\ufb01\uff27\u2162"),
+        ),
+        max_size=20,
+    ),
+    st.text(max_size=20),
+)
+
+
+@pytest.mark.parametrize("profile", PROFILES)
+class TestUnicodeKeys:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=unicode_name)
+    def test_every_normalization_form_keys_alike(self, profile, raw):
+        key, _, _ = PROFILES[profile]
+        nfc = key(unicodedata.normalize("NFC", raw))
+        assert key(unicodedata.normalize("NFD", raw)) == nfc
+        assert key(unicodedata.normalize("NFKC", raw)) == nfc
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=unicode_name)
+    def test_keys_keep_the_alphabet_and_are_idempotent(self, profile, raw):
+        key, alphabet, _ = PROFILES[profile]
+        once = key(raw)
+        if once is None:
+            return
+        assert set(once) <= alphabet
+        assert key(once) == once
+
+    @settings(max_examples=300, deadline=None)
+    @given(raw=st.text(alphabet=string.printable, max_size=30))
+    def test_printable_ascii_keys_as_before(self, profile, raw):
+        key, _, table = PROFILES[profile]
+        assert key(raw) == old_key(raw, table)
+
+    @pytest.mark.parametrize("raw,neural,table", [
+        ("García", "garcia", "garcia"),
+        ("Hernández", "hernandez", "hernandez"),
+        ("Nguyễn", "nguyen", "nguyen"),
+        ("O\u2019Brien", "o'brien", "obrien"),
+        ("李小龍", None, None),
+        ("Иванов", None, None),
+        ("محمد", None, None),
+    ])
+    def test_probes(self, profile, raw, neural, table):
+        key, _, is_table = PROFILES[profile]
+        want = table if is_table else neural
+        spellings = [unicodedata.normalize(form, raw) for form in ("NFC", "NFD")]
+        assert [key(spelling) for spelling in spellings] == [want, want]
+        keys, codes = names.column_keys(spellings, key)
+        assert keys == [want] and codes.tolist() == [0, 0]
 
 
 def ref_encode_columns(firsts, lasts, min_length):
@@ -66,9 +149,8 @@ def ref_encode_columns(firsts, lasts, min_length):
     character by character."""
     rows, usable = [], []
     for first, last in zip(firsts, lasts):
-        try:
-            first, last = names.normalize(first), names.normalize(last)
-        except EmptyAfterNormalizationError:
+        first, last = names.normalize(first), names.normalize(last)
+        if first is None or last is None:
             usable.append(False)
             continue
         usable.append(len(first) >= min_length and len(last) >= min_length)

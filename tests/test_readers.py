@@ -242,7 +242,7 @@ def test_unclosed_quote_in_table_file_counts_its_metadata_lines(tmp_path):
     write_name_table(path)
     lines = path.read_text().splitlines(keepends=True)
     header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
-    assert header == 5  # races, kind, race_totals and two source_totals lines
+    assert header == 6  # races, kind, race_totals, two source_totals lines and rows
     faulty = header + 2  # the second record
     rows = [f"k{i:06d},1,1,1,1,internal\n" for i in range(PADDING)]
     path.write_text("".join(lines[:faulty] + ['"' + lines[faulty]] + rows))

@@ -32,12 +32,12 @@ SURFACE = {
         "RaceSet", "Scores", "UNENCODABLE_NAME", "UNKNOWN_FIRSTNAME", "UNKNOWN_GEO",
         "UNKNOWN_SURNAME", "ZERO_MASS", "renormalize_rows",
     ],
-    "csvio": ["framed", "not_utf8", "read_csv", "replacing", "write_csv"],
+    "csvio": ["check_writable", "framed", "not_utf8", "read_csv", "replacing", "write_csv"],
     "ensemble": [
         "DEFAULT_MEMBERS", "EnsembleSpec", "MEMBER_ALIASES", "MEMBER_MODELS",
         "ensemble_predict", "ensemble_scores", "resolve_model",
     ],
-    "errors": ["EmptyAfterNormalizationError", "NameproxyError", "SchemaError"],
+    "errors": ["NameproxyError", "SchemaError"],
     "evaluation": [
         "ClassReport", "MetricRow", "RocCurve", "class_metrics", "emit_report",
         "intersect_covered", "roc_curve",
@@ -52,8 +52,7 @@ SURFACE = {
     "names": [
         "CHAR_TO_CODE", "DEFAULT_FILTER_WORDS", "DEFAULT_SUFFIXES", "PAD_CODE", "VOCAB_SIZE",
         "WINDOW", "column_keys", "encode_columns", "encode_name", "is_person_name",
-        "load_filter_words", "neural_key", "normalize", "normalize_table", "table_key",
-        "usable_keys",
+        "load_filter_words", "normalize", "normalize_table", "usable_keys",
     ],
     "sampling": [
         "largest_remainder_quotas", "max_feasible_sample_size", "representative_sample_indices",

@@ -26,7 +26,7 @@ from nameproxy.tables import (
     merge_tables,
     passes_suppression,
 )
-from nameproxy.names import table_key
+from nameproxy.names import normalize_table
 
 from conftest import Row, entries_of, geo_table, name_table, people_of, provenance_of
 
@@ -585,6 +585,57 @@ class TestPersistence:
         assert provenance_of(table)["garcia"] == EXTERNAL
 
 
+def saved_tables(tmp_path):
+    """A saved name table (two sources) and a saved geography table, with
+    the class that loads each."""
+    name_path, geo_path = tmp_path / "surname.csv", tmp_path / "geo.csv"
+    name_table(
+        SURNAME, RACES, {"lee": [1, 2, 3, 4], "kim": [5, 0, 7, 8], "o'neil": [0, 0, 0, 9]},
+        np.array([6, 2, 10, 21]), {"kim": EXTERNAL},
+        source_totals={INTERNAL: np.array([1, 2, 3, 13]), EXTERNAL: np.array([5, 0, 7, 8])},
+    ).save(name_path)
+    geo_table(RACES, {"10001": [1, 2, 3, 4], "20002": [0, 1, 0, 0]}, [1, 3, 3, 4]).save(geo_path)
+    return [(NameTable, name_path), (GeoTable, geo_path)]
+
+
+class TestRowsLine:
+    def test_saved_tables_state_their_row_count(self, tmp_path):
+        for _, path in saved_tables(tmp_path):
+            lines = path.read_text().splitlines()
+            header = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+            assert lines[header - 1] == f"# rows: {len(lines) - header - 1}"
+
+    def test_table_cut_at_every_line_boundary_fails_naming_the_file(self, tmp_path):
+        for cls, path in saved_tables(tmp_path):
+            lines = path.read_bytes().splitlines(keepends=True)
+            for kept in range(len(lines)):
+                path.write_bytes(b"".join(lines[:kept]))
+                with pytest.raises(SchemaError, match=f"^{re.escape(str(path))}: "):
+                    cls.load(path)
+            path.write_bytes(b"".join(lines))
+            cls.load(path)
+
+    def test_row_count_that_disagrees_names_both_counts(self, tmp_path):
+        for cls, path in saved_tables(tmp_path):
+            rows = len(cls.load(path))
+            text = path.read_text()
+            last = text.splitlines()[-1]
+            path.write_text(f"{text}zz{last[last.index(','):]}\n")  # one row more
+            message = f"{path}: the 'rows' metadata line says {rows}, the file holds {rows + 1}"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                cls.load(path)
+
+    def test_table_without_the_rows_line_loads_as_before(self, tmp_path):
+        for cls, path in saved_tables(tmp_path):
+            whole = cls.load(path)
+            lines = path.read_text().splitlines(keepends=True)
+            path.write_text("".join(line for line in lines if not line.startswith("# rows:")))
+            loaded = cls.load(path)
+            assert loaded.keys == whole.keys
+            np.testing.assert_array_equal(loaded.counts, whole.counts)
+            np.testing.assert_array_equal(loaded.race_totals, whole.race_totals)
+
+
 # keys with the characters CSV must quote: commas, quotes, spaces and
 # line breaks, plus a leading '#' that could pass for a metadata line
 TABLE_KEYS = st.text(
@@ -703,7 +754,7 @@ class TestProbabilityCsvRoundTrip:
     def test_matches_per_row_reference(self, rows):
         expected: dict[str, list[int]] = {}
         for name, total, probs in rows:
-            key = table_key(name)
+            key = normalize_table(name)
             if key is not None and len(key) > 1:
                 counts = [round(p * total) for p in probs]  # round half to even, as np.rint
                 expected[key] = [a + b for a, b in zip(expected.get(key, [0] * 4), counts)]

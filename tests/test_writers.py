@@ -15,7 +15,7 @@ import pytest
 
 from nameproxy import cli, lstm
 from nameproxy.cli import main
-from nameproxy.csvio import write_csv
+from nameproxy.csvio import check_writable, write_csv
 from nameproxy.lstm import init_params, save_params
 
 
@@ -101,6 +101,68 @@ def test_build_tables_manifest_that_fails_leaves_the_old_one(world, tmp_path, mo
     assert (out / "manifest.json").read_bytes() == before
     assert not [p.name for p in out.iterdir() if p.name.endswith(".tmp")]
 
+
+def test_check_writable_leaves_the_target_and_no_temporary_file(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, ["a"], [("1",)])
+    check_writable(path)
+    check_writable(tmp_path / "new" / "new.csv")
+    assert path.read_bytes() == b"a\n1\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["new", "out.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes on this platform")
+def test_check_writable_does_not_open_a_fifo(tmp_path):
+    """Opening a FIFO to write blocks until a reader comes: the check
+    returns at once, and the write alone opens it."""
+    path = tmp_path / "pipe"
+    os.mkfifo(path)
+    checker = threading.Thread(target=check_writable, args=(path,), daemon=True)
+    checker.start()
+    checker.join(timeout=10)
+    assert not checker.is_alive()
+    assert stat.S_ISFIFO(path.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["pipe"]
+
+
+@pytest.mark.parametrize("option", ["--out-params", "--out-log"])
+def test_train_fails_before_its_first_epoch(world, tmp_path, capsys, monkeypatch, option):
+    steps = []
+    real = lstm.adam_step
+
+    def counted(*args, **kwargs):
+        steps.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lstm, "adam_step", counted)
+    params, log = tmp_path / "model.bin", tmp_path / "log.csv"
+    target = params if option == "--out-params" else log
+    target.mkdir()
+    argv = ["train", "--config", world["config"], "--voter", world["voter"],
+            "--out-params", params, "--out-log", log]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert steps == []
+    assert capsys.readouterr().err == (
+        f"nameproxy: io error: failed writing {target}: Is a directory\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+
+
+def test_predict_fails_before_it_scores(world, tmp_path, capsys, monkeypatch):
+    scored = []
+    monkeypatch.setattr(cli, "predict_model", lambda *args: scored.append(args))
+    target = tmp_path / "pred.csv"
+    target.mkdir()
+    argv = ["predict", "--config", world["config"], "--input", world["voter"],
+            "--models", "bisg", "--out", target]
+    capsys.readouterr()
+    assert main([str(a) for a in argv]) == 2
+    assert scored == []
+    assert capsys.readouterr().err == (
+        f"nameproxy: io error: failed writing {target}: Is a directory\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["pred.csv"]
 
 
 @pytest.mark.parametrize("command", ["predict", "sample", "train", "evaluate", "build-tables"])
