@@ -106,6 +106,8 @@ class Artifacts:
 
     @cached_property
     def params(self):
+        """The float64 parameter file's weights, cast once to float32, in
+        which the network scores; the float64 copy is dropped here."""
         path = self._path("params")
         params = load_params(path)
         if params.n_classes != len(self.config.races):
@@ -113,7 +115,11 @@ class Artifacts:
                 f"{path}: parameters have {params.n_classes} classes "
                 f"for {len(self.config.races)} races"
             )
-        return params
+        with np.errstate(over="ignore"):  # a weight beyond float32's range casts to inf
+            flat = params.flat.astype(np.float32)
+        if not np.isfinite(flat).all():
+            raise SchemaError(f"{path}: a weight does not fit float32")
+        return params.like(flat)
 
     @cached_property
     def bayes_context(self) -> BayesContext:

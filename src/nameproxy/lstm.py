@@ -8,15 +8,19 @@ forward direction's state at the last window position concatenated with
 the backward direction's state at position zero, so both halves have
 seen the whole window.
 
-Everything runs in float64 and all randomness flows from explicit seeds:
-initialization, the train/validation split, class balancing, batch
-shuffling, and dropout masks.  Two runs with the same seed produce
-bit-identical parameter trajectories.  Dropout is drawn only in training:
+Training runs in float64.  Scoring runs the layers in the dtype of the
+weights: float64 as :func:`init_params` and :func:`load_params` give them,
+or float32 where the caller casts them (``predict`` casts once, at load).
+The dense head and the softmax run in float64 either way, so each row of
+probabilities sums to 1 at float64 precision.  All randomness flows from
+explicit seeds: initialization, the train/validation split, class
+balancing, batch shuffling, and dropout masks.  Two runs with the same
+seed produce bit-identical parameter trajectories.  Dropout is drawn only in training:
 :func:`loss_and_gradients` draws the masks of its ``dropout_seed`` (0 by
 default), and :func:`forward` applies none.  The optimizer is
 Adam (Kingma & Ba 2015) with their fixed β1 0.9, β2 0.999 and ε 1e-8.
 
-Every weight lives in one contiguous float64 vector, ``NetworkParams.flat``,
+Every weight lives in one contiguous vector, ``NetworkParams.flat``,
 laid out by :func:`_layout`: the embedding, then per layer the forward and
 backward direction's ``w_in``/``w_rec``/``bias``, then the dense head.  The
 named arrays are views into that vector.  Gradients and the Adam moments
@@ -77,10 +81,11 @@ gradients are bit-identical in every schedule: on OpenBLAS 0.3.31 a layer
 GEMM gives a row the same bits in any block of 2 or more rows, every
 array a part writes is allocated on the calling thread, and the input
 gradient sums its halves in one order.  The count itself can move last
-bits: OpenBLAS 0.3.31 blocks a GEMM whose inner dimension lies strictly
-between 256 and 512 one way at 1 thread and another at 2, so where an
-embedding width, ``hidden`` or twice it falls there, narrowed training
-and scoring give the bits of 1 thread.
+bits, in float32 as in float64: OpenBLAS 0.3.31 blocks a step's GEMM one
+way at 1 thread and another at 2 where its inner dimension is above about
+384 (float64) or 448 (float32) and neither a multiple of 32 nor one below
+it, so where an embedding width, ``hidden`` or twice it is such a width,
+narrowed training and scoring give the bits of 1 thread.
 
 Raw names are encoded in one place, :func:`names.encode_columns`: for
 training by :func:`prepare_dataset`, for scoring by :func:`predict_scores`,
@@ -183,7 +188,8 @@ def _layout(embed_dim: int, hidden: int, layers: int, n_classes: int):
 
 
 class NetworkParams:
-    """Every weight of the network as a view into one float64 vector.
+    """Every weight of the network as a view into one float64 or float32
+    vector.
 
     ``flat`` holds the arrays of :func:`_layout` back to back.
     ``embedding``, each direction's ``w_in``/``w_rec``/``bias`` (in
@@ -193,7 +199,7 @@ class NetworkParams:
 
     Raises:
         NameproxyError: no recurrent layer, or ``flat`` is not a
-            contiguous float64 vector of the layout's size.
+            contiguous float64 or float32 vector of the layout's size.
     """
 
     def __init__(
@@ -211,9 +217,10 @@ class NetworkParams:
         size = sum(math.prod(shape) for _, shape in layout)
         if flat is None:
             flat = np.zeros(size)
-        elif flat.dtype != np.float64 or flat.shape != (size,) or not flat.flags.c_contiguous:
+        elif (flat.dtype not in (np.float64, np.float32) or flat.shape != (size,)
+              or not flat.flags.c_contiguous):
             raise NameproxyError(
-                f"flat must be a contiguous float64 vector of {size} entries, "
+                f"flat must be a contiguous float64 or float32 vector of {size} entries, "
                 f"got {flat.dtype} {flat.shape}"
             )
         self.embed_dim = embed_dim
@@ -397,10 +404,11 @@ def _both(here, there):
             set_(threads)
 
 
-def _pass_scratch(batch: int, hidden: int):
+def _pass_scratch(batch: int, hidden: int, dtype):
     """The step buffers of :func:`_run_direction`: the recurrent product, a
     temporary, and the zero state before the first step."""
-    return np.empty((batch, 4 * hidden)), np.empty((batch, hidden)), np.zeros((batch, hidden))
+    return (np.empty((batch, 4 * hidden), dtype), np.empty((batch, hidden), dtype),
+            np.zeros((batch, hidden), dtype))
 
 
 def _run_direction(direction: LstmDirection, x, reverse: bool, out, acts, cells, scratch):
@@ -526,10 +534,11 @@ def _dropout(values, mask, keep: float, out=None):
 
 def _reuse(dead, shape):
     """An array of ``shape`` in the memory of the contiguous array ``dead``,
-    whose values are no longer needed, or a new one where it is too small."""
+    whose values are no longer needed, or a new one of its dtype where it is
+    too small."""
     size = math.prod(shape)
     flat = dead.reshape(-1)
-    return flat[:size].reshape(shape) if flat.size >= size else np.empty(shape)
+    return flat[:size].reshape(shape) if flat.size >= size else np.empty(shape, dead.dtype)
 
 
 def _forward_pass(params: NetworkParams, codes, tape=None, dropout_seed: int | None = None):
@@ -541,8 +550,8 @@ def _forward_pass(params: NetworkParams, codes, tape=None, dropout_seed: int | N
     Without one it runs :func:`_run_layers`, which applies no dropout,
     where :data:`_AT_ONCE` holds as two row halves at once through
     :func:`_both`, in buffers allocated here on the calling thread; the
-    dense head then runs on the whole block.  A block of under 4 rows is
-    not split, as a one-row half would project through gemv.
+    dense head then runs on the whole block, in float64.  A block of under
+    4 rows is not split, as a one-row half would project through gemv.
     """
     codes = np.asarray(codes, dtype=np.int64)
     if codes.ndim == 1:
@@ -554,7 +563,7 @@ def _forward_pass(params: NetworkParams, codes, tape=None, dropout_seed: int | N
     if codes.size and (codes.min() < 0 or codes.max() >= VOCAB_SIZE):
         raise NameproxyError("codes out of vocabulary range")
     batch, steps = codes.shape
-    feat = np.empty((batch, 2 * params.hidden))
+    feat = np.empty((batch, 2 * params.hidden), params.flat.dtype)
     if tape is not None:
         _record_layers(params, codes, dropout_seed, feat, tape)
     elif batch < 4 or not _AT_ONCE:
@@ -565,7 +574,10 @@ def _forward_pass(params: NetworkParams, codes, tape=None, dropout_seed: int | N
             return lambda: _run_layers(params, codes[rows], feat[rows], buffers)
 
         _both(half(slice(0, batch // 2)), half(slice(batch // 2, batch)))
-    logits = feat @ params.dense_w + params.dense_b
+    # the head in float64 whatever the weights' dtype: no copy from float64
+    feat = feat.astype(np.float64, copy=False)
+    dense_w, dense_b = (a.astype(np.float64, copy=False) for a in (params.dense_w, params.dense_b))
+    logits = feat @ dense_w + dense_b
     return _log_softmax(logits), feat, codes
 
 
@@ -575,14 +587,14 @@ def _layer_buffers(params: NetworkParams, batch: int, steps: int):
     input and then each middle layer's forward output; the first layer's
     output, written over by every middle layer; the last layer's two-step
     ring; and one step's gates, ``c_t`` and :func:`_pass_scratch`."""
-    hidden = params.hidden
+    hidden, dtype = params.hidden, params.flat.dtype
     return (
-        np.empty((steps, batch, max(params.embed_dim, hidden))),
-        np.empty((steps if params.n_layers > 1 else 0, batch, 2 * hidden)),
-        np.empty((2, batch, 2 * hidden)),
-        np.empty((1, batch, 4 * hidden)),
-        np.empty((1, batch, hidden)),
-        _pass_scratch(batch, hidden),
+        np.empty((steps, batch, max(params.embed_dim, hidden)), dtype),
+        np.empty((steps if params.n_layers > 1 else 0, batch, 2 * hidden), dtype),
+        np.empty((2, batch, 2 * hidden), dtype),
+        np.empty((1, batch, 4 * hidden), dtype),
+        np.empty((1, batch, hidden), dtype),
+        _pass_scratch(batch, hidden, dtype),
     )
 
 
@@ -648,7 +660,7 @@ def _record_layers(params: NetworkParams, codes, dropout_seed: int | None, feat,
             (drop_rng.random((batch, steps, 2 * hidden)) < keep).transpose(1, 0, 2)
             for _ in range(params.n_layers - 1)
         ]
-    scratch = [_pass_scratch(batch, hidden) for _ in range(2)]
+    scratch = [_pass_scratch(batch, hidden, np.float64) for _ in range(2)]
     x = params.embedding[codes.T]  # (T, B, D)
     for l, (fwd, bwd) in enumerate(params.layers):
         acts = [np.empty((steps, batch, 4 * hidden)) for _ in range(2)]
@@ -668,14 +680,15 @@ def forward(params: NetworkParams, codes) -> np.ndarray:
     """Class probabilities for a batch of encoded names, shape (batch, classes).
 
     A pure function of (params, codes): no dropout, and no training cache.
-    Where :data:`_AT_ONCE` holds, a block of 4 or more rows runs as two row
-    halves at once; in a block or a half each direction holds one step's
-    gates and its running ``h``/``c``, and a layer's output is written over
-    its input, so memory is that of one layer's activations and half of
-    another, in either schedule.  The dense head runs once, on the whole
-    block.  The probabilities are bit-identical to those
-    :func:`loss_and_gradients` computes without dropout, at one BLAS thread
-    count.  A ``(0, steps)`` batch gives ``(0, n_classes)``.
+    The layers run in the weights' dtype, float64 or float32, and the dense
+    head in float64.  Where :data:`_AT_ONCE` holds, a block of 4 or more
+    rows runs as two row halves at once; in a block or a half each
+    direction holds one step's gates and its running ``h``/``c``, and a
+    layer's output is written over its input, so memory is that of one
+    layer's activations and half of another, in either schedule.  The dense head runs once, on the whole
+    block.  With float64 weights the probabilities are bit-identical to
+    those :func:`loss_and_gradients` computes without dropout, at one BLAS
+    thread count.  A ``(0, steps)`` batch gives ``(0, n_classes)``.
     """
     log_probs, _, _ = _forward_pass(params, codes)
     return np.exp(log_probs)
@@ -689,7 +702,13 @@ def loss_and_gradients(params: NetworkParams, codes, labels, dropout_seed: int |
     masks, as in training; None applies no dropout.  Gradients flow through
     the dense head, both directions of every layer, and the embedding rows
     that the batch touched.
+
+    Raises:
+        NameproxyError: ``params.flat`` is not float64: the tape, the
+            gradients and :func:`adam_step` are float64 only.
     """
+    if params.flat.dtype != np.float64:
+        raise NameproxyError(f"training needs float64 parameters, got {params.flat.dtype}")
     labels = np.asarray(labels, dtype=np.int64)
     tape = []
     log_probs, feat, codes = _forward_pass(params, codes, tape, dropout_seed)

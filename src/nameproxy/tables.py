@@ -25,6 +25,8 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cached_property, partial
 
+import os
+
 import numpy as np
 
 from .core import People, RaceSet, renormalize_rows
@@ -461,8 +463,9 @@ def _read_table_csv(path, key_header, with_source):
     Raises:
         SchemaError: a missing ``races`` or ``race_totals`` line, a
             malformed header or row, a key that appears twice, a row count
-            other than the ``rows`` line's (where the file has one), or a
-            file that is not UTF-8 text.
+            other than the ``rows`` line's or a last line without a line
+            break (where the file has a ``rows`` line), or a file that is
+            not UTF-8 text.
     """
     meta: dict[str, str] = {}
     keys: list[str] = []
@@ -509,6 +512,12 @@ def _read_table_csv(path, key_header, with_source):
                     if src not in SOURCES:
                         raise SchemaError(f"unknown source {src!r}")
                     sources.append(SOURCES.index(src))
+        if "rows" in meta:
+            # every writer ends the file in a line break, and a file cut inside
+            # its last row can still parse, as a row with a shorter last field
+            fh.buffer.seek(-1, os.SEEK_END)
+            if fh.buffer.read(1) != b"\n":
+                raise SchemaError(f"{path}: the file does not end in a line break, so it was cut")
     if "rows" in meta and meta["rows"] != str(len(keys)):
         raise SchemaError(
             f"{path}: the 'rows' metadata line says {meta['rows']}, the file holds {len(keys)}"

@@ -31,7 +31,7 @@ from nameproxy.core import (
 )
 from nameproxy.ensemble import EnsembleSpec, ensemble_predict
 from nameproxy.evaluation import class_metrics, roc_curve
-from nameproxy.lstm import TrainConfig, init_params, loss_and_gradients, train
+from nameproxy.lstm import TrainConfig, init_params, loss_and_gradients, predict_scores, train
 from nameproxy.names import encode_name
 from nameproxy.sampling import largest_remainder_quotas, representative_sample_indices
 from nameproxy.tables import (
@@ -308,6 +308,16 @@ class TestC04Learnability:
         assert best >= 0.95, f"best validation accuracy {best:.3f}"
         assert elapsed < 300.0, f"took {elapsed:.1f}s"
         _pass(f"learnability: val accuracy {best:.3f} in {elapsed:.0f}s")
+        # the trained model scores held-out names in float32 as predict does
+        held_out = synthetic_records(5000, seed=78)
+        double = predict_scores(params, held_out.first, held_out.last).probs
+        single = params.like(params.flat.astype(np.float32))
+        single = predict_scores(single, held_out.first, held_out.last).probs
+        assert np.array_equal(double.argmax(axis=1), single.argmax(axis=1))
+        gap = np.abs(double - single).max()
+        assert gap <= 1e-6, f"max |dp| {gap:.2e}"
+        _pass(f"learnability: float32 scores of {len(held_out)} held-out names, "
+              f"same argmax, max |dp| {gap:.1e}")
 
 
 class TestC05EncodingFidelity:

@@ -827,6 +827,34 @@ class TestPredictCommand:
         assert rc == 1
         assert "three.bin: parameters have 3 classes for 4 races" in capsys.readouterr().err
 
+    def test_params_are_cast_once_to_float32(self, world, tmp_path):
+        path = tmp_path / "params.bin"
+        saved = init_params(embed_dim=4, hidden=3, layers=1, seed=0)
+        save_params(saved, path)
+        artifacts = cli.Artifacts(load_config(self.config_with(world, tmp_path, params=path)))
+        params = artifacts.params
+        assert params.flat.dtype == np.float32
+        assert np.array_equal(params.flat, saved.flat.astype(np.float32))
+        assert artifacts.params is params
+
+    def test_weight_beyond_float32_fails_naming_the_file(self, world, tmp_path, capsys):
+        path = tmp_path / "huge.bin"
+        params = init_params(embed_dim=4, hidden=3, layers=1, seed=0)
+        params.dense_w[0, 0] = 1e300  # finite in the float64 file
+        save_params(params, path)
+        input_csv = tmp_path / "input.csv"
+        write_csv(input_csv, DEFAULT_INPUT_ROWS)
+        rc = run(
+            "predict",
+            "--config", self.config_with(world, tmp_path, params=path),
+            "--input", input_csv,
+            "--models", "first_last",
+            "--out", tmp_path / "p.csv",
+        )
+        assert rc == 1
+        assert capsys.readouterr().err == f"nameproxy: {path}: a weight does not fit float32\n"
+        assert not (tmp_path / "p.csv").exists()
+
     def test_missing_surname_table_names_its_key(self, world, tmp_path, capsys):
         cfg_path = self.config_with(world, tmp_path)
         config = json.loads(cfg_path.read_text())

@@ -240,6 +240,15 @@ class TestLossAndGradients:
             np.testing.assert_allclose(numeric, analytic, rtol=1e-4, atol=1e-7, err_msg=name)
         assert offset == flat.size
 
+    def test_refuses_float32_parameters(self):
+        params = tiny_params()
+        single = params.like(params.flat.astype(np.float32))
+        codes = random_batch(np.random.default_rng(5), 2)
+        message = "training needs float64 parameters, got float32"
+        for dropout_seed in (None, 0):
+            with pytest.raises(NameproxyError, match=message):
+                loss_and_gradients(single, codes, np.array([0, 1]), dropout_seed=dropout_seed)
+
     def test_single_step_decreases_loss_small_lr(self):
         params = tiny_params(seed=11, dropout=0.0)
         codes = random_batch(np.random.default_rng(12), 1)
@@ -658,11 +667,31 @@ class TestPersistence:
 class TestValidate:
     def test_rejects_flat_of_wrong_size_or_dtype(self):
         size = tiny_params().flat.size
-        for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float32)):
-            message = f"flat must be a contiguous float64 vector of {size} entries"
+        for flat in (np.zeros(size - 1), np.zeros(size + 1), np.zeros(size, dtype=np.float16)):
+            message = f"flat must be a contiguous float64 or float32 vector of {size} entries"
             with pytest.raises(NameproxyError, match=message):
                 NetworkParams(4, 3, 2, 4, flat=flat)
         NetworkParams(4, 3, 2, 4, flat=np.zeros(size))
+
+    def test_float32_flat_scores_in_float32(self, monkeypatch):
+        params = tiny_params(seed=3)
+        single = params.like(params.flat.astype(np.float32))
+        assert single.dense_w.dtype == np.float32
+        seen = []
+        original = lstm._run_direction
+
+        def recording(direction, x, reverse, out, acts, cells, scratch):
+            seen.append({a.dtype for a in (direction.w_in, x, out, acts, cells, *scratch)})
+            return original(direction, x, reverse, out, acts, cells, scratch)
+
+        monkeypatch.setattr(lstm, "_run_direction", recording)
+        codes = random_batch(np.random.default_rng(4), 9)
+        probs = forward(single, codes)
+        # the layers in float32, the head and the softmax in float64
+        assert seen and all(dtypes == {np.dtype(np.float32)} for dtypes in seen)
+        assert probs.dtype == np.float64
+        assert np.abs(probs.sum(axis=1) - 1.0).max() <= 1e-15
+        assert np.abs(probs - forward(params, codes)).max() <= 1e-6
 
     def test_catches_non_finite(self):
         params = tiny_params()

@@ -5,7 +5,9 @@ the kernels in ``nameproxy.lstm`` replaced: one whole-window input
 projection per direction and every per-step gate, state and ``tanh(c)``
 stored for BPTT.  The time-major kernels must give bit-identical
 probabilities, with and without dropout, and the same loss; gradients may
-differ only in the order their GEMMs sum over rows.  Running a layer's two
+differ only in the order their GEMMs sum over rows.  With float32 weights
+the reference runs its layers in float32 too, and the head in float64, and
+the probabilities are again bit-identical.  Running a layer's two
 directions, or a block's two row halves, at once or one after the other
 must give the same bits at one BLAS thread count; running at once narrows
 the BLAS, and sets it back.  The one gate that picks between the schedules
@@ -51,12 +53,13 @@ def _ref_run_direction(direction, x, reverse, out):
     order = range(steps - 1, -1, -1) if reverse else range(steps)
     zx = (x.reshape(batch * steps, in_dim) @ direction.w_in).reshape(batch, steps, 4 * hidden)
     zx += direction.bias
-    h = np.zeros((batch, hidden))
-    c = np.zeros((batch, hidden))
-    gates = np.empty((batch, steps, 4, hidden))
-    c_prev = np.empty((batch, steps, hidden))
-    h_prev = np.empty((batch, steps, hidden))
-    tanh_c = np.empty((batch, steps, hidden))
+    dtype = direction.w_rec.dtype
+    h = np.zeros((batch, hidden), dtype)
+    c = np.zeros((batch, hidden), dtype)
+    gates = np.empty((batch, steps, 4, hidden), dtype)
+    c_prev = np.empty((batch, steps, hidden), dtype)
+    h_prev = np.empty((batch, steps, hidden), dtype)
+    tanh_c = np.empty((batch, steps, hidden), dtype)
     for t in order:
         z = zx[:, t] + h @ direction.w_rec
         i = _ref_sigmoid(z[:, 0 * hidden : 1 * hidden])
@@ -117,7 +120,7 @@ def _ref_forward(params, codes, dropout_seed):
     x = params.embedding[codes]
     layers = []
     for l, (fwd, bwd) in enumerate(params.layers):
-        out = np.empty((batch, steps, 2 * hidden))
+        out = np.empty((batch, steps, 2 * hidden), params.flat.dtype)
         cache_f = _ref_run_direction(fwd, x, False, out[:, :, :hidden])
         cache_b = _ref_run_direction(bwd, x, True, out[:, :, hidden:])
         mask = None
@@ -129,8 +132,11 @@ def _ref_forward(params, codes, dropout_seed):
             else:
                 x = out
         layers.append({"fwd": cache_f, "bwd": cache_b, "mask": mask})
-    feat = np.concatenate([out[:, -1, :hidden], out[:, 0, hidden:]], axis=1)
-    log_probs = _ref_log_softmax(feat @ params.dense_w + params.dense_b)
+    # the layers run in the weights' dtype, the head in float64
+    feat = np.concatenate([out[:, -1, :hidden], out[:, 0, hidden:]], axis=1).astype(np.float64)
+    log_probs = _ref_log_softmax(
+        feat @ params.dense_w.astype(np.float64) + params.dense_b.astype(np.float64)
+    )
     return np.exp(log_probs), {"layers": layers, "feat": feat, "log_probs": log_probs}
 
 
@@ -195,6 +201,35 @@ def test_matches_batch_major_reference(embed_dim, hidden, layers, batch, steps, 
     assert loss == ref_loss
     # only the row order of the weight-gradient sums differs
     assert np.abs(grads - ref_grads).max() <= 1e-13 * np.abs(ref_grads).max()
+
+
+@pytest.mark.parametrize("embed_dim,hidden,layers,batch,steps", DIMS)
+@pytest.mark.parametrize("at_once", [False, True])
+def test_float32_weights_match_the_reference_in_float32(
+    embed_dim, hidden, layers, batch, steps, at_once, monkeypatch
+):
+    params = init_params(embed_dim=embed_dim, hidden=hidden, layers=layers, seed=21)
+    single = params.like(params.flat.astype(np.float32))
+    codes = np.random.default_rng(22).integers(0, 30, size=(batch, steps))
+    ref_probs, _ = _ref_forward(single, codes, None)
+    monkeypatch.setattr(lstm, "_AT_ONCE", at_once)
+    probs = forward(single, codes)
+    assert probs.dtype == np.float64
+    assert probs.tobytes() == ref_probs.tobytes()
+
+
+@pytest.mark.parametrize("at_once", [False, True])
+def test_a_float32_row_keeps_its_bits_in_any_block_of_two_rows_or_more(at_once, monkeypatch):
+    params = init_params(embed_dim=16, hidden=32, layers=3, seed=30)
+    single = params.like(params.flat.astype(np.float32))
+    codes = np.random.default_rng(31).integers(0, 30, size=(256, WINDOW))
+    monkeypatch.setattr(lstm, "_AT_ONCE", at_once)
+    whole = forward(single, codes)
+    # blocks of 100 over every row, blocks of 2 over the first 16
+    for rows, end in ((100, 256), (2, 16)):
+        blocks = [forward(single, codes[start : min(start + rows, end)])
+                  for start in range(0, end, rows)]
+        assert np.concatenate(blocks).tobytes() == whole[:end].tobytes()
 
 
 def test_reused_buffers_carry_nothing_between_calls():

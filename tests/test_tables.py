@@ -615,6 +615,19 @@ class TestRowsLine:
             path.write_bytes(b"".join(lines))
             cls.load(path)
 
+    def test_table_cut_inside_its_last_row_fails_naming_the_file(self, tmp_path):
+        # without its line break the last row parses: the geo table's last
+        # count 45 reads 4, and the name table's last row loses only "\n"
+        wide = tmp_path / "wide.csv"
+        geo_table(RACES, {"10001": [1, 2, 3, 45]}, [1, 2, 3, 45]).save(wide)
+        cuts = [(cls, path, 1) for cls, path in saved_tables(tmp_path)] + [(GeoTable, wide, 2)]
+        for cls, path, cut in cuts:
+            whole = path.read_bytes()
+            path.write_bytes(whole[:-cut])
+            message = f"{path}: the file does not end in a line break, so it was cut"
+            with pytest.raises(SchemaError, match=f"^{re.escape(message)}$"):
+                cls.load(path)
+
     def test_row_count_that_disagrees_names_both_counts(self, tmp_path):
         for cls, path in saved_tables(tmp_path):
             rows = len(cls.load(path))
