@@ -106,20 +106,16 @@ class Artifacts:
 
     @cached_property
     def params(self):
-        """The float64 parameter file's weights, cast once to float32, in
-        which the network scores; the float64 copy is dropped here."""
+        """The float64 parameter file's weights, read straight into the
+        float32 vector the network scores in: no float64 copy is held."""
         path = self._path("params")
-        params = load_params(path)
+        params = load_params(path, np.float32)
         if params.n_classes != len(self.config.races):
             raise SchemaError(
                 f"{path}: parameters have {params.n_classes} classes "
                 f"for {len(self.config.races)} races"
             )
-        with np.errstate(over="ignore"):  # a weight beyond float32's range casts to inf
-            flat = params.flat.astype(np.float32)
-        if not np.isfinite(flat).all():
-            raise SchemaError(f"{path}: a weight does not fit float32")
-        return params.like(flat)
+        return params
 
     @cached_property
     def bayes_context(self) -> BayesContext:

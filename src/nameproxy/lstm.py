@@ -9,8 +9,9 @@ the backward direction's state at position zero, so both halves have
 seen the whole window.
 
 Training runs in float64.  Scoring runs the layers in the dtype of the
-weights: float64 as :func:`init_params` and :func:`load_params` give them,
-or float32 where the caller casts them (``predict`` casts once, at load).
+weights: float64 as :func:`init_params` and :func:`load_params` give them
+by default, or float32 (``predict`` loads the float64 file straight into a
+float32 vector, a chunk at a time, so it never holds a float64 copy).
 The dense head and the softmax run in float64 either way, so each row of
 probabilities sums to 1 at float64 precision.  All randomness flows from
 explicit seeds: initialization, the train/validation split, class
@@ -26,6 +27,9 @@ backward direction's ``w_in``/``w_rec``/``bias``, then the dense head.  The
 named arrays are views into that vector.  Gradients and the Adam moments
 are vectors with the same layout, so an optimizer step, a copy, a
 finiteness check and the parameter file each handle one buffer.
+:func:`init_params` draws into that buffer in place, and the finiteness
+check and a float32 load work :data:`_CHUNK_VALUES` values at a time, so
+none of them makes a temporary as long as the vector.
 
 Activations are time-major, ``(steps, batch, features)``, so each
 step's slice is contiguous (Appleyard et al. 2016, *Optimizing
@@ -121,6 +125,10 @@ _BLAS_THREAD_VARS = (
 
 MAGIC = b"NPRX"
 FORMAT_VERSION = 1
+
+# weights a finiteness check or a float32 load handles at once, so that
+# their temporaries stay small beside the weights
+_CHUNK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -254,11 +262,21 @@ class NetworkParams:
         )
 
     def validate(self) -> None:
-        if not np.isfinite(self.flat).all():
+        if not _all_finite(self.flat):
             raise NameproxyError("parameters contain non-finite values")
 
     def copy(self) -> "NetworkParams":
         return self.like(self.flat.copy())
+
+
+def _all_finite(values) -> bool:
+    """Whether every entry of a vector is finite, checked
+    :data:`_CHUNK_VALUES` entries at a time, so that no bool temporary is as
+    long as the vector."""
+    return all(
+        np.isfinite(values[start : start + _CHUNK_VALUES]).all()
+        for start in range(0, values.size, _CHUNK_VALUES)
+    )
 
 
 def init_params(
@@ -274,8 +292,13 @@ def init_params(
     params = NetworkParams(embed_dim, hidden, layers, n_classes, dropout)
 
     def uniform(fan_in, out):
-        bound = 1.0 / np.sqrt(fan_in)
-        out[...] = rng.uniform(-bound, bound, size=out.shape)
+        # ``rng.uniform(low, high)`` drawn in place, bit for bit: the same
+        # draws, times the width, plus the low end
+        high = 1.0 / np.sqrt(fan_in)
+        low = -high
+        rng.random(out=out)
+        out *= high - low
+        out += low
 
     # draw order: every layer's weights, then the embedding, then the head
     for pair in params.layers:
@@ -1032,13 +1055,25 @@ def _checked_size(header, path, available: int) -> int:
     return size
 
 
-def load_params(path) -> NetworkParams:
+def _read_values(fh, out, path) -> None:
+    """Fill the little-endian float64 vector ``out`` from ``fh``."""
+    if fh.readinto(memoryview(out).cast("B")) != out.nbytes:
+        raise SchemaError(f"{path}: file ended inside the parameter data")
+
+
+def load_params(path, dtype=np.float64) -> NetworkParams:
     """Load a parameter container; bit-exact inverse of :func:`save_params`.
+
+    The weights come back in ``dtype``, float64 or float32, as the one
+    vector the parameters keep.  float64 reads the data straight into it;
+    float32 reads :data:`_CHUNK_VALUES` float64 values at a time and casts
+    each chunk into it, so the float64 data is never held whole.
 
     Raises:
         SchemaError: bad magic, a malformed header, arrays that are
             not the layout its dimensions imply, truncation, trailing
-            bytes, or non-finite values.
+            bytes, non-finite values, or, for float32, a weight beyond
+            float32's range.
     """
     with open(path, "rb") as fh:
         file_size = os.fstat(fh.fileno()).st_size
@@ -1058,11 +1093,23 @@ def load_params(path) -> NetworkParams:
             raise SchemaError(f"{path}: unreadable header: {exc}") from exc
         offset += header_len
         size = _checked_size(header, path, file_size - offset)
-        # the data goes straight into the one vector the parameters keep
-        flat = np.empty(size, dtype="<f8")
-        if fh.readinto(memoryview(flat).cast("B")) != 8 * size:
-            raise SchemaError(f"{path}: file ended inside the parameter data")
-    flat = flat.astype(np.float64, copy=False)
+        if dtype == np.float64:
+            flat = np.empty(size, dtype="<f8")
+            _read_values(fh, flat, path)
+            flat = flat.astype(np.float64, copy=False)
+        else:
+            flat = np.empty(size, dtype)
+            chunk = np.empty(min(size, _CHUNK_VALUES), dtype="<f8")
+            for start in range(0, size, _CHUNK_VALUES):
+                values = chunk[: size - start]
+                _read_values(fh, values, path)
+                if not _all_finite(values):
+                    raise SchemaError(f"{path}: parameters contain non-finite values")
+                cast = flat[start : start + values.size]
+                with np.errstate(over="ignore"):  # a weight beyond float32's range casts to inf
+                    cast[...] = values
+                if not _all_finite(cast):
+                    raise SchemaError(f"{path}: a weight does not fit float32")
     try:
         params = NetworkParams(
             header["embed_dim"],

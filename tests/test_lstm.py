@@ -69,6 +69,17 @@ def pass_probs(params, codes, dropout_seed):
     return training_probs(params, codes, dropout_seed)
 
 
+def traced_peak(fn):
+    """``fn()`` and the peak of the memory it allocated, per tracemalloc."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
 def random_batch(rng, batch, window=WINDOW):
     codes = np.zeros((batch, window), dtype=np.int64)
     for b in range(batch):
@@ -662,6 +673,120 @@ class TestPersistence:
         path = tmp_path / "params.bin"
         save_params(params, path)
         assert load_params(path).hidden == 8
+
+    def test_save_makes_no_full_size_temporary(self):
+        params = init_params(embed_dim=64, hidden=128, layers=2, n_classes=4, seed=0)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "params.bin"
+            save_params(params, path)
+            _, peak = traced_peak(lambda: save_params(params, path))
+        # below a bool vector as long as ``flat``, which a whole-vector
+        # finiteness check would make
+        assert peak < params.flat.nbytes / 16
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_layout_without_weights_round_trips(self, tmp_path, dtype):
+        params = NetworkParams(0, 0, 1, 0)
+        assert params.flat.size == 0
+        path = tmp_path / "params.bin"
+        save_params(params, path)
+        loaded = load_params(path, dtype)
+        assert loaded.flat.dtype == dtype and loaded.flat.size == 0
+        assert (loaded.embed_dim, loaded.hidden, loaded.n_layers) == (0, 0, 1)
+
+
+class TestFloat32Load:
+    """``load_params(path, np.float32)`` casts the float64 file a chunk at a
+    time; these dims span many chunks and end in a partial one."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory):
+        params = init_params(embed_dim=64, hidden=256, layers=2, n_classes=4, seed=5)
+        assert params.flat.size > 8 * lstm._CHUNK_VALUES
+        assert params.flat.size % lstm._CHUNK_VALUES
+        path = tmp_path_factory.mktemp("float32") / "params.bin"
+        save_params(params, path)
+        return params, path
+
+    def with_last_value(self, saved, tmp_path, value):
+        """The saved file with its last stored value replaced."""
+        _, path = saved
+        blob = path.read_bytes()
+        changed = tmp_path / "changed.bin"
+        changed.write_bytes(blob[:-8] + struct.pack("<d", value))
+        return changed
+
+    def test_equals_the_float64_load_cast(self, saved):
+        params, path = saved
+        loaded = load_params(path, np.float32)
+        assert loaded.flat.dtype == np.float32
+        assert loaded.flat.tobytes() == load_params(path).flat.astype(np.float32).tobytes()
+        assert (loaded.embed_dim, loaded.hidden, loaded.n_layers, loaded.n_classes) == (
+            64, 256, 2, 4,
+        )
+        assert loaded.dropout == params.dropout
+
+    def test_holds_one_copy_of_the_parameters(self, saved):
+        _, path = saved
+        load_params(path, np.float32)
+        loaded, peak = traced_peak(lambda: load_params(path, np.float32))
+        assert peak < 1.25 * loaded.flat.nbytes
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_in_the_last_chunk_fails(self, saved, tmp_path, dtype):
+        path = self.with_last_value(saved, tmp_path, math.nan)
+        message = f"^{re.escape(str(path))}: parameters contain non-finite values$"
+        with pytest.raises(SchemaError, match=message):
+            load_params(path, dtype)
+
+    def test_weight_beyond_float32_in_the_last_chunk_fails(self, saved, tmp_path):
+        path = self.with_last_value(saved, tmp_path, 1e300)
+        assert load_params(path).dense_b[-1] == 1e300
+        message = f"^{re.escape(str(path))}: a weight does not fit float32$"
+        with pytest.raises(SchemaError, match=message):
+            load_params(path, np.float32)
+
+    def test_float32_max_still_fits(self, saved, tmp_path):
+        largest = float(np.finfo(np.float32).max)
+        path = self.with_last_value(saved, tmp_path, largest)
+        assert load_params(path, np.float32).dense_b[-1] == largest
+
+
+def uniform_init_oracle(embed_dim, hidden, layers, n_classes, seed):
+    """:func:`init_params`' rule as first written, each array drawn by
+    ``rng.uniform`` into a temporary and copied in."""
+    rng = np.random.default_rng(seed)
+    params = NetworkParams(embed_dim, hidden, layers, n_classes)
+
+    def uniform(fan_in, out):
+        bound = 1.0 / np.sqrt(fan_in)
+        out[...] = rng.uniform(-bound, bound, size=out.shape)
+
+    for pair in params.layers:
+        for d in pair:
+            uniform(d.w_in.shape[0], d.w_in)
+            uniform(hidden, d.w_rec)
+            d.bias[hidden : 2 * hidden] = 1.0  # the forget gate's
+    uniform(embed_dim, params.embedding)
+    uniform(2 * hidden, params.dense_w)
+    return params
+
+
+class TestInitParams:
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    @pytest.mark.parametrize("dims", [(64, 128, 2, 4), (32, 64, 2, 4), (5, 7, 3, 4), (4, 3, 1, 2)])
+    def test_draws_match_the_uniform_oracle_bit_for_bit(self, dims, seed):
+        drawn = init_params(*dims, seed=seed).flat
+        assert drawn.tobytes() == uniform_init_oracle(*dims, seed=seed).flat.tobytes()
+
+    def test_makes_no_full_size_temporary(self):
+        dims = dict(embed_dim=64, hidden=128, layers=2, n_classes=4)
+        init_params(**dims)
+        params, peak = traced_peak(lambda: init_params(**dims))
+        # the vector itself, plus less than a sixteenth of it: drawing the
+        # largest array into a temporary would add a fifth, and a
+        # whole-vector finiteness check an eighth
+        assert peak < (1 + 1 / 16) * params.flat.nbytes
 
 
 class TestValidate:

@@ -252,9 +252,9 @@ def in_schedule(monkeypatch, concurrent: bool, fn):
 
     One after the other runs at the BLAS thread count that running at once
     narrows the BLAS to, so the two schedules compare at one count: OpenBLAS
-    0.3.31 sums a GEMM whose inner dimension lies strictly between 256 and
-    512 in other blocks at 1 thread than at 2, so its last bits depend on
-    the count.
+    0.3.31 sums a GEMM whose inner dimension is above about 384 (float64) or
+    448 (float32), and neither a multiple of 32 nor one below it, in other
+    blocks at 1 thread than at 2, so its last bits depend on the count.
     """
     monkeypatch.setattr(lstm, "_AT_ONCE", concurrent)
     if concurrent or lstm._BLAS_THREADS is None:
